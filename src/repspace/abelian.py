@@ -29,8 +29,6 @@ import heapq
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CompositionNotZero
-
 # ---------------------------------------------------------------------------
 # SECTION: integer matrices
 
@@ -102,11 +100,6 @@ class IntMatrix:
             out[r][c] = v
         return out
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """Sparse matrix product self * other."""
         if self.cols != other.rows:
@@ -144,13 +137,15 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
 
 
-def _det_sign(rows) -> int:
+def determinant(M: IntMatrix) -> int:
     """Determinant of a small integer matrix by fraction-free elimination.
 
     Used only to confirm unimodularity in checks; Bareiss keeps every
     intermediate value an exact integer.
     """
-    a = [row[:] for row in rows]
+    if M.rows != M.cols:
+        raise ValueError("determinant of a non-square matrix")
+    a = M.to_rows()
     n = len(a)
     sign = 1
     prev = 1
@@ -169,12 +164,6 @@ def _det_sign(rows) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * (a[-1][-1] if n else 1)
-
-
-def determinant(M: IntMatrix) -> int:
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    return _det_sign(M.to_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +578,7 @@ class GradedGroup:
 
 
 # ---------------------------------------------------------------------------
-# SECTION: cokernels and homology of a pair of boundary maps
+# SECTION: cokernels
 
 
 def cokernel(M: IntMatrix) -> AbelianGroup:
@@ -603,26 +592,3 @@ def cokernel(M: IntMatrix) -> AbelianGroup:
     factors = invariant_factors(M)
     return AbelianGroup.from_factors(M.rows - len(factors), factors)
 
-
-def homology_of_pair(d_k: IntMatrix, d_k1: IntMatrix) -> AbelianGroup:
-    """ker(d_k) / im(d_k1) for consecutive boundary maps.
-
-    d_k maps degree k to k-1 and d_k1 maps degree k+1 to k, so
-    d_k.cols == d_k1.rows and d_k * d_k1 must vanish (checked).
-
-    The kernel of an integer matrix is a pure subgroup, hence a direct
-    summand, so coker(d_k1) = H_k + Z^(rank d_k): the torsion of H_k is
-    exactly the torsion of coker(d_k1) and its rank is
-    cols(d_k) - rank(d_k) - rank(d_k1).  No kernel basis is ever needed.
-    """
-    if d_k.cols != d_k1.rows:
-        raise ValueError(
-            f"chain ranks disagree: d_k is {d_k.shape}, d_k1 is {d_k1.shape}"
-        )
-    if not d_k.mul(d_k1).is_zero():
-        raise CompositionNotZero(
-            f"d∘d ≠ 0 for shapes {d_k.shape} ∘ {d_k1.shape}"
-        )
-    upper = invariant_factors(d_k1)
-    free = d_k.cols - len(invariant_factors(d_k)) - len(upper)
-    return AbelianGroup.from_factors(free, upper)

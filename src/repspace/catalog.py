@@ -35,6 +35,7 @@ from .simplicial import (
     minimal_circle,
     normalized_chains,
     product_list,
+    product_simplex_id,
     quotient_by_action,
 )
 
@@ -85,14 +86,6 @@ def circle_conj():
     return X, SimplicialAction.involution(X, {"a": "c", "c": "a"})
 
 
-def _mapped_tuple_id(fs, base_maps) -> str:
-    imgs = (
-        FormalSimplex(f.word, m.get(f.base, f.base))
-        for f, m in zip(fs, base_maps)
-    )
-    return "(" + "|".join(f.render() for f in imgs) + ")"
-
-
 def _product_involution(P: SimplicialSet, factor_swaps) -> SimplicialAction:
     """Coordinatewise involution of a product, from per-factor base swaps.
 
@@ -102,7 +95,10 @@ def _product_involution(P: SimplicialSet, factor_swaps) -> SimplicialAction:
     """
     swap = {}
     for sid, fs in P.parts.items():
-        target = _mapped_tuple_id(fs, factor_swaps)
+        target = product_simplex_id(
+            FormalSimplex(f.word, m.get(f.base, f.base))
+            for f, m in zip(fs, factor_swaps)
+        )
         if target != sid:
             swap[sid] = target
     return SimplicialAction.involution(P, swap)
@@ -193,12 +189,24 @@ def _permutation_action(P: SimplicialSet, m: int) -> SimplicialAction:
             inv[v] = i
         mapping = {}
         for sid, fs in P.parts.items():
-            moved = tuple(fs[inv[i]] for i in range(m))
-            mapping[sid] = "(" + "|".join(f.render() for f in moved) + ")"
+            mapping[sid] = product_simplex_id(fs[inv[i]] for i in range(m))
         maps[name[p]] = mapping
     return SimplicialAction(
         [name[p] for p in elems], name[tuple(range(m))], mult, maps
     )
+
+
+def symmetric_power(X: SimplicialSet, m: int):
+    """(X^m, SP^m(X)) for m >= 1, the product kept for its coordinates.
+
+    The quotient records orbit representatives but not their coordinate
+    tuples; callers that grade simplices by coordinates (the degeneracy
+    filtration) read those from the product's ``parts``.
+    """
+    if m == 1:
+        return X, X
+    P = product_list([X] * m, check=False, budget=CELL_BUDGET)
+    return P, quotient_by_action(P, _permutation_action(P, m))
 
 
 def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
@@ -207,11 +215,7 @@ def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
         raise ResourceGuard(f"sym_product with m={m} outside the range 0..3")
     if m == 0:
         return point()
-    if m == 1:
-        return X
-    P = product_list([X] * m, check=False, budget=CELL_BUDGET)
-    A = _permutation_action(P, m)
-    return quotient_by_action(P, A, check=(P.size() <= 20_000))
+    return symmetric_power(X, m)[1]
 
 
 def sp_torus(n: int, m: int) -> SimplicialSet:

@@ -109,7 +109,7 @@ def _verify_reports(args) -> list:
         return [verifier.check_rep_u_cohomology(args.m)]
     if args.suite == "rep-sp" and args.m is not None:
         return [verifier.check_rep_sp(2, args.m)]
-    return verifier.run_suite(args.suite, jobs=args.jobs, seed=args.seed)
+    return verifier.run_suite(args.suite, seed=args.seed)
 
 
 def cmd_verify(args) -> int:
@@ -158,6 +158,8 @@ def cmd_catalog(args) -> int:
 
 def cmd_su2(args) -> int:
     # Always JSON: this subcommand is a machine-readable probe.
+    if args.n < 1 or args.runs < 1:
+        raise ValueError("su2 verify-psi needs --n >= 1 and --runs >= 1")
     out = verifier.psi_sweep(args.n, args.runs, args.seed)
     print(json.dumps(out, indent=2))
     return 0 if out["failures"] == 0 else 1
@@ -192,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", parents=[fmt], help="run a verification suite")
     v.add_argument("suite", choices=verifier.SUITES)
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--n", type=int, default=None, help="narrow to one rank")
     v.add_argument("--m", type=int, default=None, help="narrow to one power")

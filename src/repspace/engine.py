@@ -16,9 +16,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 from .abelian import AbelianGroup, GradedGroup, IntMatrix, invariant_factors
+from .counting import _is_prime
 from .errors import CacheCorrupt, CompositionNotZero, NotPrime
 
 ENGINE_VERSION = "1"
@@ -121,17 +123,6 @@ def reduced_homology(C: ChainComplex) -> GradedGroup:
     return GradedGroup(groups)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def homology_mod_p(C: ChainComplex, p: int) -> list:
     """dim_{F_p} H_k(C; F_p) for every degree."""
     if not _is_prime(p):
@@ -223,7 +214,8 @@ def cached_homology(space_key: str, cache_dir=None) -> GradedGroup:
 
     Cache root: explicit argument, else the REPSPACE_CACHE environment
     variable, else no caching at all.  An unreadable entry is recomputed
-    and overwritten.
+    and overwritten; an entry that cannot be written costs a one-line
+    warning on stderr, not the answer.
     """
     from . import catalog  # deferred import; catalog builds on the engine
 
@@ -240,5 +232,8 @@ def cached_homology(space_key: str, cache_dir=None) -> GradedGroup:
     if isinstance(value, ChainComplex):
         value = homology(value)
     if root:
-        _cache_write(_cache_path(root, canonical), canonical, value)
+        try:
+            _cache_write(_cache_path(root, canonical), canonical, value)
+        except OSError as exc:
+            print(f"warning: result not cached: {exc}", file=sys.stderr)
     return value

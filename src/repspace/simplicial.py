@@ -217,6 +217,11 @@ def minimal_circle(vertex="v", edge="e") -> SimplicialSet:
 # SECTION: products
 
 
+def product_simplex_id(fs) -> str:
+    """Id of the product simplex with coordinates ``fs``: "(a|s0(v))"."""
+    return "(" + "|".join(f.render() for f in fs) + ")"
+
+
 def _normalize_tuple(factors, fs):
     """Peel the common degeneracies off a tuple of formal simplices.
 
@@ -267,7 +272,7 @@ def product_list(factors, check=True, budget=None) -> SimplicialSet:
             if inter:
                 continue
             fs = tuple(f for _, f in combo)
-            sid = "(" + "|".join(f.render() for f in fs) + ")"
+            sid = product_simplex_id(fs)
             level.append(sid)
             parts[sid] = fs
             ids_by_parts[fs] = sid
@@ -292,8 +297,8 @@ def product_list(factors, check=True, budget=None) -> SimplicialSet:
             faces[sid] = tuple(row)
     basepoint = None
     if all(X.basepoint is not None for X in factors):
-        basepoint = (
-            "(" + "|".join(X.basepoint for X in factors) + ")"
+        basepoint = product_simplex_id(
+            FormalSimplex((), X.basepoint) for X in factors
         )
     out = SimplicialSet(simplices, faces, basepoint=basepoint, check=check)
     out.parts = parts

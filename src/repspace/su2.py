@@ -158,35 +158,40 @@ def _nearest_central_sign(q: UnitQuaternion):
     return (1, d_plus) if d_plus <= d_minus else (-1, d_minus)
 
 
+def _pairwise_commutators(t: SU2Tuple, refuse=None):
+    """(sign rows, largest defect) over every pairwise commutator.
+
+    Each commutator is matched to the nearer of ±1.  With ``refuse``
+    given, the first pair (i, j) farther than the tuple's tolerance
+    raises ``refuse(i, j, distance)``.
+    """
+    n = len(t)
+    rows = [[1] * n for _ in range(n)]
+    worst = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            sign, dist = _nearest_central_sign(
+                commutator(t.elements[i], t.elements[j])
+            )
+            if refuse is not None and dist > t.tol:
+                raise refuse(i, j, dist)
+            rows[i][j] = rows[j][i] = sign
+            worst = max(worst, dist)
+    return rows, worst
+
+
 def commutator_type(t: SU2Tuple) -> SignMatrix:
     """Sign matrix of all pairwise commutators.
 
     Raises NotAlmostCommuting when any commutator is farther than the
     tuple's tolerance from both central elements.
     """
-    n = len(t)
-    rows = [[1] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            sign, dist = _nearest_central_sign(
-                commutator(t.elements[i], t.elements[j])
-            )
-            if dist > t.tol:
-                raise NotAlmostCommuting(i, j, dist)
-            rows[i][j] = rows[j][i] = sign
-    return SignMatrix.from_rows(rows)
+    return SignMatrix.from_rows(_pairwise_commutators(t, NotAlmostCommuting)[0])
 
 
 def max_commutator_defect(t: SU2Tuple) -> float:
     """Largest distance of any pairwise commutator from {±1}."""
-    worst = 0.0
-    for i in range(len(t)):
-        for j in range(i + 1, len(t)):
-            _, dist = _nearest_central_sign(
-                commutator(t.elements[i], t.elements[j])
-            )
-            worst = max(worst, dist)
-    return worst
+    return _pairwise_commutators(t)[1]
 
 
 def psi_construct(x_i, x_j, w, C: SignMatrix, i: int, j: int) -> SU2Tuple:
@@ -242,20 +247,14 @@ def classify_so3_tuple(rotations) -> SignMatrix:
     of each commutator once, which cancels.  Raises NotCommutingInSO3
     when some projected pair fails to commute within tolerance.
     """
-    t = SU2Tuple(tuple(rotations))
-    n = len(t)
-    rows = [[1] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            sign, dist = _nearest_central_sign(
-                commutator(t.elements[i], t.elements[j])
-            )
-            if dist > t.tol:
-                raise NotCommutingInSO3(
-                    f"rotations {i} and {j} do not commute in SO(3) "
-                    f"(lifted commutator {dist:.3e} from ±1)"
-                )
-            rows[i][j] = rows[j][i] = sign
+
+    def refuse(i, j, dist):
+        return NotCommutingInSO3(
+            f"rotations {i} and {j} do not commute in SO(3) "
+            f"(lifted commutator {dist:.3e} from ±1)"
+        )
+
+    rows, _ = _pairwise_commutators(SU2Tuple(tuple(rotations)), refuse)
     return SignMatrix.from_rows(rows)
 
 

@@ -17,14 +17,19 @@ fixed seed.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import combinations
 from math import comb
 
 from . import catalog
-from .abelian import AbelianGroup, GradedGroup, IntMatrix, smith_normal_form
+from .abelian import (
+    AbelianGroup,
+    GradedGroup,
+    IntMatrix,
+    determinant,
+    smith_normal_form,
+)
 from .counting import (
     a_count,
     c_count,
@@ -50,7 +55,6 @@ from .simplicial import (
     SimplicialSet,
     collapse,
     normalized_chains,
-    product_list,
     quotient_by_action,
     smash,
     subcomplex,
@@ -165,20 +169,6 @@ def _family_guard(family: str, n: int, m: int):
             )
 
 
-def _symmetric_power(T: SimplicialSet, m: int):
-    """(m-fold product, SP^m) with the product kept for coordinate access.
-
-    The quotient records orbit representatives but not their coordinate
-    tuples, and the degeneracy filtration is defined through those, so
-    the product must survive alongside.
-    """
-    if m == 1:
-        return T, T
-    P = product_list([T] * m, check=False, budget=catalog.CELL_BUDGET)
-    A = catalog._permutation_action(P, m)
-    return P, quotient_by_action(P, A, check=(P.size() <= 20_000))
-
-
 def _member_rows(P: SimplicialSet, SP: SimplicialSet, sid: str):
     """The product coordinates behind a (possibly orbit) simplex id."""
     if SP is P:
@@ -204,7 +194,7 @@ def _degenerate_direction_count(T: SimplicialSet, rows) -> int:
 def _sp_collapsed_factor(r: int, m: int) -> SimplicialSet:
     """SP^m((S^1)^r) with every degenerate-direction orbit collapsed."""
     T = catalog.minimal_torus(r)
-    P, SP = _symmetric_power(T, m)
+    P, SP = catalog.symmetric_power(T, m)
     kill = [
         sid
         for sid in SP.dim_of
@@ -281,7 +271,7 @@ def degeneracy_filtration(family: str, n: int, m: int = 2) -> list:
         }
     else:
         T = catalog.minimal_torus(n)
-        P, ambient = _symmetric_power(T, m)
+        P, ambient = catalog.symmetric_power(T, m)
         counts = {
             sid: _degenerate_direction_count(T, _member_rows(P, ambient, sid))
             for sid in ambient.dim_of
@@ -441,38 +431,40 @@ def sign_matrices(n: int) -> list:
     return out
 
 
+def _random_tuple(C: SignMatrix, rng: random.Random) -> SU2Tuple:
+    """A random SU(2) tuple built to have the realizable sign matrix C.
+
+    The trivial matrix gets a random common-axis tuple; any other gets a
+    conjugated anticommuting base pair at a random -1 entry and random
+    companion signs.
+    """
+    n = C.n
+    if all(s == 1 for row in C.entries for s in row):
+        return random_torus_tuple(n, rng.randrange(2**63))
+    pairs = [(i, j) for i, j in combinations(range(n), 2) if C.entry(i, j) == -1]
+    i, j = pairs[rng.randrange(len(pairs))]
+    g = random_unit_quaternion(rng)
+    base = conjugate_tuple(g, SU2Tuple((I, J)))
+    w = tuple(rng.choice((1, -1)) for _ in range(n - 2))
+    return psi_construct(base.elements[0], base.elements[1], w, C, i, j)
+
+
 def psi_sweep(n: int, runs: int, seed) -> dict:
     """Randomized constructions of every realizable sign matrix.
 
-    Each run draws a realizable matrix (covering all of them first), a
-    conjugated anticommuting base pair — or a random common-axis tuple
-    when the matrix is trivial — and random companion signs, then
-    measures the built tuple's type and commutator defect.  Returns
-    {"runs", "failures", "max_commutator_defect"}.
+    Each run draws a realizable matrix (covering all of them first) and a
+    random tuple built for it, then measures the tuple's type and
+    commutator defect.  Returns {"runs", "failures",
+    "max_commutator_defect"}.
     """
     rng = random.Random(seed)
     realizable = [C for C in sign_matrices(n) if C.is_realizable()]
-    trivial = SignMatrix.from_rows([[1] * n for _ in range(n)])
     failures = 0
     worst = 0.0
     for run in range(runs):
         C = realizable[run] if run < len(realizable) else rng.choice(realizable)
         try:
-            if C == trivial:
-                t = random_torus_tuple(n, rng.randrange(2**63))
-            else:
-                pairs = [
-                    (i, j)
-                    for i, j in combinations(range(n), 2)
-                    if C.entry(i, j) == -1
-                ]
-                i, j = pairs[rng.randrange(len(pairs))]
-                g = random_unit_quaternion(rng)
-                base = conjugate_tuple(g, SU2Tuple((I, J)))
-                w = tuple(rng.choice((1, -1)) for _ in range(n - 2))
-                t = psi_construct(
-                    base.elements[0], base.elements[1], w, C, i, j
-                )
+            t = _random_tuple(C, rng)
             defect = max_commutator_defect(t)
             worst = max(worst, defect)
             if commutator_type(t) != C or defect > DEFAULT_TOL:
@@ -514,24 +506,10 @@ def so3_invariance(cases: int, seed) -> dict:
     """
     rng = random.Random(seed)
     pools = {n: [C for C in sign_matrices(n) if C.is_realizable()] for n in (2, 3, 4)}
-    trivial = {n: SignMatrix.from_rows([[1] * n for _ in range(n)]) for n in (2, 3, 4)}
     failures = 0
     for _ in range(cases):
         n = rng.choice((2, 3, 4))
-        C = rng.choice(pools[n])
-        if C == trivial[n]:
-            t = random_torus_tuple(n, rng.randrange(2**63))
-        else:
-            pairs = [
-                (i, j)
-                for i, j in combinations(range(n), 2)
-                if C.entry(i, j) == -1
-            ]
-            i, j = pairs[rng.randrange(len(pairs))]
-            g = random_unit_quaternion(rng)
-            base = conjugate_tuple(g, SU2Tuple((I, J)))
-            w = tuple(rng.choice((1, -1)) for _ in range(n - 2))
-            t = psi_construct(base.elements[0], base.elements[1], w, C, i, j)
+        t = _random_tuple(rng.choice(pools[n]), rng)
         before = classify_so3_tuple(t.elements)
         flipped = [
             x if rng.random() < 0.5 else x.neg() for x in t.elements
@@ -579,31 +557,6 @@ def check_su2(runs: int = 1200, seed: int = 20260823) -> Report:
 # SECTION: structural suites (normal form, boundary algebra)
 
 
-def _det(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination; matrices are tiny."""
-    n, c = M.shape
-    if n != c:
-        raise ValueError("determinant of a non-square matrix")
-    a = M.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next(
-                (r for r in range(k + 1, n) if a[r][k] != 0), None
-            )
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for r in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[r][j] = (a[r][j] * a[k][k] - a[r][k] * a[k][j]) // prev
-            a[r][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
-
-
 def check_snf(runs: int = 200, seed: int = 11) -> Report:
     """U·M·V = D with unimodular U, V and a divisor chain, on random M."""
     rng = random.Random(seed)
@@ -619,8 +572,8 @@ def check_snf(runs: int = 200, seed: int = 11) -> Report:
         diag = [D.entry(i, i) for i in range(min(r, c))]
         ok = (
             U.mul(M).mul(V) == D
-            and abs(_det(U)) == 1
-            and abs(_det(V)) == 1
+            and abs(determinant(U)) == 1
+            and abs(determinant(V)) == 1
             and all(
                 D.entry(i, j) == 0
                 for i in range(r)
@@ -705,11 +658,6 @@ def suite_builders(name: str, seed: int = 0, runs: int = 1200) -> list:
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
 
 
-def run_suite(name: str, jobs: int = 1, seed: int = 0, runs: int = 1200) -> list:
-    """All reports of one suite, optionally on a thread pool."""
-    builders = suite_builders(name, seed=seed, runs=runs)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(b) for b in builders]
-            return [f.result() for f in futures]
-    return [b() for b in builders]
+def run_suite(name: str, seed: int = 0, runs: int = 1200) -> list:
+    """All reports of one suite, in order."""
+    return [b() for b in suite_builders(name, seed=seed, runs=runs)]

@@ -13,7 +13,7 @@ from repspace.engine import (
     universal_coefficients_check,
 )
 from repspace.errors import ResourceGuard, UnknownSpace
-from repspace.simplicial import normalized_chains
+from repspace.simplicial import SimplicialAction, SimplicialSet, normalized_chains
 
 Z = AbelianGroup.free
 
@@ -97,6 +97,20 @@ def test_sym_product_degenerate_multiplicities():
     C = catalog.circle()
     assert H(catalog.sym_product(C, 0)) == GradedGroup.of(Z(1))
     assert catalog.sym_product(C, 1) is C
+
+
+def test_sym_product_validates_the_action_at_any_size(monkeypatch):
+    monkeypatch.setattr(SimplicialSet, "size", lambda self: 10**6)
+    validated = []
+    original = SimplicialAction.validate
+
+    def spy(self, X):
+        validated.append(X)
+        return original(self, X)
+
+    monkeypatch.setattr(SimplicialAction, "validate", spy)
+    catalog.sym_product(catalog.circle(), 2)
+    assert validated
 
 
 def test_sp2_circle_is_a_mobius_band():

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from repspace.abelian import GradedGroup
 from repspace.cli import main
 from repspace import verifier
@@ -115,6 +117,17 @@ def test_homology_cache_env_var(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.glob("*.json"))
 
 
+def test_homology_unwritable_cache_warns_and_answers(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory")
+    code, out, err = run(
+        capsys, "homology", "circle", "--cache-dir", str(blocker / "sub")
+    )
+    assert code == 0
+    assert out == run(capsys, "homology", "circle")[1]
+    assert len(err.splitlines()) == 1 and err.startswith("warning:")
+
+
 # -- verify -----------------------------------------------------------------
 
 
@@ -160,15 +173,6 @@ def test_verify_homology_prop_narrowed(capsys):
     assert code == 0
     assert "[ok] homology-prop(n=3)" in out
     assert "n=2" not in out
-
-
-def test_verify_with_jobs_matches_serial(capsys):
-    code_a, out_a, _ = run(capsys, "verify", "rep-sp", "--format", "json")
-    code_b, out_b, _ = run(
-        capsys, "verify", "rep-sp", "--jobs", "3", "--format", "json"
-    )
-    assert code_a == code_b == 0
-    assert json.loads(out_a) == json.loads(out_b)
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -220,6 +224,14 @@ def test_su2_verify_psi_json_contract(capsys):
     assert set(doc) == {"runs", "failures", "max_commutator_defect"}
     assert doc["runs"] == 80 and doc["failures"] == 0
     assert doc["max_commutator_defect"] < 1e-9
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--n"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_su2_verify_psi_rejects_counts_below_one(capsys, flag, value):
+    code, out, err = run(capsys, "su2", "verify-psi", flag, value)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_su2_verify_psi_deterministic(capsys):
