@@ -26,11 +26,12 @@ from math import comb
 
 from .abelian import AbelianGroup, GradedGroup, IntMatrix
 from .engine import ChainComplex, suspend
-from .errors import ResourceGuard, UnknownSpace
+from .errors import ResourceGuard, UnknownSpace, range_error
 from .simplicial import (
     FormalSimplex,
     SimplicialAction,
     SimplicialSet,
+    basepoint_directions,
     collapse,
     minimal_circle,
     normalized_chains,
@@ -113,7 +114,7 @@ def torus(n: int):
     involution is required.
     """
     if not 1 <= n <= 6:
-        raise ResourceGuard(f"torus(n={n}) outside the supported range 1..6")
+        raise range_error(n, 1, f"torus(n={n}) outside the supported range 1..6")
     est = _torus_cell_estimate(n, 2)
     if est > CELL_BUDGET:
         raise ResourceGuard(
@@ -129,8 +130,8 @@ def torus(n: int):
 def minimal_torus(n: int) -> SimplicialSet:
     """(S^1)^n on one-vertex circles; no involution, smallest possible."""
     if not 1 <= n <= 6:
-        raise ResourceGuard(
-            f"minimal_torus(n={n}) outside the supported range 1..6"
+        raise range_error(
+            n, 1, f"minimal_torus(n={n}) outside the supported range 1..6"
         )
     est = _torus_cell_estimate(n, 1)
     if est > CELL_BUDGET:
@@ -140,33 +141,20 @@ def minimal_torus(n: int) -> SimplicialSet:
 
 def torus_conj_quotient(n: int) -> SimplicialSet:
     """(S^1)^n / Z/2, conjugation acting diagonally."""
-    X, A = torus(n)
-    return quotient_by_action(X, A, check=False)
+    return quotient_by_action(*torus(n))
 
 
 def smash_factor(n: int) -> SimplicialSet:
     """T^∧n / Z/2: the n-fold smash of circles mod coordinatewise conjugation.
 
-    Built from the 2-gon torus: collapse the fat wedge, restrict the
-    involution to the surviving product simplices (the fat wedge is
-    invariant, and the basepoint coordinate b is fixed), then quotient.
+    Conjugation fixes the basepoint coordinate b, so the fat wedge is
+    invariant and collapsing it in the conjugation quotient gives the
+    same space as quotienting the smash product.
     """
     if not 1 <= n <= 5:
-        raise ResourceGuard(f"smash_factor(n={n}) outside the range 1..5")
-    P, A = torus(n)
-    C, _ = circle_conj()
-    bp = C.basepoint
-    fat = [
-        sid for sid, fs in P.parts.items() if any(f.base == bp for f in fs)
-    ]
-    S = collapse(P, fat)
-    pswap = A.maps["t"]
-    swap = {
-        sid: pswap[sid]
-        for sid in S.dim_of
-        if sid != S.basepoint and pswap[sid] != sid
-    }
-    return quotient_by_action(S, SimplicialAction.involution(S, swap))
+        raise range_error(n, 1, f"smash_factor(n={n}) outside the range 1..5")
+    Q = torus_conj_quotient(n)
+    return collapse(Q, [s for s in Q.dim_of if basepoint_directions(Q, s)])
 
 
 # ---------------------------------------------------------------------------
@@ -196,26 +184,20 @@ def _permutation_action(P: SimplicialSet, m: int) -> SimplicialAction:
     )
 
 
-def symmetric_power(X: SimplicialSet, m: int):
-    """(X^m, SP^m(X)) for m >= 1, the product kept for its coordinates.
-
-    The quotient records orbit representatives but not their coordinate
-    tuples; callers that grade simplices by coordinates (the degeneracy
-    filtration) read those from the product's ``parts``.
-    """
-    if m == 1:
-        return X, X
-    P = product_list([X] * m, check=False, budget=CELL_BUDGET)
-    return P, quotient_by_action(P, _permutation_action(P, m))
-
-
 def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
-    """SP^m(X) = X^m / Σ_m."""
+    """SP^m(X) = X^m / Σ_m; X itself for m = 1.
+
+    For m >= 2 the quotient's ``parts`` give each orbit's m coordinates
+    in X.
+    """
     if m < 0 or m > 3:
-        raise ResourceGuard(f"sym_product with m={m} outside the range 0..3")
+        raise range_error(m, 0, f"sym_product with m={m} outside the range 0..3")
     if m == 0:
         return point()
-    return symmetric_power(X, m)[1]
+    if m == 1:
+        return X
+    P = product_list([X] * m, check=False, budget=CELL_BUDGET)
+    return quotient_by_action(P, _permutation_action(P, m))
 
 
 def sp_torus(n: int, m: int) -> SimplicialSet:
@@ -280,8 +262,7 @@ def rp_simplicial(n: int) -> SimplicialSet:
     """RP^n as the antipodal quotient of the cross-polytope sphere."""
     if n > 4:
         raise ResourceGuard(f"rp_simplicial(n={n}) outside the range 0..4")
-    X, A = sphere_simplicial(n)
-    return quotient_by_action(X, A, check=False)
+    return quotient_by_action(*sphere_simplicial(n))
 
 
 def sphere_chain(n: int) -> ChainComplex:
@@ -351,14 +332,14 @@ def sphere_bundle_quotient(n: int) -> SimplicialSet:
     involution is simplicial and free.
     """
     if not 1 <= n <= 4:
-        raise ResourceGuard(
-            f"sphere_bundle_quotient(n={n}) outside the range 1..4"
+        raise range_error(
+            n, 1, f"sphere_bundle_quotient(n={n}) outside the range 1..4"
         )
     S2, A2 = sphere_simplicial(2)
     Sn, An = sphere_simplicial(n - 1)
     P = product_list([S2, Sn], check=False, budget=CELL_BUDGET)
     act = _product_involution(P, [A2.maps["t"], An.maps["t"]])
-    return quotient_by_action(P, act, check=False)
+    return quotient_by_action(P, act)
 
 
 def thom_zero_quotient(n: int) -> ChainComplex:

@@ -6,9 +6,9 @@ the sparse invariant factors once (memoized per complex) and reads off
     H_k  =  Z^(n_k - rank d_k - rank d_{k+1})  +  torsion(coker d_{k+1})
 
 which is valid because ker d_k is a pure subgroup of C_k, hence a direct
-summand containing im d_{k+1}.  Mod-p dimensions come from the same
-diagonals: a unimodular transform over Z is invertible over F_p, so
-rank_p(d) is the number of diagonal entries not divisible by p.
+summand containing im d_{k+1}.  Mod-p dimensions come from a separate
+row reduction over F_p of the raw boundary matrices, so the universal
+coefficient check compares two independent routes.
 """
 
 from __future__ import annotations
@@ -123,17 +123,41 @@ def reduced_homology(C: ChainComplex) -> GradedGroup:
     return GradedGroup(groups)
 
 
+def _rank_mod_p(M: IntMatrix, p: int) -> int:
+    """Rank of M over F_p by sparse row reduction, without the SNF.
+
+    Each row is reduced by the pivot rows found so far, keyed by their
+    leading column; a row that does not vanish becomes a pivot row.
+    """
+    rows = {}
+    for (r, c), v in M.entries.items():
+        if v % p:
+            rows.setdefault(r, {})[c] = v % p
+    pivots = {}
+    for row in rows.values():
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            scale = row[lead]
+            for c, v in pivot.items():
+                w = (row.get(c, 0) - scale * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
 def homology_mod_p(C: ChainComplex, p: int) -> list:
     """dim_{F_p} H_k(C; F_p) for every degree."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-
-    def rank_p(k):
-        return sum(1 for e in C._factor(k) if e % p)
-
-    return [
-        C.ranks[k] - rank_p(k) - rank_p(k + 1) for k in range(len(C.ranks))
-    ]
+    rank = [_rank_mod_p(C.d(k), p) for k in range(len(C.ranks) + 1)]
+    return [C.ranks[k] - rank[k] - rank[k + 1] for k in range(len(C.ranks))]
 
 
 def universal_coefficients_check(C: ChainComplex, p: int) -> bool:
@@ -175,7 +199,14 @@ def suspend(C: ChainComplex) -> ChainComplex:
 #
 # One JSON file per canonical descriptor, named by the sha256 of the
 # descriptor string.  Values are deterministic, so concurrent writers can
-# only collide on identical content; last writer wins harmlessly.
+# only collide on identical content; last writer wins harmlessly.  Each
+# entry carries the sha256 of its value's canonical JSON, so an entry
+# whose value was altered is recomputed rather than trusted.
+
+
+def _digest(graded_group_json) -> str:
+    text = json.dumps(graded_group_json, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _cache_path(root, canonical: str) -> Path:
@@ -190,6 +221,8 @@ def _cache_read(path: Path, canonical: str) -> GradedGroup:
             raise CacheCorrupt(f"key mismatch in {path}")
         if doc.get("engine_version") != ENGINE_VERSION:
             raise CacheCorrupt(f"stale engine version in {path}")
+        if doc.get("digest") != _digest(doc["graded_group"]):
+            raise CacheCorrupt(f"value digest mismatch in {path}")
         return GradedGroup.from_json(doc["graded_group"])
     except CacheCorrupt:
         raise
@@ -202,6 +235,7 @@ def _cache_write(path: Path, canonical: str, value: GradedGroup):
     doc = {
         "key": canonical,
         "graded_group": value.to_json(),
+        "digest": _digest(value.to_json()),
         "engine_version": ENGINE_VERSION,
     }
     tmp = path.with_suffix(f".tmp{os.getpid()}")
@@ -213,9 +247,10 @@ def cached_homology(space_key: str, cache_dir=None) -> GradedGroup:
     """Homology of a catalog space by descriptor, through the cache.
 
     Cache root: explicit argument, else the REPSPACE_CACHE environment
-    variable, else no caching at all.  An unreadable entry is recomputed
-    and overwritten; an entry that cannot be written costs a one-line
-    warning on stderr, not the answer.
+    variable, else no caching at all.  An unreadable entry, or one whose
+    value does not match its digest, is recomputed and overwritten; an
+    entry that cannot be written costs a one-line warning on stderr, not
+    the answer.
     """
     from . import catalog  # deferred import; catalog builds on the engine
 

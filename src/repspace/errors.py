@@ -33,6 +33,15 @@ class ResourceGuard(RepspaceError):
     """A construction was refused because its size exceeds the budget."""
 
 
+def range_error(value: int, low: int, message: str) -> Exception:
+    """The error for a parameter outside its valid range, which starts at low.
+
+    Below the range the request is malformed (ValueError, bad input);
+    above it the request is well-formed but too big (ResourceGuard).
+    """
+    return ValueError(message) if value < low else ResourceGuard(message)
+
+
 class UnknownSpace(RepspaceError):
     """A space descriptor does not parse, or names no catalog entry."""
 

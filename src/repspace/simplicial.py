@@ -88,9 +88,10 @@ class SimplicialSet:
     """Nondegenerate simplices per dimension plus a face table.
 
     faces[x] for a k-simplex x (k >= 1) is the tuple (d_0 x, ..., d_k x)
-    of FormalSimplexes.  ``parts`` (for products) and ``orbit_of`` /
-    ``orbit_rep`` (for quotients) record construction provenance that
-    later constructions need; they are not part of the space itself.
+    of FormalSimplexes.  ``parts`` (coordinates, kept by products and by
+    their quotients and subcomplexes) and ``orbit_of`` / ``orbit_rep``
+    (for quotients) record construction provenance that later
+    constructions need; they are not part of the space itself.
     """
 
     __slots__ = ("simplices", "faces", "basepoint", "dim_of", "parts", "orbit_of", "orbit_rep")
@@ -380,18 +381,16 @@ class SimplicialAction:
                         )
 
 
-def quotient_by_action(
-    X: SimplicialSet, A: SimplicialAction, check=True
-) -> SimplicialSet:
-    """Orbit simplicial set X/G.
+def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
+    """Orbit simplicial set X/G, with the action and the result validated.
 
     The action permutes nondegenerate simplices, so orbits of
     nondegenerate simplices are exactly the nondegenerate simplices of
     the quotient; faces are induced on the lexicographically least
-    representative.  Records ``orbit_of`` and ``orbit_rep``.
+    representative.  Records ``orbit_of`` and ``orbit_rep``, and, when X
+    records ``parts``, each orbit's representative's coordinates.
     """
-    if check:
-        A.validate(X)
+    A.validate(X)
     orbit_of = {}
     orbit_rep = {}
     simplices = {}
@@ -417,14 +416,28 @@ def quotient_by_action(
             FormalSimplex(f.word, orbit_of[f.base]) for f in X.faces[rep]
         )
     basepoint = orbit_of[X.basepoint] if X.basepoint is not None else None
-    out = SimplicialSet(simplices, faces, basepoint=basepoint, check=check)
+    out = SimplicialSet(simplices, faces, basepoint=basepoint)
     out.orbit_of = orbit_of
     out.orbit_rep = orbit_rep
+    if X.parts is not None:
+        out.parts = {oid: X.parts[rep] for oid, rep in orbit_rep.items()}
     return out
 
 
 # ---------------------------------------------------------------------------
 # SECTION: subcomplexes, collapse, wedge, smash, suspension
+
+
+def basepoint_directions(X: SimplicialSet, sid: str) -> frozenset:
+    """The coordinates j in which simplex ``sid`` sits at the basepoint.
+
+    X records ``parts`` (a product, or a quotient or subcomplex of one).
+    The simplices with a nonempty answer form the fat wedge.
+    """
+    base = X.parts[X.basepoint]
+    return frozenset(
+        j for j, (f, b) in enumerate(zip(X.parts[sid], base)) if f.base == b.base
+    )
 
 
 def subcomplex(X: SimplicialSet, keep) -> SimplicialSet:
@@ -543,13 +556,7 @@ def smash(Xs) -> SimplicialSet:
         if X.basepoint is None:
             raise MissingBasepoint("smash needs based inputs")
     P = product_list(Xs, check=False)
-    bps = [X.basepoint for X in Xs]
-    fat = [
-        sid
-        for sid, fs in P.parts.items()
-        if any(f.base == bp for f, bp in zip(fs, bps))
-    ]
-    return collapse(P, fat)
+    return collapse(P, [s for s in P.dim_of if basepoint_directions(P, s)])
 
 
 def suspension(X: SimplicialSet) -> SimplicialSet:

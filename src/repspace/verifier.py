@@ -49,14 +49,12 @@ from .engine import (
     reduced_homology,
     universal_coefficients_check,
 )
-from .errors import RepspaceError, ResourceGuard, TypeMismatch, Unsupported
+from .errors import RepspaceError, ResourceGuard, TypeMismatch, Unsupported, range_error
 from .simplicial import (
-    FormalSimplex,
     SimplicialSet,
+    basepoint_directions,
     collapse,
     normalized_chains,
-    quotient_by_action,
-    smash,
     subcomplex,
 )
 from .su2 import (
@@ -157,70 +155,52 @@ def _family_guard(family: str, n: int, m: int):
         raise ValueError(f"unknown splitting family {family!r}")
     limit = FAMILY_LIMITS[family]
     if not 1 <= n <= limit:
-        raise ResourceGuard(
-            f"{family} splitting is checked for 1 <= n <= {limit}, not n={n}"
+        raise range_error(
+            n, 1, f"{family} splitting is checked for 1 <= n <= {limit}, not n={n}"
         )
     if family == "sp_circle":
         if not 1 <= m <= 3:
-            raise ResourceGuard(f"sp_circle needs 1 <= m <= 3, not m={m}")
+            raise range_error(m, 1, f"sp_circle needs 1 <= m <= 3, not m={m}")
         if catalog._torus_cell_estimate(n * m, 1) > catalog.CELL_BUDGET:
             raise ResourceGuard(
                 f"sp_circle(n={n}, m={m}) underlying product is over budget"
             )
 
 
-def _member_rows(P: SimplicialSet, SP: SimplicialSet, sid: str):
-    """The product coordinates behind a (possibly orbit) simplex id."""
-    if SP is P:
-        return (FormalSimplex((), sid),)
-    return P.parts[SP.orbit_rep[sid]]
+def _family_space(family: str, n: int, m: int):
+    """(rank-n space X, {simplex of X: torus directions at the basepoint}).
 
-
-def _degenerate_direction_count(T: SimplicialSet, rows) -> int:
-    """Directions of the torus T at its basepoint in every given row.
-
-    A direction j counts when each row's coordinate j is a (totally
-    degenerate) basepoint vertex; such simplices lie in the image of the
-    subtorus omitting direction j.
+    A simplex at the basepoint in direction j lies in the image of the
+    subtorus omitting j.  An orbit of SP^m((S^1)^n) counts the directions
+    shared by all m of its torus coordinates.
     """
-    verts = T.parts[T.basepoint]
-    count = 0
-    for j, v in enumerate(verts):
-        if all(T.parts[g.base][j].base == v.base for g in rows):
-            count += 1
-    return count
-
-
-def _sp_collapsed_factor(r: int, m: int) -> SimplicialSet:
-    """SP^m((S^1)^r) with every degenerate-direction orbit collapsed."""
-    T = catalog.minimal_torus(r)
-    P, SP = catalog.symmetric_power(T, m)
-    kill = [
-        sid
-        for sid in SP.dim_of
-        if _degenerate_direction_count(T, _member_rows(P, SP, sid)) >= 1
-    ]
-    return collapse(SP, kill)
+    _family_guard(family, n, m)
+    if family == "rep_su2":
+        T = X = catalog.torus_conj_quotient(n)
+    else:
+        T = catalog.minimal_torus(n)
+        X = catalog.sym_product(T, m) if family == "sp_circle" else T
+    if X is T:  # every family but SP^m with m >= 2
+        return X, {sid: len(basepoint_directions(X, sid)) for sid in X.dim_of}
+    return X, {
+        sid: len(
+            frozenset.intersection(
+                *(basepoint_directions(T, f.base) for f in X.parts[sid])
+            )
+        )
+        for sid in X.dim_of
+    }
 
 
 def splitting_base(family: str, n: int, m: int = 2) -> SimplicialSet:
     """The total space whose reduced homology the wedge must reproduce."""
-    _family_guard(family, n, m)
-    if family == "hom_circle":
-        return catalog.minimal_torus(n)
-    if family == "rep_su2":
-        return catalog.torus_conj_quotient(n)
-    return catalog.sp_torus(n, m)
+    return _family_space(family, n, m)[0]
 
 
 def splitting_factor(family: str, r: int, m: int = 2) -> SimplicialSet:
-    """The rank-r wedge factor of the named family."""
-    _family_guard(family, r, m)
-    if family == "hom_circle":
-        return smash([catalog.circle()] * r)
-    if family == "rep_su2":
-        return catalog.smash_factor(r)
-    return _sp_collapsed_factor(r, m)
+    """The rank-r wedge factor: the rank-r space with its fat wedge collapsed."""
+    X, count = _family_space(family, r, m)
+    return collapse(X, [sid for sid, c in count.items() if c >= 1])
 
 
 def verify_splitting(family: str, n: int, m: int = 2) -> Report:
@@ -229,7 +209,6 @@ def verify_splitting(family: str, n: int, m: int = 2) -> Report:
     The factor of rank r occurs binom(n, r) times, once per choice of r
     of the n coordinate directions; rank 0 contributes nothing reduced.
     """
-    _family_guard(family, n, m)
     left = reduced_homology(normalized_chains(splitting_base(family, n, m)))
     right = poincare_assembly(
         (
@@ -252,32 +231,9 @@ def degeneracy_filtration(family: str, n: int, m: int = 2) -> list:
     S^0 is the whole space, S^n the basepoint alone, and the subquotient
     S^r/S^{r+1} is a wedge of binom(n, n−r) rank n−r splitting factors.
     """
-    _family_guard(family, n, m)
-    if family == "hom_circle":
-        T = catalog.minimal_torus(n)
-        ambient = T
-        counts = {
-            sid: _degenerate_direction_count(T, (FormalSimplex((), sid),))
-            for sid in T.dim_of
-        }
-    elif family == "rep_su2":
-        P, A = catalog.torus(n)
-        ambient = quotient_by_action(P, A, check=False)
-        counts = {
-            oid: _degenerate_direction_count(
-                P, (FormalSimplex((), ambient.orbit_rep[oid]),)
-            )
-            for oid in ambient.dim_of
-        }
-    else:
-        T = catalog.minimal_torus(n)
-        P, ambient = catalog.symmetric_power(T, m)
-        counts = {
-            sid: _degenerate_direction_count(T, _member_rows(P, ambient, sid))
-            for sid in ambient.dim_of
-        }
+    X, count = _family_space(family, n, m)
     return [
-        subcomplex(ambient, [sid for sid, c in counts.items() if c >= r])
+        subcomplex(X, [sid for sid, c in count.items() if c >= r])
         for r in range(n + 1)
     ]
 

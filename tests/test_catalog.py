@@ -12,7 +12,7 @@ from repspace.engine import (
     homology,
     universal_coefficients_check,
 )
-from repspace.errors import ResourceGuard, UnknownSpace
+from repspace.errors import ActionInvalid, ResourceGuard, UnknownSpace
 from repspace.simplicial import SimplicialAction, SimplicialSet, normalized_chains
 
 Z = AbelianGroup.free
@@ -88,6 +88,18 @@ def test_smash_factor_frozen_homology():
     assert H(catalog.smash_factor(4)) == GradedGroup.of(
         Z(1), Z(0), T(0, 2), Z(0), Z(1)
     )
+
+
+@pytest.mark.parametrize(
+    "name", ["torus_conj_quotient", "rp_simplicial", "sphere_bundle_quotient"]
+)
+def test_quotients_always_validate_their_action(monkeypatch, name):
+    def refuse(self, X):
+        raise ActionInvalid("planted")
+
+    monkeypatch.setattr(SimplicialAction, "validate", refuse)
+    with pytest.raises(ActionInvalid, match="planted"):
+        getattr(catalog, name)(2)
 
 
 # -- symmetric products ------------------------------------------------------
@@ -235,7 +247,7 @@ def test_lens_q8_fixed_data():
 
 
 def test_resource_guards():
-    with pytest.raises(ResourceGuard, match="range"):
+    with pytest.raises(ValueError, match="range"):
         catalog.torus(0)
     with pytest.raises(ResourceGuard, match="range"):
         catalog.torus(7)

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
@@ -87,6 +88,27 @@ def test_homology_resource_guard_exit_code(capsys):
     code, _, err = run(capsys, "homology", "torus(n=7)")
     assert code == 3
     assert "guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "splitting", "--n", "0"],
+        ["verify", "homology-prop", "--n", "0"],
+        ["verify", "rep-sp", "--m", "-1"],
+        ["verify", "rep-u", "--m", "-2"],
+        ["homology", "torus(n=0)"],
+        ["homology", "minimal_torus(n=0)"],
+        ["homology", "sp_torus(n=1,m=-1)"],
+        ["homology", "smash_factor(n=0)"],
+        ["homology", "sphere_bundle_quotient(n=0)"],
+    ],
+    ids=" ".join,
+)
+def test_values_below_the_valid_range_are_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_homology_cache_dir_flag(tmp_path, capsys):
@@ -251,3 +273,94 @@ def test_help_exits_zero(capsys):
 def test_missing_command_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+# -- exit-code contract under random input ---------------------------------
+
+FUZZ_SPACES = {
+    "point": (),
+    "circle": (),
+    "torus": ("n",),
+    "minimal_torus": ("n",),
+    "torus_conj_quotient": ("n",),
+    "smash_factor": ("n",),
+    "sp_torus": ("n", "m"),
+    "rep_sp": ("n", "m"),
+    "rp": ("n",),
+    "rp_simplicial": ("n",),
+    "sphere": ("n",),
+    "stunted_projective": ("m", "k"),
+    "thom_su2": ("n",),
+    "thom_zero_quotient": ("n",),
+    "sphere_bundle_quotient": ("n",),
+    "lens_q8": (),
+    "nonsense": ("n",),
+}
+# Valid values are drawn most often.  No 3: it would let sp_torus and
+# rep_sp build a power above 2 of a rank-3 torus, which takes minutes; 7
+# and 99 reach the size guards instead.
+FUZZ_VALUES = ("1", "2") * 4 + ("-2", "-1", "0", "7", "99", "x", "1.5", "")
+
+
+def _fuzz_descriptor(rng):
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.choice(["", "torus(n=1", "torus(2)", "((", "torus(n=1,n=2)"])
+    name = rng.choice(sorted(FUZZ_SPACES))
+    keys = list(FUZZ_SPACES[name])
+    if roll < 0.2:
+        keys = keys[1:] if keys else ["n"]
+    if not keys:
+        return name
+    params = ",".join(f"{k}={rng.choice(FUZZ_VALUES)}" for k in keys)
+    return f"{name}({params})"
+
+
+def _fuzz_argv(rng, cache):
+    def value():
+        return rng.choice(FUZZ_VALUES)
+
+    commands = ["homology", "counts", "verify", "catalog", "su2"]
+    command = rng.choice(commands * 4 + ["bogus"])
+    if command == "homology":
+        argv = ["homology", _fuzz_descriptor(rng)]
+        if rng.random() < 0.3:
+            argv += ["--cache-dir", cache]
+    elif command == "counts":
+        argv = ["counts"] + (["--n", value()] if rng.random() < 0.9 else [])
+    elif command == "verify":
+        suite = rng.choice(verifier.SUITES + ("cohomotopy",))
+        argv = ["verify", suite]
+        if suite == "splitting" or rng.random() < 0.5:
+            argv += ["--n", value()]
+        for flag in ("--m", "--seed"):
+            if rng.random() < 0.4:
+                argv += [flag, value()]
+    elif command == "catalog":
+        group = rng.choice(verifier.RANK_ONE_GROUPS + ("E8",))
+        # No 4 (seconds for SU2) and nothing above 5: SO3 has no upper
+        # bound on n, and its cost grows steeply with n.
+        n = rng.choice(["-1", "0", "1", "2", "3", "5", "x"])
+        argv = ["catalog", group, "--n", n]
+    elif command == "su2":
+        argv = ["su2", rng.choice(["verify-psi"] * 4 + ["verify-phi"])]
+        argv += ["--n", rng.choice(["-1", "0", "1", "2", "3", "4", "5", "x"])]
+        argv += ["--runs", rng.choice(["-1", "0", "1", "5", "20", "x"])]
+        argv += ["--seed", value()]
+    else:
+        argv = ["bogus"]
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(len(argv) + 1), "--bogus")
+    if rng.random() < 0.2:
+        argv += ["--format", rng.choice(["markdown", "json", "csv", "xml"])]
+    return argv
+
+
+def test_random_argv_keep_the_exit_code_contract(tmp_path, capsys):
+    rng = random.Random(20261018)
+    for _ in range(300):
+        argv = _fuzz_argv(rng, str(tmp_path))
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
+        assert code != 1 or argv[0] in ("verify", "su2"), argv

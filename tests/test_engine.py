@@ -15,6 +15,7 @@ from repspace.engine import (
     suspend,
     universal_coefficients_check,
     _cache_path,
+    _digest,
 )
 from repspace.errors import CompositionNotZero, NotPrime
 
@@ -74,6 +75,14 @@ def test_reduced_homology_strips_one_z():
     assert h == GradedGroup.of(Z(0), Z(2), Z(1))
     with pytest.raises(ValueError):
         reduced_homology(ChainComplex([], []))
+
+
+def test_universal_coefficients_check_catches_a_wrong_factor_list():
+    C = rp_complex(4)
+    C._factors[2] = [3]  # a wrong SNF of d_2: H_1 = Z/3 instead of Z/2
+    assert homology(C)[1] == T(0, 3)
+    assert not universal_coefficients_check(C, 2)
+    assert not universal_coefficients_check(C, 3)
 
 
 def test_homology_mod_p_fixtures():
@@ -142,10 +151,27 @@ def test_cached_homology_writes_and_reads(tmp_path):
     doc = json.loads(path.read_text("utf-8"))
     assert doc["key"] == "rp(n=3)"
     assert doc["engine_version"] == ENGINE_VERSION
-    # second call is served from the file; poison the value to prove it
+    # second call is served from the file; poison the value (with a
+    # matching digest) to prove it
     doc["graded_group"] = GradedGroup.of(Z(7)).to_json()
+    doc["digest"] = _digest(doc["graded_group"])
     path.write_text(json.dumps(doc), "utf-8")
     assert cached_homology("rp(n=3)", cache_dir=tmp_path) == GradedGroup.of(Z(7))
+
+
+def test_cached_homology_recomputes_a_value_that_fails_its_digest(tmp_path):
+    cached_homology("circle", cache_dir=tmp_path)
+    path = _cache_path(tmp_path, "circle()")
+    doc = json.loads(path.read_text("utf-8"))
+    doc["graded_group"][1]["free_rank"] = 7
+    path.write_text(json.dumps(doc), "utf-8")
+    assert cached_homology("circle", cache_dir=tmp_path) == GradedGroup.of(
+        Z(1), Z(1)
+    )
+    assert json.loads(path.read_text("utf-8"))["graded_group"][1] == {
+        "free_rank": 1,
+        "torsion": [],
+    }
 
 
 def test_cached_homology_recovers_from_corruption(tmp_path):

@@ -12,6 +12,7 @@ from repspace.simplicial import (
     FormalSimplex,
     SimplicialAction,
     SimplicialSet,
+    basepoint_directions,
     collapse,
     compose_degeneracy,
     disjoint_union,
@@ -20,6 +21,7 @@ from repspace.simplicial import (
     normalized_chains,
     product,
     product_list,
+    product_simplex_id,
     quotient_by_action,
     smash,
     subcomplex,
@@ -239,6 +241,20 @@ def test_conjugation_quotient_of_circle_is_an_arc():
     assert Q.basepoint == "[b]"
     assert Q.orbit_of["a"] == Q.orbit_of["c"] == "[a]"
     assert Q.orbit_rep["[a]"] == "a"
+
+
+def test_quotient_of_a_product_keeps_each_orbits_coordinates():
+    M = minimal_circle()
+    P = product(M, M)
+    swap = {sid: product_simplex_id(fs[::-1]) for sid, fs in P.parts.items()}
+    Q = quotient_by_action(P, SimplicialAction.involution(P, swap))
+    assert set(Q.parts) == set(Q.dim_of)
+    for oid, rep in Q.orbit_rep.items():
+        assert Q.parts[oid] == P.parts[rep]
+    assert Q.parts[Q.basepoint] == (F((), "v"), F((), "v"))
+    assert basepoint_directions(Q, Q.basepoint) == frozenset({0, 1})
+    assert basepoint_directions(Q, "[(e|s0(v))]") == frozenset({1})
+    assert basepoint_directions(Q, "[(e|e)]") == frozenset()
 
 
 def test_free_swap_of_two_circles_gives_one_circle():

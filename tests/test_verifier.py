@@ -9,7 +9,7 @@ from repspace.abelian import AbelianGroup, GradedGroup, IntMatrix, determinant
 from repspace.engine import homology, reduced_homology
 from repspace.errors import ResourceGuard, Unsupported
 from repspace.simplicial import collapse, normalized_chains
-from repspace import verifier
+from repspace import catalog, engine, verifier
 from repspace.verifier import (
     Report,
     check_counts,
@@ -104,7 +104,7 @@ def test_sp_circle_with_one_copy_degenerates_to_hom_circle():
 def test_splitting_guards():
     with pytest.raises(ValueError):
         verify_splitting("moebius", 2)
-    with pytest.raises(ResourceGuard):
+    with pytest.raises(ValueError):
         verify_splitting("hom_circle", 0)
     with pytest.raises(ResourceGuard):
         verify_splitting("hom_circle", 6)
@@ -112,7 +112,7 @@ def test_splitting_guards():
         verify_splitting("rep_su2", 5)
     with pytest.raises(ResourceGuard):
         verify_splitting("sp_circle", 4)
-    with pytest.raises(ResourceGuard):
+    with pytest.raises(ValueError):
         verify_splitting("sp_circle", 2, m=0)
     with pytest.raises(ResourceGuard):
         verify_splitting("sp_circle", 3, m=3)  # underlying product too big
@@ -129,6 +129,12 @@ def test_splitting_factors_are_the_expected_spaces():
     # and the conjugation factor at rank 1 is contractible (an arc).
     h = reduced_homology(normalized_chains(splitting_factor("rep_su2", 1)))
     assert h == G()
+
+
+def test_rep_su2_factor_is_the_catalog_smash_factor():
+    for r in (1, 2, 3):
+        a, b = splitting_factor("rep_su2", r), catalog.smash_factor(r)
+        assert a.simplices == b.simplices and a.faces == b.faces
 
 
 # -- degeneracy filtrations -------------------------------------------------
@@ -278,6 +284,23 @@ def test_simplicial_report_covers_the_catalog():
     rep = check_simplicial()
     assert rep.ok
     assert len(rep.rows) >= 25
+
+
+def test_simplicial_report_fails_on_one_wrong_factor_list(monkeypatch):
+    original = engine.invariant_factors
+    corrupted = []
+
+    def corrupt(M):
+        factors = original(M)
+        if not corrupted and 2 in factors:
+            corrupted.append(M)
+            return [3 if e == 2 else e for e in factors]
+        return factors
+
+    monkeypatch.setattr(engine, "invariant_factors", corrupt)
+    rep = check_simplicial()
+    assert corrupted
+    assert [r["ok"] for r in rep.rows].count(False) == 1
 
 
 # -- randomized SU(2) sweeps ------------------------------------------------
