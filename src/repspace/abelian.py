@@ -12,11 +12,15 @@ d1 | d2 | ... .  It keeps dense working copies and is meant for small
 matrices (tests, spot checks, anything a human wants to look at).
 
 ``invariant_factors(M)`` returns only the nonzero diagonal of D.  It
-works on a sparse dict-of-rows layout, eliminates unit pivots by rank-one
-updates, and never touches the transform matrices.  Boundary matrices of
+works on a sparse dict-of-rows layout, takes every pivot with one step
+(column, then row, reduced to remainders: a rank-one update for a unit
+pivot), and never touches the transform matrices.  Boundary matrices of
 normalized chain complexes are extremely sparse (a column of d_k has at
 most k+1 entries) and almost all pivots are units, so this is the path
 all homology computations take.
+
+``rank_mod_p(M, p)``, a sparse row reduction over F_p, shares no code
+with either, so mod-p homology checks the integral answer independently.
 
 The group of a diagonal is packaged as :class:`AbelianGroup` in
 invariant-factor normal form, and full homology tables as
@@ -288,22 +292,20 @@ def smith_normal_form(M: IntMatrix):
 def _divisor_chain(values) -> list:
     """Normalize a multiset of nonzero values to the invariant-factor chain.
 
-    Replacing any non-dividing pair (a, b) by (gcd, lcm) preserves the
-    group Z/a + Z/b and strictly increases divisibility, so the loop
-    terminates with d1 | d2 | ... .
+    Insertion sort in the divisibility lattice: append each value in
+    sorted order and, while its left neighbour does not divide it, replace
+    the pair by (gcd, lcm), which keeps Z/a + Z/b.  gcd and lcm are min and
+    max on every prime's exponent at once, so this sorts each exponent,
+    and a dividing pair leaves the prefix a chain.  A chain costs O(t).
     """
-    ds = sorted(abs(v) for v in values)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % ds[i]:
-                    g = gcd(ds[i], ds[j])
-                    ds[i], ds[j] = g, ds[i] * ds[j] // g
-                    changed = True
-        if changed:
-            ds.sort()
+    ds = []
+    for d in sorted(abs(v) for v in values):
+        ds.append(d)
+        k = len(ds) - 1
+        while k and ds[k] % ds[k - 1]:
+            g = gcd(ds[k - 1], ds[k])
+            ds[k - 1], ds[k] = g, ds[k - 1] * ds[k] // g
+            k -= 1
     return ds
 
 
@@ -312,11 +314,12 @@ def invariant_factors(M: IntMatrix) -> list:
 
     len() of the result is rank(M); entries > 1 present the torsion of
     the cokernel.  Elimination order: always the remaining entry of
-    smallest absolute value (a lazy heap tracks candidates).  A unit
-    pivot eliminates its whole row and column in one rank-one update;
-    non-unit pivots are shrunk by remainder reductions first, so every
-    pass either isolates a pivot or strictly decreases the minimum
-    absolute value in its row/column.
+    smallest absolute value (a lazy heap tracks candidates).  One step
+    serves every pivot v: row operations reduce its column to remainders
+    mod v, then, once the column is clear, column operations reduce its
+    row.  A unit pivot leaves no remainder, so its step is the rank-one
+    update that eliminates its row and column; any remainder is smaller
+    than |v| and is pivoted on before v is taken again.
     """
     rows = {}
     cols = {}
@@ -327,93 +330,57 @@ def invariant_factors(M: IntMatrix) -> list:
     heapq.heapify(heap)
     out = []
 
-    def drop_entry(r, c):
-        del rows[r][c]
-        cols[c].discard(r)
-        if not cols[c]:
-            del cols[c]
-
     def set_entry(r, c, v):
         if v:
             rows[r][c] = v
             cols[c].add(r)
             heapq.heappush(heap, (abs(v), r, c))
         elif c in rows[r]:
-            drop_entry(r, c)
+            del rows[r][c]
+            cols[c].discard(r)
+            if not cols[c]:
+                del cols[c]
 
     while heap:
         a, r, c = heapq.heappop(heap)
         if r not in rows or c not in rows[r] or abs(rows[r][c]) != a:
             continue  # stale heap entry
         v = rows[r][c]
-        if a == 1:
-            col_rows = [(i, rows[i][c]) for i in cols.get(c, ()) if i != r]
-            row_cols = [(j, w) for j, w in rows[r].items() if j != c]
-            for j, _ in row_cols:
-                cols[j].discard(r)
-                if not cols[j]:
-                    del cols[j]
-            del rows[r]
-            del cols[c]
-            # rank-one update A[i][j] -= A[i][c] * A[r][j] / v  (v = ±1)
-            for i, av in col_rows:
-                ri = rows[i]
-                del ri[c]
-                for j, bv in row_cols:
-                    new = ri.get(j, 0) - av * bv * v
-                    if new:
-                        ri[j] = new
-                        cols.setdefault(j, set()).add(i)
-                        heapq.heappush(heap, (abs(new), i, j))
-                    elif j in ri:
-                        del ri[j]
-                        cols[j].discard(i)
-                        if not cols[j]:
-                            del cols[j]
-                if not ri:
-                    del rows[i]
-            out.append(1)
-            continue
-        # non-unit pivot: reduce its column by row operations
-        progressed = False
-        for i in list(cols.get(c, ())):
-            if i == r:
-                continue
-            q = rows[i][c] // v
-            if q:
-                ri = rows[i]
-                for j, w in list(rows[r].items()):
-                    nv = ri.get(j, 0) - q * w
-                    if nv:
-                        ri[j] = nv
-                        cols.setdefault(j, set()).add(i)
-                        heapq.heappush(heap, (abs(nv), i, j))
-                    elif j in ri:
-                        del ri[j]
-                        cols[j].discard(i)
-                        if not cols[j]:
-                            del cols[j]
-                if not ri:
-                    del rows[i]
-            if i in rows and c in rows.get(i, {}):
-                progressed = True  # a remainder < |v| sits in the heap
-        if progressed:
-            heapq.heappush(heap, (a, r, c))
-            continue
-        # column is clear; reduce the row by column operations (these touch
-        # only row r, because column c now has support {r})
-        for j, w in list(rows[r].items()):
-            if j == c:
-                continue
-            rem = w - (w // v) * v
-            set_entry(r, j, rem)
+        rest = [(j, w) for j, w in rows[r].items() if j != c]
+        remainder = False
+        # Column pass: row i -= q * row r.  |v| is the least live value, so
+        # q != 0; r stays in cols[j] for each j of row r, so none empties.
+        for i in [i for i in cols[c] if i != r]:
+            ri = rows[i]
+            q, rem = divmod(ri[c], v)
+            for j, w in rest:
+                nv = ri.get(j, 0) - q * w
+                if nv:
+                    ri[j] = nv
+                    cols[j].add(i)
+                    heapq.heappush(heap, (abs(nv), i, j))
+                elif j in ri:
+                    del ri[j]
+                    cols[j].discard(i)
             if rem:
-                progressed = True
-        if progressed:
+                ri[c] = rem
+                heapq.heappush(heap, (abs(rem), i, c))
+                remainder = True
+            else:
+                del ri[c]
+                cols[c].discard(i)
+                if not ri:
+                    del rows[i]
+        if not remainder:
+            # column c is {r}, so column operations touch only row r
+            for j, w in rest:
+                set_entry(r, j, w % v)
+            remainder = len(rows[r]) > 1
+        if remainder:
             heapq.heappush(heap, (a, r, c))
             continue
-        out.append(abs(v))
-        drop_entry(r, c)
+        out.append(a)
+        set_entry(r, c, 0)
         if not rows[r]:
             del rows[r]
     return _divisor_chain(out)
@@ -422,6 +389,35 @@ def invariant_factors(M: IntMatrix) -> list:
 def rank(M: IntMatrix) -> int:
     """Rank over Q (= number of nonzero Smith diagonal entries)."""
     return len(invariant_factors(M))
+
+
+def rank_mod_p(M: IntMatrix, p: int) -> int:
+    """Rank of M over F_p (p prime) by sparse row reduction, without the SNF.
+
+    Each row is reduced by the pivot rows found so far, keyed by their
+    leading column; a row that does not vanish becomes a pivot row.
+    """
+    rows = {}
+    for (r, c), v in M.entries.items():
+        if v % p:
+            rows.setdefault(r, {})[c] = v % p
+    pivots = {}
+    for row in rows.values():
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = pow(row[lead], -1, p)
+                pivots[lead] = {c: v * inv % p for c, v in row.items()}
+                break
+            scale = row[lead]
+            for c, v in pivot.items():
+                w = (row.get(c, 0) - scale * v) % p
+                if w:
+                    row[c] = w
+                else:
+                    row.pop(c, None)
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

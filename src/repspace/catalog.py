@@ -267,8 +267,10 @@ def rp_simplicial(n: int) -> SimplicialSet:
 
 def sphere_chain(n: int) -> ChainComplex:
     """Minimal CW sphere: one 0-cell and one n-cell (two 0-cells for S^0)."""
-    if n < 0:
-        raise ValueError("sphere dimension must be >= 0")
+    if not 0 <= n <= CELL_BUDGET:
+        raise range_error(
+            n, 0, f"sphere dimension {n} outside the range 0..{CELL_BUDGET}"
+        )
     if n == 0:
         return ChainComplex([2], [])
     ranks = [1] + [0] * (n - 1) + [1]
@@ -285,8 +287,12 @@ def stunted_projective(m: int, k: int) -> ChainComplex:
     d_j = 1 + (-1)^j; truncation kills every boundary into the collapsed
     range, so the bottom surviving cell is a cycle.
     """
-    if not 0 <= k <= m:
-        raise ValueError(f"stunted_projective needs 0 <= k <= m, got ({m}, {k})")
+    if not 0 <= k <= m <= CELL_BUDGET:
+        raise range_error(
+            min(k, m - k),
+            0,
+            f"stunted_projective needs 0 <= k <= m <= {CELL_BUDGET}, got ({m}, {k})",
+        )
     if k == 0:
         ranks = [1] * (m + 1)
         diffs = [

@@ -31,9 +31,12 @@ from .counting import (
     n_lower_bound_su2,
 )
 from .engine import cached_homology
-from .errors import NotPrime, ResourceGuard, UnknownSpace, Unsupported
+from .errors import NotPrime, ResourceGuard, UnknownSpace, Unsupported, range_error
 
 FORMATS = ("markdown", "json", "csv")
+# K(n) ~ 7^n/24 has 3,611 digits at n = 4000, inside Python's default
+# 4,300-digit limit on int -> str conversion.
+COUNTS_MAX_N = 4000
 
 
 def _table(headers, rows, fmt, caption=None):
@@ -69,8 +72,8 @@ def cmd_homology(args) -> int:
 
 def cmd_counts(args) -> int:
     n = args.n
-    if n < 1:
-        raise ValueError("counts need n >= 1")
+    if not 1 <= n <= COUNTS_MAX_N:
+        raise range_error(n, 1, f"counts need n >= 1 and n <= {COUNTS_MAX_N}")
     rows = [
         ("A", a_count(n)),
         ("C", c_count(n)),

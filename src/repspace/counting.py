@@ -8,7 +8,7 @@ Conventions.  An n-tuple in a group with central subgroup K has a *type*:
 the antisymmetric n×n matrix of commutators valued in K.  K is described
 by its invariant factors (e.g. (2,) for Z/2) and elements additively as
 residue tuples.  The sign-matrix specialization used by the SU(2)
-numerics lives in its own module; the F2 rank helper here is shared.
+numerics lives in its own module.
 """
 
 from __future__ import annotations
@@ -175,12 +175,22 @@ def count_types(n: int, K) -> int:
     return group_order(K) ** comb(n, 2)
 
 
+def power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """Whether base**exponent > bound, without building a power above it."""
+    value = 1
+    for _ in range(exponent if base > 1 else 0):
+        value *= base
+        if value > bound:
+            return True
+    return value > bound
+
+
 def enumerate_types(n: int, K) -> list:
     """All antisymmetric type matrices over K, upper triangle lex order."""
-    total = count_types(n, K)
-    if total > ENUMERATION_GUARD:
+    order, slots = group_order(K), comb(n, 2)
+    if power_exceeds(order, slots, ENUMERATION_GUARD):
         raise ResourceGuard(
-            f"{total} type matrices exceed the enumeration guard "
+            f"{order}^{slots} type matrices exceed the enumeration guard "
             f"{ENUMERATION_GUARD}"
         )
     K = tuple(K)
@@ -207,23 +217,6 @@ def strata_counts(r: int, K) -> list:
     for C in enumerate_types(r, K):
         counts[len(C.identity_rows())] += 1
     return counts
-
-
-def f2_rank(rows) -> int:
-    """Rank over F2 of a 0/1 matrix (list of row lists)."""
-    mat = [list(row) for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][c] % 2), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] % 2:
-                mat[r] = [(a + b) % 2 for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
 
 
 def n_lower_bound_su2(n: int) -> int:

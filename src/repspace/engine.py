@@ -6,9 +6,10 @@ the sparse invariant factors once (memoized per complex) and reads off
     H_k  =  Z^(n_k - rank d_k - rank d_{k+1})  +  torsion(coker d_{k+1})
 
 which is valid because ker d_k is a pure subgroup of C_k, hence a direct
-summand containing im d_{k+1}.  Mod-p dimensions come from a separate
-row reduction over F_p of the raw boundary matrices, so the universal
-coefficient check compares two independent routes.
+summand containing im d_{k+1}.  Mod-p dimensions come from
+``abelian.rank_mod_p``, a row reduction over F_p of the raw boundary
+matrices that shares no code with the invariant factors, so the
+universal coefficient check compares two independent routes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import sys
 from pathlib import Path
 
-from .abelian import AbelianGroup, GradedGroup, IntMatrix, invariant_factors
+from .abelian import AbelianGroup, GradedGroup, IntMatrix, invariant_factors, rank_mod_p
 from .counting import _is_prime
 from .errors import CacheCorrupt, CompositionNotZero, NotPrime
 
@@ -123,40 +124,11 @@ def reduced_homology(C: ChainComplex) -> GradedGroup:
     return GradedGroup(groups)
 
 
-def _rank_mod_p(M: IntMatrix, p: int) -> int:
-    """Rank of M over F_p by sparse row reduction, without the SNF.
-
-    Each row is reduced by the pivot rows found so far, keyed by their
-    leading column; a row that does not vanish becomes a pivot row.
-    """
-    rows = {}
-    for (r, c), v in M.entries.items():
-        if v % p:
-            rows.setdefault(r, {})[c] = v % p
-    pivots = {}
-    for row in rows.values():
-        while row:
-            lead = min(row)
-            pivot = pivots.get(lead)
-            if pivot is None:
-                inv = pow(row[lead], -1, p)
-                pivots[lead] = {c: v * inv % p for c, v in row.items()}
-                break
-            scale = row[lead]
-            for c, v in pivot.items():
-                w = (row.get(c, 0) - scale * v) % p
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
-    return len(pivots)
-
-
 def homology_mod_p(C: ChainComplex, p: int) -> list:
     """dim_{F_p} H_k(C; F_p) for every degree."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    rank = [_rank_mod_p(C.d(k), p) for k in range(len(C.ranks) + 1)]
+    rank = [rank_mod_p(C.d(k), p) for k in range(len(C.ranks) + 1)]
     return [C.ranks[k] - rank[k] - rank[k + 1] for k in range(len(C.ranks))]
 
 

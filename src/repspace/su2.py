@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .counting import f2_rank
+from .abelian import IntMatrix, rank_mod_p
 from .errors import (
     BadBasePair,
     NotAlmostCommuting,
@@ -142,8 +142,9 @@ class SignMatrix:
 
     def f2_rank(self) -> int:
         """Rank of the associated alternating F2 form (sign -1 -> 1)."""
-        return f2_rank(
-            [[(1 - s) // 2 for s in row] for row in self.entries]
+        return rank_mod_p(
+            IntMatrix.from_rows([[(1 - s) // 2 for s in row] for row in self.entries]),
+            2,
         )
 
     def is_realizable(self) -> bool:

@@ -31,6 +31,7 @@ from .abelian import (
     smith_normal_form,
 )
 from .counting import (
+    ENUMERATION_GUARD,
     a_count,
     c_count,
     c_via_recurrence,
@@ -41,6 +42,7 @@ from .counting import (
     k_via_recurrence,
     n_central_product,
     n_lower_bound_su2,
+    power_exceeds,
     strata_counts,
 )
 from .engine import (
@@ -267,6 +269,12 @@ def rank_one_catalog(group: str, n: int):
     if group == "SO3":
         if n == 1:
             return "RP^3", reduced_homology(catalog.rp_chain(3))
+        # the c(n) lens spaces contribute 2·c(n) = 3^(n-1) - 1 torsion summands
+        if power_exceeds(3, n - 1, ENUMERATION_GUARD + 1):
+            raise ResourceGuard(
+                f"SO3 at n={n}: 3^{n - 1} - 1 lens-space torsion summands "
+                f"exceed the enumeration guard {ENUMERATION_GUARD}"
+            )
         c = c_count(n)
         value = poincare_assembly(
             [

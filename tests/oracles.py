@@ -62,6 +62,39 @@ def homology_by_minors(n_k, d_k_rows, d_k1_rows):
 
 
 # ---------------------------------------------------------------------------
+# Invariant-factor chain via primary decomposition.
+#
+# Z/d1 + ... + Z/dt splits into cyclic p-groups; the chain's i-th factor
+# takes, for every prime p, the i-th smallest p-exponent over the t
+# values.  Trial division finds the primes, so no gcd or lcm is used.
+
+
+def prime_exponents(d):
+    """{p: e} with d = prod p^e, by trial division (d >= 1)."""
+    out = {}
+    p = 2
+    while p * p <= d:
+        while d % p == 0:
+            out[p] = out.get(p, 0) + 1
+            d //= p
+        p += 1
+    if d > 1:
+        out[d] = out.get(d, 0) + 1
+    return out
+
+
+def invariant_factor_chain(values):
+    """The divisor chain d1 | ... | dt of the same group, 1s dropped."""
+    factored = [prime_exponents(abs(v)) for v in values]
+    chain = [1] * len(values)
+    for p in {p for f in factored for p in f}:
+        exponents = sorted(f.get(p, 0) for f in factored)
+        for i, e in enumerate(exponents):
+            chain[i] *= p**e
+    return [d for d in chain if d > 1]
+
+
+# ---------------------------------------------------------------------------
 # Shuffle enumeration for product f-vectors.
 #
 # A nondegenerate k-simplex of a product of circles is a tuple of formal

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from oracles import homology_by_minors, snf_diagonal_by_minors
+from oracles import homology_by_minors, invariant_factor_chain, snf_diagonal_by_minors
 from repspace.abelian import (
     AbelianGroup,
     GradedGroup,
@@ -90,6 +91,14 @@ def test_invariant_factors_nonunit_pivots():
     assert invariant_factors(M) == snf_diagonal_by_minors([[6, 10], [15, 4]])
     M = IntMatrix.diagonal([4, 6, 10])
     assert invariant_factors(M) == [2, 2, 60]
+    rng = random.Random(4610)
+    values = (0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9, 10, -10)
+    for _ in range(300):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
+        assert invariant_factors(IntMatrix.from_rows(rows)) == (
+            snf_diagonal_by_minors(rows)
+        ), rows
 
 
 def test_cokernel_examples():
@@ -216,6 +225,24 @@ def test_abelian_group_normal_form():
         AbelianGroup(-1)
     with pytest.raises(ValueError):
         AbelianGroup(0, (1,))
+
+
+def test_divisor_chain_matches_primary_decomposition():
+    rng = random.Random(2026)
+    for _ in range(2000):
+        values = [
+            rng.choice((-1, 1)) * rng.randint(1, 1000)
+            for _ in range(rng.randint(0, 8))
+        ]
+        got = AbelianGroup.from_factors(0, values).torsion
+        assert list(got) == invariant_factor_chain(values), values
+
+
+def test_divisor_chain_of_a_chain_is_one_pass():
+    start = time.perf_counter()
+    g = AbelianGroup.from_factors(0, (2,) * 100_000 + (4,))
+    assert time.perf_counter() - start < 5
+    assert g.torsion == (2,) * 100_000 + (4,)
 
 
 def test_abelian_group_display_and_json():

@@ -261,6 +261,14 @@ def test_resource_guards():
         catalog.rp_simplicial(6)
     with pytest.raises(ResourceGuard):
         catalog.smash_factor(6)
+    with pytest.raises(ValueError, match="range"):
+        catalog.sphere_chain(-1)
+    with pytest.raises(ResourceGuard, match="range"):
+        catalog.sphere_chain(catalog.CELL_BUDGET + 1)
+    with pytest.raises(ValueError):
+        catalog.stunted_projective(3, 4)
+    with pytest.raises(ResourceGuard):
+        catalog.stunted_projective(catalog.CELL_BUDGET + 1, 1)
 
 
 # -- descriptors -------------------------------------------------------------

@@ -111,6 +111,30 @@ def test_values_below_the_valid_range_are_bad_input(capsys, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "SO3", "--n", "14"],
+        ["catalog", "SO3", "--n", "1000000000"],
+        ["catalog", "S1", "--n", "1000000000"],
+        ["homology", "sphere(n=1000000000)"],
+        ["homology", "rp(n=1000000000)"],
+        ["homology", "stunted_projective(m=1000000000,k=1)"],
+        ["homology", "thom_su2(n=1000000000)"],
+        ["counts", "--n", "4001"],
+        ["counts", "--n", "6000"],
+        ["su2", "verify-psi", "--n", "100"],
+        ["su2", "verify-psi", "--n", "200"],
+    ],
+    ids=" ".join,
+)
+def test_values_above_the_valid_range_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("resource guard:")
+    assert len(err) < 200
+
+
 def test_homology_cache_dir_flag(tmp_path, capsys):
     code, first, _ = run(
         capsys,
@@ -297,9 +321,11 @@ FUZZ_SPACES = {
     "nonsense": ("n",),
 }
 # Valid values are drawn most often.  No 3: it would let sp_torus and
-# rep_sp build a power above 2 of a rank-3 torus, which takes minutes; 7
-# and 99 reach the size guards instead.
-FUZZ_VALUES = ("1", "2") * 4 + ("-2", "-1", "0", "7", "99", "x", "1.5", "")
+# rep_sp build a power above 2 of a rank-3 torus, which takes minutes; 7,
+# 99 and 10^9 reach the size guards instead.
+FUZZ_VALUES = ("1", "2") * 4 + (
+    "-2", "-1", "0", "7", "99", "1000000000", "x", "1.5", ""
+)
 
 
 def _fuzz_descriptor(rng):
@@ -338,13 +364,13 @@ def _fuzz_argv(rng, cache):
                 argv += [flag, value()]
     elif command == "catalog":
         group = rng.choice(verifier.RANK_ONE_GROUPS + ("E8",))
-        # No 4 (seconds for SU2) and nothing above 5: SO3 has no upper
-        # bound on n, and its cost grows steeply with n.
-        n = rng.choice(["-1", "0", "1", "2", "3", "5", "x"])
+        # No 4: it takes seconds for SU2.
+        n = rng.choice(["-1", "0", "1", "2", "3", "5", "14", "1000000000", "x"])
         argv = ["catalog", group, "--n", n]
     elif command == "su2":
         argv = ["su2", rng.choice(["verify-psi"] * 4 + ["verify-phi"])]
-        argv += ["--n", rng.choice(["-1", "0", "1", "2", "3", "4", "5", "x"])]
+        n = ["-1", "0", "1", "2", "3", "4", "5", "200", "1000000000", "x"]
+        argv += ["--n", rng.choice(n)]
         argv += ["--runs", rng.choice(["-1", "0", "1", "5", "20", "x"])]
         argv += ["--seed", value()]
     else:

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from repspace import catalog, counting
-from repspace.abelian import AbelianGroup, GradedGroup
+from repspace.abelian import AbelianGroup, GradedGroup, IntMatrix, rank_mod_p
 from repspace.engine import homology
 from repspace.errors import NotPrime, ResourceGuard
 from repspace.simplicial import normalized_chains
@@ -107,8 +107,10 @@ def test_enumerate_types_are_antisymmetric_and_distinct():
 
 
 def test_enumeration_guard():
-    with pytest.raises(ResourceGuard):
-        counting.enumerate_types(7, Z2)  # 2^21 matrices
+    with pytest.raises(ResourceGuard, match=r"^2\^21 type matrices"):
+        counting.enumerate_types(7, Z2)
+    with pytest.raises(ResourceGuard, match=r"^2\^19900 type matrices"):
+        counting.enumerate_types(200, Z2)
     with pytest.raises(ResourceGuard):
         counting.strata_counts(7, Z2)
 
@@ -139,10 +141,14 @@ def test_type_matrix_validation():
         )
 
 
+def f2_rank(rows):
+    return rank_mod_p(IntMatrix.from_rows(rows), 2)
+
+
 def test_f2_rank():
-    assert counting.f2_rank([[0, 1], [1, 0]]) == 2
-    assert counting.f2_rank([[0, 0], [0, 0]]) == 0
-    assert counting.f2_rank([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 2
+    assert f2_rank([[0, 1], [1, 0]]) == 2
+    assert f2_rank([[0, 0], [0, 0]]) == 0
+    assert f2_rank([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 2
 
 
 def test_su2_lower_bound_is_the_rank_two_count():
@@ -158,7 +164,7 @@ def test_su2_lower_bound_is_the_rank_two_count():
         low = 0
         for C in counting.enumerate_types(n, Z2):
             rows = [[C.entry(i, j)[0] for j in range(n)] for i in range(n)]
-            if counting.f2_rank(rows) <= 2:
+            if f2_rank(rows) <= 2:
                 low += 1
         assert low == counting.n_lower_bound_su2(n), n
 

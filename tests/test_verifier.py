@@ -217,6 +217,10 @@ def test_rank_one_so3_factors():
     assert h[0] == T(4)  # four disjoint basepoints
     assert h[1] == T(0, 2, 2, 2, 2, 2, 2, 2, 2)
     assert rank_one_catalog("SO3", 6)[0] == "RP^8/RP^5 ∨ 121·(S^3/Q8)_+"
+    # 2·c(13) = 531,440 torsion summands fit the guard; 2·c(14) does not
+    assert rank_one_catalog("SO3", 13)[0] == "RP^15/RP^12 ∨ 265720·(S^3/Q8)_+"
+    with pytest.raises(ResourceGuard, match=r"3\^13 - 1"):
+        rank_one_catalog("SO3", 14)
 
 
 def test_rank_one_binary_quotient_factors():
