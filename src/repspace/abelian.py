@@ -85,16 +85,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    @classmethod
-    def diagonal(cls, values, rows=None, cols=None) -> "IntMatrix":
-        values = list(values)
-        n = len(values)
-        return cls(
-            rows if rows is not None else n,
-            cols if cols is not None else n,
-            {(i, i): v for i, v in enumerate(values) if v},
-        )
-
     def entry(self, r: int, c: int) -> int:
         return self.entries.get((r, c), 0)
 
@@ -386,11 +376,6 @@ def invariant_factors(M: IntMatrix) -> list:
     return _divisor_chain(out)
 
 
-def rank(M: IntMatrix) -> int:
-    """Rank over Q (= number of nonzero Smith diagonal entries)."""
-    return len(invariant_factors(M))
-
-
 def rank_mod_p(M: IntMatrix, p: int) -> int:
     """Rank of M over F_p (p prime) by sparse row reduction, without the SNF.
 
@@ -563,28 +548,7 @@ class GradedGroup:
     def of(cls, *groups) -> "GradedGroup":
         return cls(tuple(groups))
 
-    def table(self) -> list:
-        """Rows (degree, display string) for every degree up to the top."""
-        return [(k, str(g)) for k, g in enumerate(self.groups)]
-
     def __str__(self):
         if not self.groups:
             return "(0)"
         return "(" + ", ".join(str(g) for g in self.groups) + ")"
-
-
-# ---------------------------------------------------------------------------
-# SECTION: cokernels
-
-
-def cokernel(M: IntMatrix) -> AbelianGroup:
-    """Z^rows / column span of M, in invariant-factor form.
-
-    >>> str(cokernel(IntMatrix.from_rows([[2]])))
-    'Z/2'
-    >>> str(cokernel(IntMatrix.diagonal([1, 2, 0])))
-    'Z ⊕ Z/2'
-    """
-    factors = invariant_factors(M)
-    return AbelianGroup.from_factors(M.rows - len(factors), factors)
-

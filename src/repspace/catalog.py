@@ -11,7 +11,7 @@ Simplicial models are kept as small as the required symmetry allows:
 * cellular (not simplicial) chain complexes for projective spaces,
   stunted projective spaces and Thom spaces, where the classical one-
   cell-per-dimension pattern with boundaries alternating 0 and 2 is
-  exact and tiny.
+  exact and tiny, and for the lens space S^3/Q_8.
 
 Every public constructor has a string descriptor ("torus(n=3)") used as
 the cache key and accepted by the CLI.  Size guards raise ResourceGuard
@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import re
 from itertools import combinations, permutations
-from math import comb
 
-from .abelian import AbelianGroup, GradedGroup, IntMatrix
+from .abelian import IntMatrix
 from .engine import ChainComplex, suspend
 from .errors import ResourceGuard, UnknownSpace, range_error
 from .simplicial import (
+    CELL_BUDGET,
     FormalSimplex,
     SimplicialAction,
     SimplicialSet,
@@ -39,20 +39,6 @@ from .simplicial import (
     product_simplex_id,
     quotient_by_action,
 )
-
-CELL_BUDGET = 200_000
-
-
-def _surjections(s: int, k: int) -> int:
-    return sum((-1) ** i * comb(k, i) * (k - i) ** s for i in range(k + 1))
-
-
-def _torus_cell_estimate(n: int, vertices: int) -> int:
-    return sum(
-        vertices**n * comb(n, s) * _surjections(s, k)
-        for k in range(n + 1)
-        for s in range(n + 1)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -109,18 +95,12 @@ def torus(n: int):
     """(S^1)^n as an n-fold 2-gon product, with diagonal conjugation.
 
     Returns (space, Z/2 action).  Guarded at n <= 6 and additionally by
-    the global cell budget, which the 2-gon model exceeds at n = 6; the
-    one-vertex model (minimal_torus) covers larger products whenever no
-    involution is required.
+    the cell budget of ``product_list``, which the 2-gon model exceeds at
+    n = 6; the one-vertex model (minimal_torus) covers larger products
+    whenever no involution is required.
     """
     if not 1 <= n <= 6:
         raise range_error(n, 1, f"torus(n={n}) outside the supported range 1..6")
-    est = _torus_cell_estimate(n, 2)
-    if est > CELL_BUDGET:
-        raise ResourceGuard(
-            f"torus(n={n}) needs ~{est} nondegenerate simplices "
-            f"(budget {CELL_BUDGET})"
-        )
     C, A = circle_conj()
     P = product_list([C] * n, check=False)
     swap = A.maps["t"]
@@ -133,9 +113,6 @@ def minimal_torus(n: int) -> SimplicialSet:
         raise range_error(
             n, 1, f"minimal_torus(n={n}) outside the supported range 1..6"
         )
-    est = _torus_cell_estimate(n, 1)
-    if est > CELL_BUDGET:
-        raise ResourceGuard(f"minimal_torus(n={n}) needs ~{est} simplices")
     return product_list([circle()] * n, check=False)
 
 
@@ -196,7 +173,7 @@ def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
         return point()
     if m == 1:
         return X
-    P = product_list([X] * m, check=False, budget=CELL_BUDGET)
+    P = product_list([X] * m, check=False)
     return quotient_by_action(P, _permutation_action(P, m))
 
 
@@ -343,7 +320,7 @@ def sphere_bundle_quotient(n: int) -> SimplicialSet:
         )
     S2, A2 = sphere_simplicial(2)
     Sn, An = sphere_simplicial(n - 1)
-    P = product_list([S2, Sn], check=False, budget=CELL_BUDGET)
+    P = product_list([S2, Sn], check=False)
     act = _product_involution(P, [A2.maps["t"], An.maps["t"]])
     return quotient_by_action(P, act)
 
@@ -359,18 +336,21 @@ def thom_zero_quotient(n: int) -> ChainComplex:
     return suspend(normalized_chains(sphere_bundle_quotient(n)))
 
 
-def lens_q8() -> GradedGroup:
-    """Homology of S^3/Q_8 as fixed data.
+def lens_q8() -> ChainComplex:
+    """Cellular chains of S^3/Q_8 from the balanced presentation of Q_8.
 
-    Degree 1 is the abelianization of the quaternion group (Z/2 + Z/2,
-    cross-checked in the counting tests), degree 3 is Z (closed
-    orientable), degree 2 vanishes by duality + universal coefficients.
+    ⟨x, y | xyxy⁻¹, yxyx⁻¹⟩ gives one 0-cell, two 1-cells, two 2-cells
+    and one 3-cell.  Each relator has exponent sum 2 in one generator and
+    0 in the other, so d_2 = diag(2, 2); d_1 and d_3 vanish (one vertex,
+    closed orientable 3-manifold).
     """
-    return GradedGroup.of(
-        AbelianGroup(1),
-        AbelianGroup(0, (2, 2)),
-        AbelianGroup(0),
-        AbelianGroup(1),
+    return ChainComplex(
+        [1, 2, 2, 1],
+        [
+            IntMatrix.zero(1, 2),
+            IntMatrix.from_rows([[2, 0], [0, 2]]),
+            IntMatrix.zero(2, 1),
+        ],
     )
 
 
@@ -409,10 +389,15 @@ _REGISTRY = {
 _DESCRIPTOR_RE = re.compile(
     r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\(\s*([^()]*)\s*\))?\s*$"
 )
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_descriptor(key: str):
-    """Parse "name(k=v, ...)" into (name, params dict of ints)."""
+    """Parse "name(k=v, ...)" into (name, params dict of ints).
+
+    Each name appears once and each value is an ASCII decimal integer
+    with an optional sign; anything else is an UnknownSpace.
+    """
     m = _DESCRIPTOR_RE.match(key or "")
     if not m:
         raise UnknownSpace(f"cannot parse descriptor {key!r}")
@@ -422,14 +407,12 @@ def parse_descriptor(key: str):
         for item in body.split(","):
             if "=" not in item:
                 raise UnknownSpace(f"bad parameter {item.strip()!r} in {key!r}")
-            k, v = item.split("=", 1)
-            k = k.strip()
-            try:
-                params[k] = int(v.strip())
-            except ValueError:
-                raise UnknownSpace(
-                    f"parameter {k}={v.strip()!r} in {key!r} is not an integer"
-                ) from None
+            k, v = (part.strip() for part in item.split("=", 1))
+            if k in params:
+                raise UnknownSpace(f"parameter {k} repeated in {key!r}")
+            if not _INTEGER_RE.fullmatch(v):
+                raise UnknownSpace(f"parameter {k}={v!r} in {key!r} is not an integer")
+            params[k] = int(v)
     return name, params
 
 
@@ -449,8 +432,8 @@ def canonical_descriptor(key: str) -> str:
 def resolve(key: str):
     """(canonical descriptor, thunk) for a descriptor string.
 
-    The thunk returns a ChainComplex or, for fixed-data entries, a
-    GradedGroup; ``engine.cached_homology`` accepts both.
+    The thunk returns the space's ChainComplex: every catalog entry is a
+    chain complex, whose homology ``engine.cached_homology`` computes.
     """
     canonical = canonical_descriptor(key)
     name, params = parse_descriptor(canonical)

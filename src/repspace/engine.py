@@ -82,26 +82,6 @@ class ChainComplex:
             self._factors[k] = invariant_factors(self.d(k))
         return self._factors[k]
 
-    def to_json(self):
-        return {
-            "ranks": self.ranks,
-            "diffs": [
-                [[r, c, v] for (r, c), v in sorted(d.entries.items())]
-                for d in self.diffs
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, doc) -> "ChainComplex":
-        ranks = doc["ranks"]
-        diffs = [
-            IntMatrix(
-                ranks[k], ranks[k + 1], {(r, c): v for r, c, v in entries}
-            )
-            for k, entries in enumerate(doc["diffs"])
-        ]
-        return cls(ranks, diffs)
-
 
 def homology(C: ChainComplex) -> GradedGroup:
     """Integral homology in invariant-factor form, lowest degree first."""
@@ -218,11 +198,12 @@ def _cache_write(path: Path, canonical: str, value: GradedGroup):
 def cached_homology(space_key: str, cache_dir=None) -> GradedGroup:
     """Homology of a catalog space by descriptor, through the cache.
 
-    Cache root: explicit argument, else the REPSPACE_CACHE environment
-    variable, else no caching at all.  An unreadable entry, or one whose
-    value does not match its digest, is recomputed and overwritten; an
-    entry that cannot be written costs a one-line warning on stderr, not
-    the answer.
+    The one path is descriptor -> chain complex (``catalog.resolve``) ->
+    ``homology``; this function adds only the cache.  Cache root:
+    explicit argument, else the REPSPACE_CACHE environment variable, else
+    no caching at all.  An unreadable entry, or one whose value does not
+    match its digest, is recomputed and overwritten; an entry that cannot
+    be written costs a one-line warning on stderr, not the answer.
     """
     from . import catalog  # deferred import; catalog builds on the engine
 
@@ -235,9 +216,7 @@ def cached_homology(space_key: str, cache_dir=None) -> GradedGroup:
                 return _cache_read(path, canonical)
             except CacheCorrupt:
                 pass  # fall through to recompute and overwrite
-    value = build()
-    if isinstance(value, ChainComplex):
-        value = homology(value)
+    value = homology(build())
     if root:
         try:
             _cache_write(_cache_path(root, canonical), canonical, value)

@@ -17,10 +17,6 @@ class ActionInvalid(RepspaceError):
     """A purported group action fails one of its compatibility laws."""
 
 
-class MissingBasepoint(RepspaceError):
-    """A based construction (wedge, smash, suspension) got an unbased input."""
-
-
 class NotPrime(RepspaceError):
     """A mod-p computation was requested at a composite or invalid p."""
 

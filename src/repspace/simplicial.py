@@ -14,10 +14,12 @@ and everything else is built on top of them.
 
 Products use the shuffle description: a nondegenerate k-simplex of a
 product is a tuple of formal k-simplices whose degeneracy words have
-empty common intersection.  Quotients by finite group actions take
+empty common intersection.  Their number follows from the factors'
+f-vectors alone, so a product over the cell budget is refused before
+its first simplex is built.  Quotients by finite group actions take
 orbits of nondegenerate simplices; geometric realization preserves both
 colimits, so the realizations are the honest product and quotient
-spaces.
+spaces.  Subcomplexes and collapses complete the constructions.
 
 Identifiers are canonical strings derived from construction history
 ("(a|s0(v))" for product tuples, "[x]" for orbits, "*" for a collapse
@@ -28,13 +30,15 @@ from __future__ import annotations
 
 from itertools import combinations
 from itertools import product as iter_product
+from math import comb, prod
 from typing import NamedTuple
 
 from .abelian import IntMatrix
 from .engine import ChainComplex
-from .errors import ActionInvalid, MissingBasepoint, ResourceGuard
+from .errors import ActionInvalid, ResourceGuard
 
 BASEPOINT_ID = "*"
+CELL_BUDGET = 200_000
 
 
 class FormalSimplex(NamedTuple):
@@ -42,10 +46,6 @@ class FormalSimplex(NamedTuple):
 
     word: tuple
     base: str
-
-    @property
-    def is_degenerate(self) -> bool:
-        return bool(self.word)
 
     def render(self) -> str:
         if not self.word:
@@ -89,12 +89,11 @@ class SimplicialSet:
 
     faces[x] for a k-simplex x (k >= 1) is the tuple (d_0 x, ..., d_k x)
     of FormalSimplexes.  ``parts`` (coordinates, kept by products and by
-    their quotients and subcomplexes) and ``orbit_of`` / ``orbit_rep``
-    (for quotients) record construction provenance that later
-    constructions need; they are not part of the space itself.
+    their quotients and subcomplexes) records construction provenance
+    that later constructions need; it is not part of the space itself.
     """
 
-    __slots__ = ("simplices", "faces", "basepoint", "dim_of", "parts", "orbit_of", "orbit_rep")
+    __slots__ = ("simplices", "faces", "basepoint", "dim_of", "parts")
 
     def __init__(self, simplices, faces, basepoint=None, check=True):
         self.simplices = {
@@ -109,8 +108,6 @@ class SimplicialSet:
                     raise ValueError(f"duplicate simplex id {sid!r}")
                 self.dim_of[sid] = k
         self.parts = None
-        self.orbit_of = None
-        self.orbit_rep = None
         if check:
             self.validate()
 
@@ -131,9 +128,6 @@ class SimplicialSet:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * len(ids) for k, ids in self.simplices.items())
-
-    def face(self, sid: str, i: int) -> FormalSimplex:
-        return self.faces[sid][i]
 
     def formal_simplices(self, k: int):
         """All formal k-simplices as (word-set, FormalSimplex) pairs."""
@@ -186,27 +180,6 @@ class SimplicialSet:
                             f"d_{i} d_{j} ≠ d_{j - 1} d_{i} on {sid!r}"
                         )
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self):
-        return {
-            "simplices": {str(k): ids for k, ids in self.simplices.items()},
-            "faces": {
-                sid: [[list(f.word), f.base] for f in fs]
-                for sid, fs in self.faces.items()
-            },
-            "basepoint": self.basepoint,
-        }
-
-    @classmethod
-    def from_json(cls, doc) -> "SimplicialSet":
-        simplices = {int(k): ids for k, ids in doc["simplices"].items()}
-        faces = {
-            sid: tuple(FormalSimplex(tuple(w), b) for w, b in fs)
-            for sid, fs in doc["faces"].items()
-        }
-        return cls(simplices, faces, doc.get("basepoint"))
-
 
 def minimal_circle(vertex="v", edge="e") -> SimplicialSet:
     """The one-vertex circle; smallest model, basepoint the vertex."""
@@ -245,22 +218,50 @@ def _normalize_tuple(factors, fs):
         prefix.append(j)
 
 
-def product_list(factors, check=True, budget=None) -> SimplicialSet:
+def product_size(f_vectors) -> int:
+    """Number of nondegenerate simplices of a product, from f-vectors alone.
+
+    A formal k-simplex whose degeneracy word contains a given s-set of
+    indices is that degeneracy of a formal (k-s)-simplex, and a factor
+    with f-vector f has sum_j f(j)·C(k-s, k-s-j) of those (j <= k-s:
+    ``comb`` rejects a negative argument).  A product k-simplex is
+    nondegenerate when no index lies in every factor's word, so
+    inclusion-exclusion over the shared indices counts them.
+    """
+    top = sum(len(f) - 1 for f in f_vectors)
+    return sum(
+        (-1) ** s
+        * comb(k, s)
+        * prod(
+            sum(f[j] * comb(k - s, k - s - j) for j in range(min(len(f), k - s + 1)))
+            for f in f_vectors
+        )
+        for k in range(top + 1)
+        for s in range(k + 1)
+    )
+
+
+def product_list(factors, check=True) -> SimplicialSet:
     """Product of finitely many simplicial sets (shuffle description).
 
     The result records ``parts``: for every nondegenerate product simplex
     its tuple of factor FormalSimplexes.  Based factors give a based
-    product.  ``budget`` caps the number of nondegenerate simplices.
+    product.  A product over ``CELL_BUDGET`` nondegenerate simplices is
+    refused (ResourceGuard) before any of them is built.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("empty product")
+    size = product_size([X.f_vector() for X in factors])
+    if size > CELL_BUDGET:
+        raise ResourceGuard(
+            f"product needs {size} nondegenerate simplices (budget {CELL_BUDGET})"
+        )
     top = sum(X.dim for X in factors)
     simplices = {}
     faces = {}
     parts = {}
     ids_by_parts = {}
-    total = 0
     for k in range(top + 1):
         pools = [X.formal_simplices(k) for X in factors]
         level = []
@@ -277,11 +278,6 @@ def product_list(factors, check=True, budget=None) -> SimplicialSet:
             level.append(sid)
             parts[sid] = fs
             ids_by_parts[fs] = sid
-            total += 1
-            if budget is not None and total > budget:
-                raise ResourceGuard(
-                    f"product exceeds budget of {budget} simplices"
-                )
         if level:
             simplices[k] = level
         for sid in level:
@@ -304,10 +300,6 @@ def product_list(factors, check=True, budget=None) -> SimplicialSet:
     out = SimplicialSet(simplices, faces, basepoint=basepoint, check=check)
     out.parts = parts
     return out
-
-
-def product(X: SimplicialSet, Y: SimplicialSet) -> SimplicialSet:
-    return product_list([X, Y])
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +379,9 @@ def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
     The action permutes nondegenerate simplices, so orbits of
     nondegenerate simplices are exactly the nondegenerate simplices of
     the quotient; faces are induced on the lexicographically least
-    representative.  Records ``orbit_of`` and ``orbit_rep``, and, when X
-    records ``parts``, each orbit's representative's coordinates.
+    representative, whose id in brackets is the orbit's id.  When X
+    records ``parts``, so does the quotient: each orbit's
+    representative's coordinates.
     """
     A.validate(X)
     orbit_of = {}
@@ -417,15 +410,13 @@ def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
         )
     basepoint = orbit_of[X.basepoint] if X.basepoint is not None else None
     out = SimplicialSet(simplices, faces, basepoint=basepoint)
-    out.orbit_of = orbit_of
-    out.orbit_rep = orbit_rep
     if X.parts is not None:
         out.parts = {oid: X.parts[rep] for oid, rep in orbit_rep.items()}
     return out
 
 
 # ---------------------------------------------------------------------------
-# SECTION: subcomplexes, collapse, wedge, smash, suspension
+# SECTION: subcomplexes and collapse
 
 
 def basepoint_directions(X: SimplicialSet, sid: str) -> frozenset:
@@ -501,67 +492,6 @@ def collapse(X: SimplicialSet, kill) -> SimplicialSet:
                     row.append(f)
             faces[sid] = tuple(row)
     return SimplicialSet(simplices, faces, basepoint=BASEPOINT_ID, check=False)
-
-
-def _relabel(X: SimplicialSet, rename) -> SimplicialSet:
-    simplices = {
-        k: [rename(sid) for sid in ids] for k, ids in X.simplices.items()
-    }
-    faces = {
-        rename(sid): tuple(FormalSimplex(f.word, rename(f.base)) for f in fs)
-        for sid, fs in X.faces.items()
-    }
-    bp = rename(X.basepoint) if X.basepoint is not None else None
-    return SimplicialSet(simplices, faces, basepoint=bp, check=False)
-
-
-def disjoint_union(Xs) -> SimplicialSet:
-    simplices = {}
-    faces = {}
-    for i, X in enumerate(Xs):
-        Y = _relabel(X, lambda sid, i=i: f"{i}:{sid}")
-        for k, ids in Y.simplices.items():
-            simplices.setdefault(k, []).extend(ids)
-        faces.update(Y.faces)
-    return SimplicialSet(simplices, faces, check=False)
-
-
-def wedge(Xs) -> SimplicialSet:
-    """One-point union along all basepoints (which merge into ``*``)."""
-    Xs = list(Xs)
-    for X in Xs:
-        if X.basepoint is None:
-            raise MissingBasepoint("wedge needs based inputs")
-    simplices = {0: [BASEPOINT_ID]}
-    faces = {}
-    for i, X in enumerate(Xs):
-
-        def rename(sid, i=i, bp=X.basepoint):
-            return BASEPOINT_ID if sid == bp else f"{i}:{sid}"
-
-        for k, ids in X.simplices.items():
-            level = simplices.setdefault(k, [])
-            level.extend(rename(sid) for sid in ids if sid != X.basepoint)
-        for sid, fs in X.faces.items():
-            faces[rename(sid)] = tuple(
-                FormalSimplex(f.word, rename(f.base)) for f in fs
-            )
-    return SimplicialSet(simplices, faces, basepoint=BASEPOINT_ID, check=False)
-
-
-def smash(Xs) -> SimplicialSet:
-    """Smash product: the product with its fat wedge collapsed."""
-    Xs = list(Xs)
-    for X in Xs:
-        if X.basepoint is None:
-            raise MissingBasepoint("smash needs based inputs")
-    P = product_list(Xs, check=False)
-    return collapse(P, [s for s in P.dim_of if basepoint_directions(P, s)])
-
-
-def suspension(X: SimplicialSet) -> SimplicialSet:
-    """Reduced suspension: smash with the one-vertex circle."""
-    return smash([X, minimal_circle()])
 
 
 # ---------------------------------------------------------------------------

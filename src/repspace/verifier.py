@@ -46,7 +46,6 @@ from .counting import (
     strata_counts,
 )
 from .engine import (
-    ChainComplex,
     homology,
     reduced_homology,
     universal_coefficients_check,
@@ -163,10 +162,6 @@ def _family_guard(family: str, n: int, m: int):
     if family == "sp_circle":
         if not 1 <= m <= 3:
             raise range_error(m, 1, f"sp_circle needs 1 <= m <= 3, not m={m}")
-        if catalog._torus_cell_estimate(n * m, 1) > catalog.CELL_BUDGET:
-            raise ResourceGuard(
-                f"sp_circle(n={n}, m={m}) underlying product is over budget"
-            )
 
 
 def _family_space(family: str, n: int, m: int):
@@ -279,7 +274,7 @@ def rank_one_catalog(group: str, n: int):
         value = poincare_assembly(
             [
                 (1, reduced_homology(catalog.stunted_projective(n + 2, n))),
-                (c, catalog.lens_q8()),
+                (c, homology(catalog.lens_q8())),
             ]
         )
         return f"RP^{n + 2}/RP^{n - 1} ∨ {c}·(S^3/Q8)_+", value
@@ -570,15 +565,14 @@ def check_simplicial() -> Report:
     rep = Report("simplicial")
     for key in catalog.catalog_samples():
         canonical, thunk = catalog.resolve(key)
-        obj = thunk()
-        if isinstance(obj, ChainComplex):
-            ok = all(universal_coefficients_check(obj, p) for p in (2, 3))
-            rep.add(
-                canonical,
-                "boundary² = 0 and mod-p ranks consistent",
-                "holds" if ok else "mod-p ranks inconsistent",
-                ok,
-            )
+        C = thunk()
+        ok = all(universal_coefficients_check(C, p) for p in (2, 3))
+        rep.add(
+            canonical,
+            "boundary² = 0 and mod-p ranks consistent",
+            "holds" if ok else "mod-p ranks inconsistent",
+            ok,
+        )
     return rep
 
 

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 import oracles
-from repspace import catalog
+from repspace import catalog, verifier
 from repspace.abelian import AbelianGroup, GradedGroup
 from repspace.engine import (
     ChainComplex,
@@ -236,11 +236,12 @@ def test_thom_zero_quotients_frozen():
 
 
 def test_lens_q8_fixed_data():
-    g = catalog.lens_q8()
-    assert g[0] == Z(1)
-    assert g[1] == T(0, 2, 2)
-    assert g[2].is_trivial
-    assert g[3] == Z(1)
+    # S^3/Q_8: H_1 is the abelianization (Z/2)^2 of Q_8, H_3 = Z (closed
+    # orientable), H_2 = 0 by duality and universal coefficients
+    C = catalog.lens_q8()
+    assert homology(C) == GradedGroup.of(Z(1), T(0, 2, 2), Z(0), Z(1))
+    for p in (2, 3):
+        assert universal_coefficients_check(C, p)
 
 
 # -- guards ------------------------------------------------------------------
@@ -271,6 +272,28 @@ def test_resource_guards():
         catalog.stunted_projective(catalog.CELL_BUDGET + 1, 1)
 
 
+def test_over_budget_products_are_refused_before_they_start(monkeypatch):
+    # torus(6) builds nothing at all; the others build only their rank-n
+    # torus from circles (dimension 1), never a simplex of the refused power
+    original = SimplicialSet.formal_simplices
+    monkeypatch.setattr(SimplicialSet, "formal_simplices", None)
+    with pytest.raises(ResourceGuard, match="budget"):
+        catalog.torus(6)
+
+    def circles_only(self, k):
+        assert self.dim == 1, "enumerated a factor of a refused product"
+        return original(self, k)
+
+    monkeypatch.setattr(SimplicialSet, "formal_simplices", circles_only)
+    for refused in (
+        lambda: catalog.sp_torus(4, 3),
+        lambda: catalog.rep_sp(3, 3),
+        lambda: verifier.verify_splitting("sp_circle", 3, m=3),
+    ):
+        with pytest.raises(ResourceGuard, match="budget"):
+            refused()
+
+
 # -- descriptors -------------------------------------------------------------
 
 
@@ -290,6 +313,11 @@ def test_descriptor_parsing_and_canonical_form():
         "torus(n=1",
         "",
         "torus(2)",
+        "torus(n=1,n=2)",
+        "torus(n=٣)",
+        "torus(n=1_0)",
+        "torus(n=0x3)",
+        "torus(n=3.0)",
     ):
         with pytest.raises(UnknownSpace):
             catalog.canonical_descriptor(bad)
@@ -302,7 +330,7 @@ def test_resolve_builds_the_right_thing():
     assert isinstance(value, ChainComplex)
     assert homology(value) == GradedGroup.of(Z(1), Z(0), Z(1))
     canonical, thunk = catalog.resolve("lens_q8")
-    assert isinstance(thunk(), GradedGroup)
+    assert isinstance(thunk(), ChainComplex)
 
 
 # -- the whole catalog at once -----------------------------------------------
@@ -312,8 +340,6 @@ def test_every_sample_satisfies_universal_coefficients():
     for key in catalog.catalog_samples():
         _, thunk = catalog.resolve(key)
         value = thunk()
-        if not isinstance(value, ChainComplex):
-            continue
         for p in (2, 3):
             assert universal_coefficients_check(value, p), (key, p)
 
@@ -322,8 +348,6 @@ def test_every_sample_euler_characteristic_is_betti_alternation():
     for key in catalog.catalog_samples():
         _, thunk = catalog.resolve(key)
         value = thunk()
-        if not isinstance(value, ChainComplex):
-            continue
         h = homology(value)
         alt = sum((-1) ** k * h[k].free_rank for k in range(len(h)))
         assert value.euler_characteristic() == alt, key

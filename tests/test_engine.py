@@ -131,13 +131,6 @@ def test_suspend_rejects_non_augmentable():
         suspend(ChainComplex([], []))
 
 
-def test_chain_complex_json_round_trip():
-    C = rp_complex(3)
-    D = ChainComplex.from_json(C.to_json())
-    assert D.ranks == C.ranks
-    assert all(D.d(k) == C.d(k) for k in range(1, 4))
-
-
 # -- result cache ------------------------------------------------------------
 
 RP3_HOMOLOGY = GradedGroup.of(Z(1), T(0, 2), Z(0), Z(1))

@@ -1,4 +1,4 @@
-"""Simplicial sets: face algebra, products, quotients, smash, chains."""
+"""Simplicial sets: face algebra, products, quotients, collapses, chains."""
 
 import random
 
@@ -6,27 +6,24 @@ import pytest
 
 import oracles
 from repspace.abelian import AbelianGroup, GradedGroup
-from repspace.engine import homology, reduced_homology
-from repspace.errors import ActionInvalid, MissingBasepoint, ResourceGuard
+from repspace.engine import homology, reduced_homology, suspend
+from repspace.errors import ActionInvalid, ResourceGuard
 from repspace.simplicial import (
+    CELL_BUDGET,
     FormalSimplex,
     SimplicialAction,
     SimplicialSet,
     basepoint_directions,
     collapse,
     compose_degeneracy,
-    disjoint_union,
     formal_face,
     minimal_circle,
     normalized_chains,
-    product,
     product_list,
     product_simplex_id,
+    product_size,
     quotient_by_action,
-    smash,
     subcomplex,
-    suspension,
-    wedge,
 )
 
 F = FormalSimplex
@@ -45,6 +42,24 @@ def two_gon():
         basepoint="b",
     )
     return X, SimplicialAction.involution(X, {"a": "c", "c": "a"})
+
+
+def rose(n):
+    """A wedge of n circles: one vertex and n loops."""
+    loops = [f"e{i}" for i in range(n)]
+    return SimplicialSet(
+        {0: ["v"], 1: loops}, {e: (F((), "v"), F((), "v")) for e in loops}
+    )
+
+
+def fat_wedge(P):
+    """The simplices of a product with some coordinate at the basepoint."""
+    return [s for s in P.dim_of if basepoint_directions(P, s)]
+
+
+def smash(Xs):
+    P = product_list(Xs, check=False)
+    return collapse(P, fat_wedge(P))
 
 
 # -- degeneracy word algebra -------------------------------------------------
@@ -176,7 +191,7 @@ def test_two_gon_is_a_circle():
 
 
 def test_torus_f_vector_minimal_model():
-    X = product(minimal_circle(), minimal_circle())
+    X = product_list([minimal_circle(), minimal_circle()])
     assert X.f_vector() == [1, 3, 2]
     assert X.f_vector() == oracles.torus_f_vector(2, 1)
     Y = product_list([minimal_circle()] * 3)
@@ -185,7 +200,7 @@ def test_torus_f_vector_minimal_model():
 
 def test_torus_f_vector_two_gon_model():
     C, _ = two_gon()
-    X = product(C, C)
+    X = product_list([C, C])
     assert X.f_vector() == oracles.torus_f_vector(2, 2)
     assert X.f_vector() == oracles.product_f_vector(
         [C.f_vector(), C.f_vector()], 2
@@ -203,11 +218,11 @@ def test_mixed_product_f_vector_against_shuffle_oracle():
 
 def test_torus_homology_kunneth():
     M = minimal_circle()
-    assert homology(normalized_chains(product(M, M))) == GradedGroup.of(
+    assert homology(normalized_chains(product_list([M, M]))) == GradedGroup.of(
         Z(1), Z(2), Z(1)
     )
     C, _ = two_gon()
-    assert homology(normalized_chains(product(C, C))) == GradedGroup.of(
+    assert homology(normalized_chains(product_list([C, C]))) == GradedGroup.of(
         Z(1), Z(2), Z(1)
     )
     X3 = product_list([M] * 3, check=False)
@@ -219,15 +234,31 @@ def test_torus_homology_kunneth():
 def test_product_with_point_is_identity_on_f_vectors():
     P = SimplicialSet({0: ["p"]}, {}, basepoint="p")
     C, _ = two_gon()
-    X = product(C, P)
+    X = product_list([C, P])
     assert X.f_vector() == C.f_vector()
     assert X.basepoint == "(b|p)"
 
 
 def test_product_budget_guard():
-    M = minimal_circle()
+    C, _ = two_gon()
+    assert product_size([C.f_vector()] * 6) > CELL_BUDGET
     with pytest.raises(ResourceGuard, match="budget"):
-        product_list([M] * 4, budget=10)
+        product_list([C] * 6)
+
+
+def test_product_size_matches_the_shuffle_oracle():
+    rng = random.Random(9366)
+    for _ in range(200):
+        fvs = [
+            [rng.randint(0, 2) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 3))
+        ]
+        top = sum(len(f) - 1 for f in fvs)
+        assert product_size(fvs) == sum(oracles.product_f_vector(fvs, top)), fvs
+    for n in range(1, 7):
+        for v in (1, 2):
+            assert product_size([[v, v]] * n) == sum(oracles.torus_f_vector(n, v))
+    assert product_size([[1, 3, 2]] * 3) == product_size([[1, 1]] * 6) == 9366
 
 
 # -- actions and quotients ---------------------------------------------------
@@ -239,18 +270,17 @@ def test_conjugation_quotient_of_circle_is_an_arc():
     assert Q.f_vector() == [2, 1]
     assert homology(normalized_chains(Q)) == GradedGroup.of(Z(1))
     assert Q.basepoint == "[b]"
-    assert Q.orbit_of["a"] == Q.orbit_of["c"] == "[a]"
-    assert Q.orbit_rep["[a]"] == "a"
+    assert Q.ids(1) == ["[a]"]
 
 
 def test_quotient_of_a_product_keeps_each_orbits_coordinates():
     M = minimal_circle()
-    P = product(M, M)
+    P = product_list([M, M])
     swap = {sid: product_simplex_id(fs[::-1]) for sid, fs in P.parts.items()}
     Q = quotient_by_action(P, SimplicialAction.involution(P, swap))
     assert set(Q.parts) == set(Q.dim_of)
-    for oid, rep in Q.orbit_rep.items():
-        assert Q.parts[oid] == P.parts[rep]
+    for oid in Q.dim_of:
+        assert Q.parts[oid] == P.parts[oid[1:-1]]  # "[rep]"
     assert Q.parts[Q.basepoint] == (F((), "v"), F((), "v"))
     assert basepoint_directions(Q, Q.basepoint) == frozenset({0, 1})
     assert basepoint_directions(Q, "[(e|s0(v))]") == frozenset({1})
@@ -258,7 +288,10 @@ def test_quotient_of_a_product_keeps_each_orbits_coordinates():
 
 
 def test_free_swap_of_two_circles_gives_one_circle():
-    U = disjoint_union([minimal_circle(), minimal_circle()])
+    U = SimplicialSet(
+        {0: ["0:v", "1:v"], 1: ["0:e", "1:e"]},
+        {f"{i}:e": (F((), f"{i}:v"), F((), f"{i}:v")) for i in (0, 1)},
+    )
     swap = {"0:v": "1:v", "1:v": "0:v", "0:e": "1:e", "1:e": "0:e"}
     Q = quotient_by_action(U, SimplicialAction.involution(U, swap))
     assert Q.f_vector() == [1, 1]
@@ -302,7 +335,7 @@ def test_action_composition_law_checked():
         broken.validate(X)
 
 
-# -- subcomplex, collapse, wedge, smash, suspension --------------------------
+# -- subcomplex, collapse, fat wedge, smash, suspension ---------------------
 
 
 def test_subcomplex_requires_face_closure():
@@ -332,11 +365,11 @@ def test_collapse_rejects_reserved_id():
 
 
 def test_wedge_of_circles():
-    W = wedge([minimal_circle(), minimal_circle()])
-    assert W.f_vector() == [1, 2]
+    # the fat wedge of a product of two circles is their wedge
+    P = product_list([minimal_circle(), minimal_circle()])
+    W = subcomplex(P, fat_wedge(P))
+    assert W.f_vector() == rose(2).f_vector() == [1, 2]
     assert homology(normalized_chains(W)) == GradedGroup.of(Z(1), Z(2))
-    with pytest.raises(MissingBasepoint):
-        wedge([minimal_circle(), SimplicialSet({0: ["v"]}, {})])
 
 
 def test_smash_of_circles_is_a_sphere():
@@ -347,45 +380,24 @@ def test_smash_of_circles_is_a_sphere():
 
 def test_suspension_shifts_reduced_homology():
     C, _ = two_gon()
-    S = suspension(C)
-    assert reduced_homology(normalized_chains(S)) == GradedGroup.of(
-        Z(0), Z(0), Z(1)
-    )
+    S = suspend(normalized_chains(C))
+    assert reduced_homology(S) == GradedGroup.of(Z(0), Z(0), Z(1))
     # suspension of a wedge of two circles
-    W = wedge([minimal_circle(), minimal_circle()])
-    SW = suspension(W)
-    assert reduced_homology(normalized_chains(SW)) == GradedGroup.of(
-        Z(0), Z(0), Z(2)
-    )
+    SW = suspend(normalized_chains(rose(2)))
+    assert reduced_homology(SW) == GradedGroup.of(Z(0), Z(0), Z(2))
 
 
 def test_iterated_suspension_randomized_shift():
     rng = random.Random(23)
     for _ in range(5):
         n = rng.randrange(1, 3)
-        X = wedge([minimal_circle()] * n)
-        h = reduced_homology(normalized_chains(X))
-        S = suspension(X)
-        hs = reduced_homology(normalized_chains(S))
-        assert hs == h.shift(1)
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def test_simplicial_set_json_round_trip():
-    X = product(minimal_circle(), two_gon()[0])
-    Y = SimplicialSet.from_json(X.to_json())
-    assert Y.f_vector() == X.f_vector()
-    assert Y.faces == X.faces
-    assert Y.basepoint == X.basepoint
+        C = normalized_chains(rose(n))
+        assert reduced_homology(suspend(C)) == reduced_homology(C).shift(1)
 
 
 def test_formal_simplex_render():
     assert F((), "x").render() == "x"
     assert F((3, 1), "x").render() == "s3_1(x)"
-    assert not F((), "x").is_degenerate
-    assert F((0,), "x").is_degenerate
 
 
 # -- chains ------------------------------------------------------------------
