@@ -102,7 +102,7 @@ def torus(n: int):
     if not 1 <= n <= 6:
         raise range_error(n, 1, f"torus(n={n}) outside the supported range 1..6")
     C, A = circle_conj()
-    P = product_list([C] * n, check=False)
+    P = product_list([C] * n)
     swap = A.maps["t"]
     return P, _product_involution(P, [swap] * n)
 
@@ -113,7 +113,7 @@ def minimal_torus(n: int) -> SimplicialSet:
         raise range_error(
             n, 1, f"minimal_torus(n={n}) outside the supported range 1..6"
         )
-    return product_list([circle()] * n, check=False)
+    return product_list([circle()] * n)
 
 
 def torus_conj_quotient(n: int) -> SimplicialSet:
@@ -173,7 +173,7 @@ def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
         return point()
     if m == 1:
         return X
-    P = product_list([X] * m, check=False)
+    P = product_list([X] * m)
     return quotient_by_action(P, _permutation_action(P, m))
 
 
@@ -320,7 +320,7 @@ def sphere_bundle_quotient(n: int) -> SimplicialSet:
         )
     S2, A2 = sphere_simplicial(2)
     Sn, An = sphere_simplicial(n - 1)
-    P = product_list([S2, Sn], check=False)
+    P = product_list([S2, Sn])
     act = _product_involution(P, [A2.maps["t"], An.maps["t"]])
     return quotient_by_action(P, act)
 

@@ -8,8 +8,8 @@ Five commands, one job each:
 * ``catalog GROUP --n N``     the n-th stable factor for a rank-one group;
 * ``su2 verify-psi``          randomized construction sweep, JSON report.
 
-Exit codes: 0 success, 1 a verification reported a failure, 2 bad
-usage or unsupported input, 3 a resource guard refused the size.
+Exit codes: 0 success (or stdout closed by its reader), 1 a verification
+failed, 2 bad usage or unsupported input, 3 a resource guard refused.
 Output is deterministic for a fixed seed, in markdown (default), json
 or csv.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from . import catalog, verifier
@@ -226,7 +227,12 @@ def main(argv=None) -> int:
         return 0 if err.code in (0, None) else 2
     args.fmt = args.format_late or args.format or "markdown"
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here
+        return code
+    except BrokenPipeError:  # the reader stopped early (``| head``)
+        sys.stdout = open(os.devnull, "w")  # so the final flush cannot raise
+        return 0
     except (UnknownSpace, Unsupported, NotPrime, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -241,13 +241,13 @@ def product_size(f_vectors) -> int:
     )
 
 
-def product_list(factors, check=True) -> SimplicialSet:
+def product_list(factors) -> SimplicialSet:
     """Product of finitely many simplicial sets (shuffle description).
 
     The result records ``parts``: for every nondegenerate product simplex
-    its tuple of factor FormalSimplexes.  Based factors give a based
-    product.  A product over ``CELL_BUDGET`` nondegenerate simplices is
-    refused (ResourceGuard) before any of them is built.
+    its tuple of factor FormalSimplexes, and is not re-validated.  Based
+    factors give a based product.  Over ``CELL_BUDGET`` nondegenerate
+    simplices the product is refused (ResourceGuard) before it is built.
     """
     factors = list(factors)
     if not factors:
@@ -297,7 +297,7 @@ def product_list(factors, check=True) -> SimplicialSet:
         basepoint = product_simplex_id(
             FormalSimplex((), X.basepoint) for X in factors
         )
-    out = SimplicialSet(simplices, faces, basepoint=basepoint, check=check)
+    out = SimplicialSet(simplices, faces, basepoint=basepoint, check=False)
     out.parts = parts
     return out
 

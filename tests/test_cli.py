@@ -3,13 +3,22 @@
 import csv
 import io
 import json
+import os
 import random
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repspace
 from repspace.abelian import GradedGroup
 from repspace.cli import main
 from repspace import verifier
+
+SRC = Path(repspace.__file__).resolve().parents[1]
+README = SRC.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -287,6 +296,85 @@ def test_su2_verify_psi_deterministic(capsys):
 
 
 # -- parser plumbing --------------------------------------------------------
+
+
+def readme_examples():
+    """(argv, expected stdout lines) for every ``$ repspace`` block of the README.
+
+    A block that ends its output with a ``...`` line shows a prefix only.
+    """
+    examples = []
+    for block in README.read_text(encoding="utf-8").split("```")[1::2]:
+        lines = block.strip("\n").splitlines()
+        if lines and lines[0].startswith("$ repspace "):
+            examples.append((shlex.split(lines[0])[2:], lines[1:]))
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    README_EXAMPLES,
+    ids=[" ".join(argv) for argv, _ in README_EXAMPLES],
+)
+def test_readme_example_matches_the_cli(capsys, monkeypatch, argv, shown):
+    monkeypatch.delenv("REPSPACE_CACHE", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    got = out.splitlines()
+    if "..." in shown:
+        shown = shown[: shown.index("...")]
+        got = got[: len(shown)]
+    assert got == shown
+
+
+def test_readme_has_every_command_example():
+    assert [argv[0] for argv, _ in README_EXAMPLES] == [
+        "homology",
+        "counts",
+        "verify",
+        "catalog",
+        "su2",
+    ]
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_is_a_quiet_exit(monkeypatch):
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(sys, "stderr", err)
+    code = main(["verify", "splitting", "--n", "2"])
+    replacement = sys.stdout
+    replacement.close()
+    assert code == 0
+    assert err.getvalue() == ""
+    assert replacement.name == os.devnull
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_quietly(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child prints
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "repspace.cli", "verify", "splitting", "--n", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (0, b"")
 
 
 def test_help_exits_zero(capsys):

@@ -58,7 +58,7 @@ def fat_wedge(P):
 
 
 def smash(Xs):
-    P = product_list(Xs, check=False)
+    P = product_list(Xs)
     return collapse(P, fat_wedge(P))
 
 
@@ -192,15 +192,18 @@ def test_two_gon_is_a_circle():
 
 def test_torus_f_vector_minimal_model():
     X = product_list([minimal_circle(), minimal_circle()])
+    X.validate()
     assert X.f_vector() == [1, 3, 2]
     assert X.f_vector() == oracles.torus_f_vector(2, 1)
     Y = product_list([minimal_circle()] * 3)
+    Y.validate()
     assert Y.f_vector() == oracles.torus_f_vector(3, 1)
 
 
 def test_torus_f_vector_two_gon_model():
     C, _ = two_gon()
     X = product_list([C, C])
+    X.validate()
     assert X.f_vector() == oracles.torus_f_vector(2, 2)
     assert X.f_vector() == oracles.product_f_vector(
         [C.f_vector(), C.f_vector()], 2
@@ -210,7 +213,8 @@ def test_torus_f_vector_two_gon_model():
 def test_mixed_product_f_vector_against_shuffle_oracle():
     C, _ = two_gon()
     M = minimal_circle()
-    X = product_list([C, M, M], check=True)
+    X = product_list([C, M, M])
+    X.validate()
     assert X.f_vector() == oracles.product_f_vector(
         [C.f_vector(), M.f_vector(), M.f_vector()], 3
     )
@@ -225,7 +229,7 @@ def test_torus_homology_kunneth():
     assert homology(normalized_chains(product_list([C, C]))) == GradedGroup.of(
         Z(1), Z(2), Z(1)
     )
-    X3 = product_list([M] * 3, check=False)
+    X3 = product_list([M] * 3)
     assert homology(normalized_chains(X3)) == GradedGroup.of(
         Z(1), Z(3), Z(3), Z(1)
     )
@@ -235,6 +239,7 @@ def test_product_with_point_is_identity_on_f_vectors():
     P = SimplicialSet({0: ["p"]}, {}, basepoint="p")
     C, _ = two_gon()
     X = product_list([C, P])
+    X.validate()
     assert X.f_vector() == C.f_vector()
     assert X.basepoint == "(b|p)"
 
@@ -406,7 +411,7 @@ def test_formal_simplex_render():
 def test_normalized_chains_boundary_squares_to_zero_everywhere():
     C, A = two_gon()
     spaces = [
-        product_list([C] * 2, check=False),
+        product_list([C] * 2),
         quotient_by_action(C, A),
         smash([C, minimal_circle()]),
     ]
@@ -415,7 +420,7 @@ def test_normalized_chains_boundary_squares_to_zero_everywhere():
 
 
 def test_euler_characteristic_matches_betti_alternation():
-    X = product_list([minimal_circle()] * 3, check=False)
+    X = product_list([minimal_circle()] * 3)
     h = homology(normalized_chains(X))
     alt = sum((-1) ** k * h[k].free_rank for k in range(X.dim + 1))
     assert X.euler_characteristic() == alt == 0

@@ -2,6 +2,7 @@
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
@@ -129,6 +130,48 @@ def test_splitting_factors_are_the_expected_spaces():
     # and the conjugation factor at rank 1 is contractible (an arc).
     h = reduced_homology(normalized_chains(splitting_factor("rep_su2", 1)))
     assert h == G()
+
+
+@pytest.mark.parametrize(
+    "family, n, m",
+    [("hom_circle", 3, 2), ("rep_su2", 3, 2), ("rep_su2", 4, 2), ("sp_circle", 2, 2)],
+)
+def test_every_slice_has_the_homology_of_its_separately_built_factor(family, n, m):
+    def h(X):
+        return reduced_homology(normalized_chains(X))
+
+    factor = {r: h(splitting_factor(family, r, m)) for r in range(1, n + 1)}
+    X, directions = verifier.splitting_base(family, n, m)
+    for k in range(n):
+        for D in combinations(range(n), k):
+            assert h(verifier._slice(X, directions, frozenset(D))) == factor[n - k], D
+
+
+def test_verify_splitting_builds_one_space(monkeypatch):
+    built = []
+    for name in ("minimal_torus", "torus_conj_quotient"):
+        original = getattr(catalog, name)
+        monkeypatch.setattr(
+            catalog, name, lambda n, f=original: built.append(n) or f(n)
+        )
+    for family, n in [("hom_circle", 3), ("rep_su2", 3), ("sp_circle", 2)]:
+        built.clear()
+        assert verify_splitting(family, n).ok
+        assert built == [n], family
+
+
+def test_one_wrong_slice_fails_the_splitting_check(monkeypatch):
+    original = verifier._slice
+
+    def planted(X, directions, D=frozenset()):
+        if D == {0}:
+            return catalog.point()  # the bare basepoint instead of a circle
+        return original(X, directions, D)
+
+    monkeypatch.setattr(verifier, "_slice", planted)
+    rep = verify_splitting("hom_circle", 2)
+    assert rep.render().startswith("[FAIL] splitting[hom_circle](n=2)")
+    assert [r["item"] for r in rep.rows if not r["ok"]] == ["H~_1"]
 
 
 def test_rep_su2_factor_is_the_catalog_smash_factor():
