@@ -198,11 +198,9 @@ def smith_normal_form(M: IntMatrix):
     V = IntMatrix.identity(cols).to_rows()
     t = 0
     limit = min(rows, cols)
-    while t < limit:
-        pos = _find_pivot(A, t, rows, cols)
-        if pos is None:
-            break
-        r, c = pos
+
+    def move_to_t(r, c):
+        """Swap row r and column c of A (and U, V) into position t."""
         if r != t:
             A[t], A[r] = A[r], A[t]
             U[t], U[r] = U[r], U[t]
@@ -211,6 +209,12 @@ def smith_normal_form(M: IntMatrix):
                 row[t], row[c] = row[c], row[t]
             for row in V:
                 row[t], row[c] = row[c], row[t]
+
+    while t < limit:
+        pos = _find_pivot(A, t, rows, cols)
+        if pos is None:
+            break
+        move_to_t(*pos)
         while True:
             p = A[t][t]
             dirty = False
@@ -236,15 +240,7 @@ def smith_normal_form(M: IntMatrix):
                         dirty = True
             if dirty:
                 # a remainder smaller than |p| appeared; re-pivot on it
-                r, c = _find_pivot(A, t, rows, cols)
-                if r != t:
-                    A[t], A[r] = A[r], A[t]
-                    U[t], U[r] = U[r], U[t]
-                if c != t:
-                    for row in A:
-                        row[t], row[c] = row[c], row[t]
-                    for row in V:
-                        row[t], row[c] = row[c], row[t]
+                move_to_t(*_find_pivot(A, t, rows, cols))
                 continue
             # row and column t are clear; enforce the divisibility chain
             bad = None

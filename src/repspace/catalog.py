@@ -21,7 +21,7 @@ before any large construction starts.
 from __future__ import annotations
 
 import re
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .abelian import IntMatrix
 from .engine import ChainComplex, suspend
@@ -103,8 +103,7 @@ def torus(n: int):
         raise range_error(n, 1, f"torus(n={n}) outside the supported range 1..6")
     C, A = circle_conj()
     P = product_list([C] * n)
-    swap = A.maps["t"]
-    return P, _product_involution(P, [swap] * n)
+    return P, _product_involution(P, [A.generators[0]] * n)
 
 
 def minimal_torus(n: int) -> SimplicialSet:
@@ -139,25 +138,17 @@ def smash_factor(n: int) -> SimplicialSet:
 
 
 def _permutation_action(P: SimplicialSet, m: int) -> SimplicialAction:
-    """Σ_m permuting the m coordinates of an m-fold product."""
-    elems = list(permutations(range(m)))
-    name = {p: "p" + "".join(map(str, p)) for p in elems}
-    mult = {}
-    for p in elems:
-        for q in elems:
-            pq = tuple(p[q[i]] for i in range(m))
-            mult[(name[p], name[q])] = name[pq]
-    maps = {}
-    for p in elems:
-        inv = [0] * m
-        for i, v in enumerate(p):
-            inv[v] = i
-        mapping = {}
-        for sid, fs in P.parts.items():
-            mapping[sid] = product_simplex_id(fs[inv[i]] for i in range(m))
-        maps[name[p]] = mapping
+    """Σ_m on the m coordinates of an m-fold product, by its generators.
+
+    The m - 1 adjacent transpositions swap coordinates i and i + 1; they
+    generate Σ_m, so their orbits are the Σ_m orbits.
+    """
     return SimplicialAction(
-        [name[p] for p in elems], name[tuple(range(m))], mult, maps
+        {
+            sid: product_simplex_id(fs[:i] + (fs[i + 1], fs[i]) + fs[i + 2 :])
+            for sid, fs in P.parts.items()
+        }
+        for i in range(m - 1)
     )
 
 
@@ -321,7 +312,7 @@ def sphere_bundle_quotient(n: int) -> SimplicialSet:
     S2, A2 = sphere_simplicial(2)
     Sn, An = sphere_simplicial(n - 1)
     P = product_list([S2, Sn])
-    act = _product_involution(P, [A2.maps["t"], An.maps["t"]])
+    act = _product_involution(P, [A2.generators[0], An.generators[0]])
     return quotient_by_action(P, act)
 
 

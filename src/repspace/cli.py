@@ -220,14 +220,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as err:
-        return 0 if err.code in (0, None) else 2
-    args.fmt = args.format_late or args.format or "markdown"
-    try:
-        code = args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as err:  # argparse printed help or a usage error
+            code = 0 if err.code in (0, None) else 2
+        else:
+            args.fmt = args.format_late or args.format or "markdown"
+            code = args.func(args)
         sys.stdout.flush()  # a reader that closed stdout shows here
         return code
     except BrokenPipeError:  # the reader stopped early (``| head``)

@@ -16,10 +16,12 @@ Products use the shuffle description: a nondegenerate k-simplex of a
 product is a tuple of formal k-simplices whose degeneracy words have
 empty common intersection.  Their number follows from the factors'
 f-vectors alone, so a product over the cell budget is refused before
-its first simplex is built.  Quotients by finite group actions take
-orbits of nondegenerate simplices; geometric realization preserves both
-colimits, so the realizations are the honest product and quotient
-spaces.  Subcomplexes and collapses complete the constructions.
+its first simplex is built.  A finite group action is stored as its
+generators, permutations of the nondegenerate simplices that commute
+with the face maps; a quotient takes the orbits under them.  Geometric
+realization preserves both colimits, so the realizations are the honest
+product and quotient spaces.  Subcomplexes and collapses complete the
+constructions.
 
 Identifiers are canonical strings derived from construction history
 ("(a|s0(v))" for product tuples, "[x]" for orbits, "*" for a collapse
@@ -307,61 +309,38 @@ def product_list(factors) -> SimplicialSet:
 
 
 class SimplicialAction:
-    """A finite group acting on nondegenerate simplices.
+    """A finite group acting on nondegenerate simplices, by its generators.
 
-    ``elements`` lists group element names, ``mult[(g, h)]`` their
-    product, and ``maps[g]`` the permutation of simplex ids.  The action
-    extends to formal simplices by acting on the base.
+    Each generator is a permutation of simplex ids ({id: image id}).
+    Permutations that keep dimensions and commute with every face map
+    generate a group acting simplicially, so the generators are all a
+    quotient needs: an orbit is the closure of one simplex under them.
+    The action extends to formal simplices by acting on the base.
     """
 
-    __slots__ = ("elements", "identity", "mult", "maps")
+    __slots__ = ("generators",)
 
-    def __init__(self, elements, identity, mult, maps):
-        self.elements = list(elements)
-        self.identity = identity
-        self.mult = dict(mult)
-        self.maps = {g: dict(m) for g, m in maps.items()}
+    def __init__(self, generators):
+        self.generators = [dict(g) for g in generators]
 
     @classmethod
     def involution(cls, X: SimplicialSet, swap) -> "SimplicialAction":
         """Z/2 action from a self-inverse map; ids not in ``swap`` are fixed."""
         full = {sid: swap.get(sid, sid) for sid in X.dim_of}
-        ident = {sid: sid for sid in X.dim_of}
-        return cls(
-            ["e", "t"],
-            "e",
-            {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "e"},
-            {"e": ident, "t": full},
-        )
+        for sid, target in full.items():
+            if full.get(target) != sid:
+                raise ActionInvalid(f"swap is not its own inverse at {sid!r}")
+        return cls([full])
 
     def validate(self, X: SimplicialSet):
-        if self.identity not in self.elements:
-            raise ActionInvalid("identity element missing")
-        if set(self.maps) != set(self.elements):
-            raise ActionInvalid("maps and elements disagree")
+        """Check that every generator is a simplicial automorphism of X."""
         all_ids = set(X.dim_of)
-        for g, m in self.maps.items():
+        for n, m in enumerate(self.generators):
             if set(m) != all_ids or set(m.values()) != all_ids:
-                raise ActionInvalid(f"map of {g!r} is not a bijection on simplices")
+                raise ActionInvalid(f"generator {n} is not a bijection on simplices")
             for sid, target in m.items():
                 if X.dim_of[sid] != X.dim_of[target]:
-                    raise ActionInvalid(f"map of {g!r} changes dimension")
-        for sid in all_ids:
-            if self.maps[self.identity][sid] != sid:
-                raise ActionInvalid("identity element does not act trivially")
-        for g in self.elements:
-            for h in self.elements:
-                gh = self.mult.get((g, h))
-                if gh not in self.maps:
-                    raise ActionInvalid(f"product {g!r}*{h!r} undefined")
-                mg, mh, mgh = self.maps[g], self.maps[h], self.maps[gh]
-                for sid in all_ids:
-                    if mg[mh[sid]] != mgh[sid]:
-                        raise ActionInvalid(
-                            f"composition law fails at {g!r}*{h!r} on {sid!r}"
-                        )
-        for g in self.elements:
-            m = self.maps[g]
+                    raise ActionInvalid(f"generator {n} changes dimension")
             for sid, k in X.dim_of.items():
                 if k == 0:
                     continue
@@ -369,49 +348,60 @@ class SimplicialAction:
                     moved = X.faces[m[sid]][i]
                     if moved.word != f.word or moved.base != m[f.base]:
                         raise ActionInvalid(
-                            f"action of {g!r} does not commute with d_{i} on {sid!r}"
+                            f"generator {n} does not commute with d_{i} on {sid!r}"
                         )
+
+
+def orbit_ids(X: SimplicialSet, A: SimplicialAction) -> dict:
+    """{simplex id: orbit id}; an orbit's id is "[its least member]".
+
+    Each orbit is the closure of one simplex under the generators.
+    """
+    orbit_of = {}
+    for sid in X.dim_of:
+        if sid in orbit_of:
+            continue
+        members = {sid}
+        frontier = [sid]
+        while frontier:
+            s = frontier.pop()
+            for g in A.generators:
+                if g[s] not in members:
+                    members.add(g[s])
+                    frontier.append(g[s])
+        oid = "[" + min(members) + "]"
+        for m in members:
+            orbit_of[m] = oid
+    return orbit_of
 
 
 def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
     """Orbit simplicial set X/G, with the action and the result validated.
 
-    The action permutes nondegenerate simplices, so orbits of
-    nondegenerate simplices are exactly the nondegenerate simplices of
-    the quotient; faces are induced on the lexicographically least
-    representative, whose id in brackets is the orbit's id.  When X
-    records ``parts``, so does the quotient: each orbit's
-    representative's coordinates.
+    The generators permute nondegenerate simplices, so the orbits under
+    them (``orbit_ids``) are exactly the nondegenerate simplices of the
+    quotient.  Faces are induced on each orbit's least member, whose id
+    in brackets is the orbit's id.  When X records ``parts``, so does
+    the quotient: each orbit's representative's coordinates.
     """
     A.validate(X)
-    orbit_of = {}
-    orbit_rep = {}
-    simplices = {}
-    for k, ids in X.simplices.items():
-        level = []
-        for sid in ids:
-            if sid in orbit_of:
-                continue
-            members = {A.maps[g][sid] for g in A.elements}
-            rep = min(members)
-            oid = "[" + rep + "]"
-            for m in members:
-                orbit_of[m] = oid
-            orbit_rep[oid] = rep
-            level.append(oid)
-        if level:
-            simplices[k] = level
-    faces = {}
-    for oid, rep in orbit_rep.items():
-        if X.dim_of[rep] == 0:
-            continue
-        faces[oid] = tuple(
-            FormalSimplex(f.word, orbit_of[f.base]) for f in X.faces[rep]
+    orbit_of = orbit_ids(X, A)
+    simplices = {
+        k: list(dict.fromkeys(orbit_of[sid] for sid in ids))
+        for k, ids in X.simplices.items()
+    }
+    faces = {
+        oid: tuple(
+            FormalSimplex(f.word, orbit_of[f.base]) for f in X.faces[oid[1:-1]]
         )
+        for k, level in simplices.items()
+        if k > 0
+        for oid in level
+    }
     basepoint = orbit_of[X.basepoint] if X.basepoint is not None else None
     out = SimplicialSet(simplices, faces, basepoint=basepoint)
     if X.parts is not None:
-        out.parts = {oid: X.parts[rep] for oid, rep in orbit_rep.items()}
+        out.parts = {oid: X.parts[oid[1:-1]] for oid in out.dim_of}
     return out
 
 

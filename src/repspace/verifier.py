@@ -602,11 +602,11 @@ def suite_builders(name: str, seed: int = 0, runs: int = 1200) -> list:
     if name == "rep-sp":
         return [partial(check_rep_sp, 2, m) for m in (0, 1, 2)]
     if name == "splitting":
-        return (
-            [partial(verify_splitting, "hom_circle", n) for n in (1, 2, 3, 4, 5)]
-            + [partial(verify_splitting, "rep_su2", n) for n in (1, 2, 3, 4)]
-            + [partial(verify_splitting, "sp_circle", n, 2) for n in (1, 2, 3)]
-        )
+        return [
+            partial(verify_splitting, family, n)
+            for family, limit in FAMILY_LIMITS.items()
+            for n in range(1, limit + 1)
+        ]
     if name == "counts":
         return [check_counts]
     if name == "su2":

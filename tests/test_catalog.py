@@ -1,5 +1,6 @@
 """Space catalog: models, frozen homology fixtures, descriptors, guards."""
 
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -13,7 +14,15 @@ from repspace.engine import (
     universal_coefficients_check,
 )
 from repspace.errors import ActionInvalid, ResourceGuard, UnknownSpace
-from repspace.simplicial import SimplicialAction, SimplicialSet, normalized_chains
+from repspace.simplicial import (
+    FormalSimplex,
+    SimplicialAction,
+    SimplicialSet,
+    normalized_chains,
+    orbit_ids,
+    product_list,
+    product_simplex_id,
+)
 
 Z = AbelianGroup.free
 
@@ -149,6 +158,60 @@ def test_sp3_circle():
     assert H(Q) == GradedGroup.of(Z(1), Z(1))
 
 
+def _sym_case(X, m, Q):
+    """Σ_m on X^m: orbits under every permutation, not just the generators."""
+    P = product_list([X] * m)
+    every = [
+        {
+            sid: product_simplex_id(fs[p[i]] for i in range(m))
+            for sid, fs in P.parts.items()
+        }
+        for p in permutations(range(m))
+    ]
+    orbits = {frozenset(g[s] for g in every) for s in P.dim_of}
+    return P, catalog._permutation_action(P, m), orbits, Q
+
+
+def _conj_case(n):
+    """Z/2 on the 2-gon torus: orbits {x, t(x)}, t swapping the arcs a, c."""
+    P, A = catalog.torus(n)
+    arcs = {"a": "c", "c": "a"}
+    orbits = set()
+    for sid, fs in P.parts.items():
+        t = product_simplex_id(
+            FormalSimplex(f.word, arcs.get(f.base, f.base)) for f in fs
+        )
+        orbits.add(frozenset({sid, t}))
+    return P, A, orbits, catalog.torus_conj_quotient(n)
+
+
+ORBIT_CASES = {
+    "sp2_circle": lambda: _sym_case(
+        catalog.circle(), 2, catalog.sym_product(catalog.circle(), 2)
+    ),
+    "sp3_circle": lambda: _sym_case(
+        catalog.circle(), 3, catalog.sym_product(catalog.circle(), 3)
+    ),
+    "sp_torus(2,2)": lambda: _sym_case(
+        catalog.minimal_torus(2), 2, catalog.sp_torus(2, 2)
+    ),
+    "rep_sp(2,2)": lambda: _sym_case(
+        catalog.torus_conj_quotient(2), 2, catalog.rep_sp(2, 2)
+    ),
+    "torus_conj_quotient(2)": lambda: _conj_case(2),
+}
+
+
+@pytest.mark.parametrize("case", list(ORBIT_CASES))
+def test_generator_orbits_are_the_whole_groups_orbits(case):
+    P, A, expected, Q = ORBIT_CASES[case]()
+    got = {}
+    for sid, oid in orbit_ids(P, A).items():
+        got.setdefault(oid, set()).add(sid)
+    assert {frozenset(o) for o in got.values()} == expected
+    assert set(Q.dim_of) == {"[" + min(o) + "]" for o in expected}
+
+
 # -- spheres and projective spaces -------------------------------------------
 
 
@@ -159,13 +222,13 @@ def test_cross_polytope_spheres():
     assert H(X) == GradedGroup.of(Z(1), Z(0), Z(1))
     S0, A0 = catalog.sphere_simplicial(0)
     assert S0.f_vector() == [2]
-    assert all(A0.maps["t"][s] != s for s in S0.dim_of)
+    assert all(A0.generators[0][s] != s for s in S0.dim_of)
 
 
 def test_antipodal_action_is_free():
     for k in (0, 1, 2, 3):
         X, A = catalog.sphere_simplicial(k)
-        t = A.maps["t"]
+        t = A.generators[0]
         assert all(t[s] != s for s in X.dim_of)
 
 

@@ -360,13 +360,18 @@ def test_closed_stdout_is_a_quiet_exit(monkeypatch):
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_closed_stdout_pipe_exits_quietly(unbuffered):
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "splitting", "--n", "2"], ["--help"], ["homology", "--help"]],
+    ids=["verify", "help", "homology-help"],
+)
+def test_closed_stdout_pipe_exits_quietly(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the child prints
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
     try:
         child = subprocess.run(
-            [sys.executable, "-m", "repspace.cli", "verify", "splitting", "--n", "2"],
+            [sys.executable, "-m", "repspace.cli", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,

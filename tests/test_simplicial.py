@@ -305,39 +305,31 @@ def test_free_swap_of_two_circles_gives_one_circle():
 
 def test_action_validation_catches_breakage():
     X, A = two_gon()
-    bad = SimplicialAction(
-        ["e", "t"],
-        "e",
-        A.mult,
-        {"e": A.maps["e"], "t": {**A.maps["t"], "a": "a", "c": "c"}},
-    )
-    # fixing the edges while the table still swaps them elsewhere is fine as
-    # a permutation, but swapping only the vertices breaks equivariance
+    # swapping only the vertices breaks equivariance with the faces
     vertex_swap = SimplicialAction.involution(X, {"b": "q", "q": "b"})
     with pytest.raises(ActionInvalid, match="commute"):
         vertex_swap.validate(X)
-    not_bijective = SimplicialAction(
-        ["e", "t"],
-        "e",
-        A.mult,
-        {"e": A.maps["e"], "t": {**A.maps["t"], "a": "c", "c": "c"}},
-    )
+    not_bijective = SimplicialAction([{**A.generators[0], "a": "c", "c": "c"}])
     with pytest.raises(ActionInvalid, match="bijection"):
         not_bijective.validate(X)
-    del bad
+    dimension_change = SimplicialAction([{"b": "a", "a": "b", "q": "q", "c": "c"}])
+    with pytest.raises(ActionInvalid, match="dimension"):
+        dimension_change.validate(X)
 
 
 def test_action_composition_law_checked():
-    # claim t·t = t while t genuinely swaps the edges: t(t(a)) != t(a)
-    X, A = two_gon()
-    broken = SimplicialAction(
-        ["e", "t"],
-        "e",
-        {("e", "e"): "e", ("e", "t"): "t", ("t", "e"): "t", ("t", "t"): "t"},
-        A.maps,
+    # an involution must square to the identity: a 3-cycle of circles is a
+    # valid generator, but as a Z/2 action it would generate Z/3
+    U = SimplicialSet(
+        {0: [f"{i}:v" for i in range(3)], 1: [f"{i}:e" for i in range(3)]},
+        {f"{i}:e": (F((), f"{i}:v"), F((), f"{i}:v")) for i in range(3)},
     )
-    with pytest.raises(ActionInvalid, match="composition"):
-        broken.validate(X)
+    cycle = {f"{i}:{x}": f"{(i + 1) % 3}:{x}" for i in range(3) for x in "ve"}
+    with pytest.raises(ActionInvalid, match="inverse"):
+        SimplicialAction.involution(U, cycle)
+    Q = quotient_by_action(U, SimplicialAction([cycle]))
+    assert Q.f_vector() == [1, 1]
+    assert homology(normalized_chains(Q)) == GradedGroup.of(Z(1), Z(1))
 
 
 # -- subcomplex, collapse, fat wedge, smash, suspension ---------------------
