@@ -17,10 +17,14 @@ works on a sparse dict-of-rows layout, takes every pivot with one step
 pivot), and never touches the transform matrices.  Boundary matrices of
 normalized chain complexes are extremely sparse (a column of d_k has at
 most k+1 entries) and almost all pivots are units, so this is the path
-all homology computations take.
+all homology computations take.  Among the pivots of least absolute
+value it takes one of least Markowitz cost, the fill-in its step can
+cause, so the symmetric products, whose elimination fills in, stay
+sparse.
 
-``rank_mod_p(M, p)``, a sparse row reduction over F_p, shares no code
-with either, so mod-p homology checks the integral answer independently.
+``rank_mod_p(M, p)``, a sparse row reduction over F_p taking the shortest
+rows first, shares no code with either, so mod-p homology checks the
+integral answer independently.
 
 The group of a diagonal is packaged as :class:`AbelianGroup` in
 invariant-factor normal form, and full homology tables as
@@ -299,20 +303,32 @@ def invariant_factors(M: IntMatrix) -> list:
     """Nonzero diagonal of the Smith form of M, as a divisibility chain.
 
     len() of the result is rank(M); entries > 1 present the torsion of
-    the cokernel.  Elimination order: always the remaining entry of
-    smallest absolute value (a lazy heap tracks candidates).  One step
-    serves every pivot v: row operations reduce its column to remainders
-    mod v, then, once the column is clear, column operations reduce its
-    row.  A unit pivot leaves no remainder, so its step is the rank-one
-    update that eliminates its row and column; any remainder is smaller
-    than |v| and is pivoted on before v is taken again.
+    the cokernel.  Elimination order: always an entry of smallest
+    absolute value, and among those the one of least Markowitz cost
+    (row nonzeros - 1) * (column nonzeros - 1), the fill-in its unit step
+    can cause at most (Markowitz, 1957).  A lazy heap keys each entry by
+    the cost at its push; a popped entry whose cost has since grown goes
+    back with its current cost.  One step serves every pivot v: row
+    operations reduce its column to remainders mod v, then, once the
+    column is clear, column operations reduce its row.  A unit pivot
+    leaves no remainder, so its step is the rank-one update that
+    eliminates its row and column; any remainder is smaller than |v| and
+    is pivoted on before v is taken again.
     """
     rows = {}
     cols = {}
     for (r, c), v in M.entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
-    heap = [(abs(v), r, c) for (r, c), v in M.entries.items()]
+
+    def cost(r, c):
+        """Markowitz cost of (r, c) now: a bound on the fill of its unit step."""
+        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
+
+    def push(r, c, v):
+        heapq.heappush(heap, (abs(v), cost(r, c), r, c))
+
+    heap = [(abs(v), cost(r, c), r, c) for (r, c), v in M.entries.items()]
     heapq.heapify(heap)
     out = []
 
@@ -320,7 +336,7 @@ def invariant_factors(M: IntMatrix) -> list:
         if v:
             rows[r][c] = v
             cols[c].add(r)
-            heapq.heappush(heap, (abs(v), r, c))
+            push(r, c, v)
         elif c in rows[r]:
             del rows[r][c]
             cols[c].discard(r)
@@ -328,9 +344,13 @@ def invariant_factors(M: IntMatrix) -> list:
                 del cols[c]
 
     while heap:
-        a, r, c = heapq.heappop(heap)
+        a, pushed, r, c = heapq.heappop(heap)
         if r not in rows or c not in rows[r] or abs(rows[r][c]) != a:
             continue  # stale heap entry
+        if cost(r, c) > pushed:
+            # |v| stays first in the key, so this cannot skip a smaller value
+            push(r, c, rows[r][c])
+            continue
         v = rows[r][c]
         rest = [(j, w) for j, w in rows[r].items() if j != c]
         remainder = False
@@ -344,13 +364,13 @@ def invariant_factors(M: IntMatrix) -> list:
                 if nv:
                     ri[j] = nv
                     cols[j].add(i)
-                    heapq.heappush(heap, (abs(nv), i, j))
+                    push(i, j, nv)
                 elif j in ri:
                     del ri[j]
                     cols[j].discard(i)
             if rem:
                 ri[c] = rem
-                heapq.heappush(heap, (abs(rem), i, c))
+                push(i, c, rem)
                 remainder = True
             else:
                 del ri[c]
@@ -363,7 +383,7 @@ def invariant_factors(M: IntMatrix) -> list:
                 set_entry(r, j, w % v)
             remainder = len(rows[r]) > 1
         if remainder:
-            heapq.heappush(heap, (a, r, c))
+            push(r, c, v)
             continue
         out.append(a)
         set_entry(r, c, 0)
@@ -376,14 +396,16 @@ def rank_mod_p(M: IntMatrix, p: int) -> int:
     """Rank of M over F_p (p prime) by sparse row reduction, without the SNF.
 
     Each row is reduced by the pivot rows found so far, keyed by their
-    leading column; a row that does not vanish becomes a pivot row.
+    leading column; a row that does not vanish becomes a pivot row.  Rows
+    are taken shortest first, so the early pivot rows, which every later
+    row may pick up, carry little fill.
     """
     rows = {}
     for (r, c), v in M.entries.items():
         if v % p:
             rows.setdefault(r, {})[c] = v % p
     pivots = {}
-    for row in rows.values():
+    for row in sorted(rows.values(), key=len):
         while row:
             lead = min(row)
             pivot = pivots.get(lead)

@@ -149,7 +149,7 @@ def _graded_rows(rep: Report, expected: GradedGroup, got: GradedGroup, tag="H"):
 # Slices share X's cells; the tests' separately built factors and the
 # closed forms are the independent route.
 
-FAMILY_LIMITS = {"hom_circle": 5, "rep_su2": 4, "sp_circle": 3}
+FAMILY_LIMITS = {"hom_circle": 5, "rep_su2": 5, "sp_circle": 3}
 
 
 def splitting_base(family: str, n: int, m: int = 2) -> tuple:
@@ -606,7 +606,7 @@ def suite_builders(name: str, seed: int = 0, runs: int = 1200) -> list:
             partial(verify_splitting, family, n)
             for family, limit in FAMILY_LIMITS.items()
             for n in range(1, limit + 1)
-        ]
+        ] + [partial(verify_splitting, "sp_circle", n, 3) for n in (1, 2)]
     if name == "counts":
         return [check_counts]
     if name == "su2":

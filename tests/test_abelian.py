@@ -10,8 +10,10 @@ from repspace.abelian import (
     IntMatrix,
     determinant,
     invariant_factors,
+    rank_mod_p,
     smith_normal_form,
 )
+from repspace import catalog
 from repspace.engine import ChainComplex, homology
 from repspace.errors import CompositionNotZero
 
@@ -96,6 +98,14 @@ def test_invariant_factors_nonunit_pivots():
         assert invariant_factors(IntMatrix.from_rows(rows)) == (
             snf_diagonal_by_minors(rows)
         ), rows
+
+
+@pytest.mark.parametrize("space", ["sp_torus(n=2,m=3)", "torus_conj_quotient(n=4)"])
+def test_invariant_factor_count_is_the_large_prime_rank(space):
+    # Boundaries whose elimination fills in; the pivot order matters here.
+    C = catalog.resolve(space)[1]()
+    for k in range(1, C.top + 1):
+        assert len(invariant_factors(C.d(k))) == rank_mod_p(C.d(k), 2**31 - 1), k
 
 
 def cokernel(M):

@@ -75,11 +75,11 @@ def test_criterion_2_unitary_and_symplectic_rep_spaces():
 
 def test_criterion_3_stable_splittings_hold_in_every_verified_range():
     """Reduced homology of each total space equals its wedge of factors:
-    tori to rank 5, conjugation quotients to rank 4, symmetric squares
-    to rank 3."""
+    tori and conjugation quotients to rank 5, symmetric squares to
+    rank 3."""
     for n in (1, 2, 3, 4, 5):
         assert verify_splitting("hom_circle", n).ok
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         assert verify_splitting("rep_su2", n).ok
     for n in (1, 2, 3):
         assert verify_splitting("sp_circle", n, m=2).ok

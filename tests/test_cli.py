@@ -216,11 +216,12 @@ def test_verify_splitting_narrowed_to_one_rank(capsys):
         assert f"splitting[{family}]" in out
 
 
-def test_verify_splitting_rank_five_only_fits_one_family(capsys):
-    code, out, _ = run(capsys, "verify", "splitting", "--n", "5")
+def test_verify_splitting_narrowed_rank_skips_families_that_stop_below_it(capsys):
+    code, out, _ = run(capsys, "verify", "splitting", "--n", "4")
     assert code == 0
-    assert "splitting[hom_circle](n=5)" in out
-    assert "rep_su2" not in out and "sp_circle" not in out
+    assert "splitting[hom_circle](n=4)" in out
+    assert "splitting[rep_su2](n=4)" in out
+    assert "sp_circle" not in out
 
 
 def test_verify_homology_prop_narrowed(capsys):

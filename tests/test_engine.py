@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repspace import catalog
 from repspace.abelian import AbelianGroup, GradedGroup, IntMatrix
 from repspace.engine import (
     ENGINE_VERSION,
@@ -107,6 +108,16 @@ def test_mod_p_dimensions_see_torsion_twice():
     assert homology_mod_p(C, 2) == [1, 1, 1]
     h = homology(C)
     assert homology_mod_p(C, 2)[2] == h[1].torsion_rank(2)
+
+
+def test_symmetric_square_of_the_three_torus():
+    # Macdonald: the Poincaré polynomial of SP^2((S^1)^3) is the x^2
+    # coefficient of (1+tx)^3 (1+t^3 x) / ((1-x)(1-t^2 x)^3).  No closed form
+    # for its torsion is derived, so that is checked only through F_p ranks.
+    C = catalog.resolve("sp_torus(n=3,m=2)")[1]()
+    assert homology(C).betti() == [1, 3, 6, 10, 9, 3]
+    assert universal_coefficients_check(C, 2)
+    assert universal_coefficients_check(C, 3)
 
 
 def test_euler_characteristic():

@@ -85,14 +85,25 @@ def test_hom_circle_splitting_all_supported_ranks():
 
 
 def test_rep_su2_splitting_all_supported_ranks():
-    for n in range(1, 5):
+    for n in range(1, 6):
         assert verify_splitting("rep_su2", n).ok
 
 
 def test_sp_circle_splitting_small_ranks():
-    # n = 3 runs a minute and a half; the acceptance suite covers it.
-    assert verify_splitting("sp_circle", 1).ok
-    assert verify_splitting("sp_circle", 2).ok
+    for n in (1, 2, 3):
+        assert verify_splitting("sp_circle", n).ok
+    for n in (1, 2):
+        assert verify_splitting("sp_circle", n, m=3).ok
+
+
+def test_splitting_suite_runs_every_verified_rank():
+    runs = [b.args for b in verifier.suite_builders("splitting")]
+    assert runs == (
+        [("hom_circle", n) for n in range(1, 6)]
+        + [("rep_su2", n) for n in range(1, 6)]
+        + [("sp_circle", n) for n in range(1, 4)]
+        + [("sp_circle", 1, 3), ("sp_circle", 2, 3)]
+    )
 
 
 def test_sp_circle_with_one_copy_degenerates_to_hom_circle():
@@ -110,7 +121,7 @@ def test_splitting_guards():
     with pytest.raises(ResourceGuard):
         verify_splitting("hom_circle", 6)
     with pytest.raises(ResourceGuard):
-        verify_splitting("rep_su2", 5)
+        verify_splitting("rep_su2", 6)
     with pytest.raises(ResourceGuard):
         verify_splitting("sp_circle", 4)
     with pytest.raises(ValueError):
