@@ -130,7 +130,7 @@ def smash_factor(n: int) -> SimplicialSet:
     if not 1 <= n <= 5:
         raise range_error(n, 1, f"smash_factor(n={n}) outside the range 1..5")
     Q = torus_conj_quotient(n)
-    return collapse(Q, [s for s in Q.dim_of if basepoint_directions(Q, s)])
+    return collapse(Q, [s for s in Q.dim_of if not basepoint_directions(Q, s)])
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,17 @@ def cmd_counts(args) -> int:
 
 
 def _verify_reports(args) -> list:
-    """Suite reports, narrowed by --n / --m when those make sense."""
+    """Suite reports, narrowed by --n / --m; a flag the suite ignores is refused.
+
+    --n narrows splitting and homology-prop; --m narrows rep-u, rep-sp and,
+    together with --n, splitting.
+    """
+    if args.n is not None and args.suite not in ("splitting", "homology-prop"):
+        raise ValueError(f"verify {args.suite} takes no --n")
+    if args.m is not None and args.suite not in ("rep-u", "rep-sp", "splitting"):
+        raise ValueError(f"verify {args.suite} takes no --m")
+    if args.m is not None and args.suite == "splitting" and args.n is None:
+        raise ValueError("verify splitting takes --m only with --n")
     if args.suite == "splitting" and args.n is not None:
         m = args.m if args.m is not None else 2
         reports = []

@@ -274,8 +274,8 @@ def em_decomposition(target: str, n: int) -> GradedGroup:
 
     The space is a product of Eilenberg-MacLane spaces, so the table
     determines it: U gives Z^binom(n,i) in degrees 1..n, SU the same in
-    degrees 2..n, Sp gives Z^binom(n,2i) + (Z/2)^{r_of(n,2i)} in even
-    degrees only.
+    degrees 2..n, Sp gives the positive degrees of H_*((S^1)^n / Z2):
+    Z^binom(n,2i) + (Z/2)^{r_of(n,2i)} in even degrees only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -290,14 +290,7 @@ def em_decomposition(target: str, n: int) -> GradedGroup:
             for i in range(n + 1)
         ]
     elif target == "Sp":
-        groups = []
-        for i in range(n + 1):
-            if i == 0 or i % 2:
-                groups.append(AbelianGroup.trivial())
-            else:
-                groups.append(
-                    AbelianGroup.from_factors(comb(n, i), (2,) * r_of(n, i))
-                )
+        groups = [AbelianGroup.trivial(), *conj_quotient_homology(n).groups[1:]]
     else:
         raise ValueError(f"unknown target {target!r}; expected U, SU or Sp")
     return GradedGroup.of(*groups)

@@ -20,8 +20,8 @@ its first simplex is built.  A finite group action is stored as its
 generators, permutations of the nondegenerate simplices that commute
 with the face maps; a quotient takes the orbits under them.  Geometric
 realization preserves both colimits, so the realizations are the honest
-product and quotient spaces.  Subcomplexes and collapses complete the
-constructions.
+product and quotient spaces.  A collapse of everything outside a
+locally closed set of simplices completes the constructions.
 
 Identifiers are canonical strings derived from construction history
 ("(a|s0(v))" for product tuples, "[x]" for orbits, "*" for a collapse
@@ -91,7 +91,7 @@ class SimplicialSet:
 
     faces[x] for a k-simplex x (k >= 1) is the tuple (d_0 x, ..., d_k x)
     of FormalSimplexes.  ``parts`` (coordinates, kept by products and by
-    their quotients and subcomplexes) records construction provenance
+    their quotients) records construction provenance
     that later constructions need; it is not part of the space itself.
     """
 
@@ -406,13 +406,13 @@ def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
 
 
 # ---------------------------------------------------------------------------
-# SECTION: subcomplexes and collapse
+# SECTION: basepoint directions and collapse
 
 
 def basepoint_directions(X: SimplicialSet, sid: str) -> frozenset:
     """The coordinates j in which simplex ``sid`` sits at the basepoint.
 
-    X records ``parts`` (a product, or a quotient or subcomplex of one).
+    X records ``parts`` (a product, or a quotient of one).
     The simplices with a nonempty answer form the fat wedge.
     """
     base = X.parts[X.basepoint]
@@ -421,66 +421,51 @@ def basepoint_directions(X: SimplicialSet, sid: str) -> frozenset:
     )
 
 
-def subcomplex(X: SimplicialSet, keep) -> SimplicialSet:
-    """The simplicial subset on the given nondegenerate ids (face-closed)."""
+def collapse(X: SimplicialSet, keep) -> SimplicialSet:
+    """The simplices ``keep`` of X, with every other face collapsed to a point.
+
+    The kept simplices stay in X's order after a fresh basepoint ``*``, and
+    a face outside ``keep`` becomes a total degeneration of ``*``.  ``keep``
+    must be locally closed: no face outside it has a face inside it.  When
+    ``keep`` is X minus a subcomplex A, the result is the quotient X / |A|.
+    """
     keep = set(keep)
     for sid in keep:
         if sid not in X.dim_of:
             raise ValueError(f"unknown simplex {sid!r}")
-        if X.dim_of[sid] >= 1:
-            for f in X.faces[sid]:
-                if f.base not in keep:
-                    raise ValueError(
-                        f"{sid!r} kept but its face base {f.base!r} is not"
-                    )
-    simplices = {
-        k: [sid for sid in ids if sid in keep]
-        for k, ids in X.simplices.items()
-    }
-    faces = {sid: X.faces[sid] for sid in keep if X.dim_of[sid] >= 1}
-    basepoint = X.basepoint if X.basepoint in keep else None
-    out = SimplicialSet(simplices, faces, basepoint=basepoint, check=False)
-    if X.parts is not None:
-        out.parts = {sid: X.parts[sid] for sid in keep}
-    return out
-
-
-def collapse(X: SimplicialSet, kill) -> SimplicialSet:
-    """Collapse a nonempty face-closed set of simplices to a fresh basepoint.
-
-    Faces landing in the collapsed set become total degenerations of the
-    new basepoint ``*``; the result is the quotient X / |kill|.
-    """
-    kill = set(kill)
-    if not kill:
-        raise ValueError("nothing to collapse")
     if BASEPOINT_ID in X.dim_of:
         raise ValueError("space already contains the reserved id '*'")
-    for sid in kill:
-        if X.dim_of[sid] >= 1:
-            for f in X.faces[sid]:
-                if f.base not in kill:
-                    raise ValueError("collapsed set is not face-closed")
     simplices = {0: [BASEPOINT_ID]}
     faces = {}
+    dropped = set()
     for k, ids in X.simplices.items():
-        level = [sid for sid in ids if sid not in kill]
+        level = [sid for sid in ids if sid in keep]
         if k == 0:
-            simplices[0] = [BASEPOINT_ID] + level
-        elif level:
-            simplices[k] = level
+            simplices[0] += level
+            continue
+        simplices[k] = level
+        point = FormalSimplex(tuple(range(k - 2, -1, -1)), BASEPOINT_ID)
         for sid in level:
-            if k == 0:
-                continue
             row = []
             for f in X.faces[sid]:
-                if f.base in kill:
-                    row.append(
-                        FormalSimplex(tuple(range(k - 2, -1, -1)), BASEPOINT_ID)
-                    )
-                else:
+                if f.base in keep:
                     row.append(f)
+                else:
+                    dropped.add(f.base)
+                    row.append(point)
             faces[sid] = tuple(row)
+    frontier = list(dropped)
+    while frontier:
+        sid = frontier.pop()
+        for f in X.faces.get(sid, ()):
+            if f.base in keep:
+                raise ValueError(
+                    f"keep is not locally closed: {sid!r} is collapsed "
+                    f"but its face {f.base!r} is kept"
+                )
+            if f.base not in dropped:
+                dropped.add(f.base)
+                frontier.append(f.base)
     return SimplicialSet(simplices, faces, basepoint=BASEPOINT_ID, check=False)
 
 

@@ -32,7 +32,6 @@ from repspace.verifier import (
     psi_refusals,
     psi_sweep,
     so3_invariance,
-    verify_splitting,
 )
 
 
@@ -76,13 +75,9 @@ def test_criterion_2_unitary_and_symplectic_rep_spaces():
 def test_criterion_3_stable_splittings_hold_in_every_verified_range():
     """Reduced homology of each total space equals its wedge of factors:
     tori and conjugation quotients to rank 5, symmetric squares to
-    rank 3."""
-    for n in (1, 2, 3, 4, 5):
-        assert verify_splitting("hom_circle", n).ok
-    for n in (1, 2, 3, 4, 5):
-        assert verify_splitting("rep_su2", n).ok
-    for n in (1, 2, 3):
-        assert verify_splitting("sp_circle", n, m=2).ok
+    rank 3 and symmetric cubes to rank 2 (the whole splitting suite)."""
+    reports = verifier.run_suite("splitting")
+    assert all(r.ok for r in reports), [r.name for r in reports if not r.ok]
 
 
 def test_criterion_4_counting_closed_forms_and_recurrences():

@@ -235,6 +235,22 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert run(capsys, "verify", "cohomotopy")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "rep-u", "--n", "7"],
+        ["verify", "homology-prop", "--m", "5"],
+        ["verify", "snf", "--n", "3"],
+        ["verify", "splitting", "--m", "3"],
+    ],
+    ids=" ".join,
+)
+def test_verify_refuses_a_flag_its_suite_ignores(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     broken = verifier.Report("counts")
     broken.add("A(5)", 155, 154)

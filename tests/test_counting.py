@@ -213,11 +213,3 @@ def test_em_decomposition_tables():
     assert sp4[4] == Z(1)
     with pytest.raises(ValueError):
         counting.em_decomposition("SO", 2)
-
-
-def test_em_matches_conj_quotient_in_even_degrees():
-    for n in (2, 3):
-        em = counting.em_decomposition("Sp", n)
-        h = counting.conj_quotient_homology(n)
-        for two_i in range(2, n + 1, 2):
-            assert em[two_i] == h[two_i]

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from repspace.abelian import AbelianGroup, GradedGroup
+from repspace.catalog import minimal_torus
 from repspace.engine import homology, reduced_homology, suspend
 from repspace.errors import ActionInvalid, ResourceGuard
 from repspace.simplicial import (
@@ -23,7 +24,6 @@ from repspace.simplicial import (
     product_simplex_id,
     product_size,
     quotient_by_action,
-    subcomplex,
 )
 
 F = FormalSimplex
@@ -59,7 +59,7 @@ def fat_wedge(P):
 
 def smash(Xs):
     P = product_list(Xs)
-    return collapse(P, fat_wedge(P))
+    return collapse(P, [s for s in P.dim_of if not basepoint_directions(P, s)])
 
 
 # -- degeneracy word algebra -------------------------------------------------
@@ -332,27 +332,37 @@ def test_action_composition_law_checked():
     assert homology(normalized_chains(Q)) == GradedGroup.of(Z(1), Z(1))
 
 
-# -- subcomplex, collapse, fat wedge, smash, suspension ---------------------
-
-
-def test_subcomplex_requires_face_closure():
-    X, _ = two_gon()
-    sub = subcomplex(X, ["b", "q", "a"])
-    assert sub.f_vector() == [2, 1]
-    with pytest.raises(ValueError, match="face base"):
-        subcomplex(X, ["a", "b"])
+# -- collapse, fat wedge, smash, suspension ---------------------------------
 
 
 def test_collapse_arc_in_circle():
     X, _ = two_gon()
-    Q = collapse(X, ["a", "b", "q"])
+    Q = collapse(X, ["c"])  # the arc b -a- q goes to the point
     assert Q.f_vector() == [1, 1]
     assert Q.basepoint == "*"
+    assert Q.faces["c"] == (F((), "*"), F((), "*"))
     assert homology(normalized_chains(Q)) == GradedGroup.of(Z(1), Z(1))
-    with pytest.raises(ValueError, match="face-closed"):
-        collapse(X, ["a"])
-    with pytest.raises(ValueError, match="nothing"):
-        collapse(X, [])
+    with pytest.raises(ValueError, match="unknown"):
+        collapse(X, ["c", "x"])
+
+
+def test_collapse_keeps_the_order_of_its_space():
+    P = minimal_torus(2)
+    keep = list(reversed([s for s in P.dim_of if s != P.basepoint]))
+    Q = collapse(P, keep)
+    assert Q.simplices == {0: ["*"], 1: P.ids(1), 2: P.ids(2)}
+    assert homology(normalized_chains(Q)) == homology(normalized_chains(P))
+
+
+def test_collapse_refuses_a_keep_set_that_is_not_locally_closed():
+    # the edges between the top simplex and the vertex would be collapsed
+    # while their face, the vertex, is kept
+    P = minimal_torus(2)
+    with pytest.raises(ValueError, match="locally closed"):
+        collapse(P, [P.ids(2)[0], P.basepoint])
+    # the top simplex with all its edges, but not the vertex, is fine
+    Q = collapse(P, [P.ids(2)[0]] + P.ids(1))
+    assert Q.f_vector() == [1, 3, 1]
 
 
 def test_collapse_rejects_reserved_id():
@@ -362,11 +372,12 @@ def test_collapse_rejects_reserved_id():
 
 
 def test_wedge_of_circles():
-    # the fat wedge of a product of two circles is their wedge
+    # the fat wedge of a product of two circles is their wedge; kept whole,
+    # it gains the disjoint basepoint: W_+, whose reduced homology is H(W)
     P = product_list([minimal_circle(), minimal_circle()])
-    W = subcomplex(P, fat_wedge(P))
-    assert W.f_vector() == rose(2).f_vector() == [1, 2]
-    assert homology(normalized_chains(W)) == GradedGroup.of(Z(1), Z(2))
+    W = collapse(P, fat_wedge(P))
+    assert W.f_vector() == [1 + 1, 2]  # rose(2) and *
+    assert reduced_homology(normalized_chains(W)) == GradedGroup.of(Z(1), Z(2))
 
 
 def test_smash_of_circles_is_a_sphere():

@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from repspace.abelian import AbelianGroup, GradedGroup, IntMatrix, determinant
-from repspace.engine import homology, reduced_homology
+from repspace.engine import reduced_homology
 from repspace.errors import ResourceGuard, Unsupported
 from repspace.simplicial import collapse, normalized_chains
 from repspace import catalog, engine, verifier
@@ -20,7 +20,6 @@ from repspace.verifier import (
     check_simplicial,
     check_snf,
     check_su2,
-    degeneracy_filtration,
     poincare_assembly,
     psi_refusals,
     psi_sweep,
@@ -77,23 +76,6 @@ def test_poincare_assembly_sums_degreewise_with_multiplicity():
 
 
 # -- the splitting families -------------------------------------------------
-
-
-def test_hom_circle_splitting_all_supported_ranks():
-    for n in range(1, 6):
-        assert verify_splitting("hom_circle", n).ok
-
-
-def test_rep_su2_splitting_all_supported_ranks():
-    for n in range(1, 6):
-        assert verify_splitting("rep_su2", n).ok
-
-
-def test_sp_circle_splitting_small_ranks():
-    for n in (1, 2, 3):
-        assert verify_splitting("sp_circle", n).ok
-    for n in (1, 2):
-        assert verify_splitting("sp_circle", n, m=3).ok
 
 
 def test_splitting_suite_runs_every_verified_rank():
@@ -192,24 +174,33 @@ def test_rep_su2_factor_is_the_catalog_smash_factor():
 
 
 # -- degeneracy filtrations -------------------------------------------------
+#
+# S^r is the union of the images of the rank n-r coordinate subtori: the
+# simplices at the basepoint in at least r directions.  Its layer
+# S^r/S^{r+1} keeps those in exactly r directions and collapses the rest.
+
+
+def filtration_layers(family, n):
+    X, directions = verifier.splitting_base(family, n)
+    return [
+        collapse(X, [sid for sid, s in directions.items() if len(s) == r])
+        for r in range(n + 1)
+    ]
 
 
 def test_filtration_of_the_torus():
-    filt = degeneracy_filtration("hom_circle", 2)
-    assert [X.size() for X in filt] == [6, 3, 1]
-    # nested, starting at the whole space and ending at the basepoint
-    ids = [set(X.dim_of) for X in filt]
-    assert ids[0] >= ids[1] >= ids[2]
-    assert len(ids[2]) == 1
-    assert homology(normalized_chains(filt[1])) == G(T(1), T(2))
+    layers = filtration_layers("hom_circle", 2)
+    # S^0, S^1, S^2 have 6, 3 and 1 simplices; each layer adds the point *
+    assert [L.size() for L in layers] == [6 - 3 + 1, 3 - 1 + 1, 1 + 1]
+    # S^2 is the basepoint, so S^1/S^2 is S^1: the two coordinate circles
+    assert reduced_homology(normalized_chains(layers[1])) == G(T(0), T(2))
 
 
 def test_filtration_layers_match_the_wedge_factors():
     for family in ("hom_circle", "rep_su2", "sp_circle"):
-        filt = degeneracy_filtration(family, 2)
+        layers = filtration_layers(family, 2)
         for r in range(2):
-            layer = collapse(filt[r], list(filt[r + 1].dim_of))
-            got = reduced_homology(normalized_chains(layer))
+            got = reduced_homology(normalized_chains(layers[r]))
             factor = splitting_factor(family, 2 - r)
             want = reduced_homology(normalized_chains(factor)).times(
                 [1, 2][r]  # binom(2, 2 - r)
@@ -218,17 +209,17 @@ def test_filtration_layers_match_the_wedge_factors():
 
 
 def test_filtration_of_the_conjugation_quotient():
-    filt = degeneracy_filtration("rep_su2", 2)
-    assert [X.size() for X in filt] == [14, 5, 1]
-    # two arcs glued at the identity vertex: a contractible tree
-    assert homology(normalized_chains(filt[1])) == G(T(1))
+    layers = filtration_layers("rep_su2", 2)
+    assert [L.size() for L in layers] == [14 - 5 + 1, 5 - 1 + 1, 1 + 1]
+    # S^1 is two arcs glued at the identity vertex, a contractible tree
+    assert reduced_homology(normalized_chains(layers[1])) == G()
 
 
 def test_filtration_of_the_symmetric_square():
-    filt = degeneracy_filtration("sp_circle", 2)
-    assert [X.size() for X in filt] == [78, 7, 1]
-    # two symmetric squares of circles glued at a point
-    assert homology(normalized_chains(filt[1])) == G(T(1), T(2))
+    layers = filtration_layers("sp_circle", 2)
+    assert [L.size() for L in layers] == [78 - 7 + 1, 7 - 1 + 1, 1 + 1]
+    # S^1 is two symmetric squares of circles glued at a point
+    assert reduced_homology(normalized_chains(layers[1])) == G(T(0), T(2))
 
 
 # -- the rank-one factor catalog --------------------------------------------
@@ -318,6 +309,15 @@ def test_counts_report():
 
 def test_snf_report_on_random_matrices():
     assert check_snf(runs=120, seed=7).ok
+
+
+def test_snf_report_fails_on_a_wrong_sparse_elimination(monkeypatch):
+    original = verifier.invariant_factors
+    monkeypatch.setattr(
+        verifier, "invariant_factors", lambda M: [2 * e for e in original(M)]
+    )
+    rep = check_snf(runs=20, seed=7)
+    assert rep.render().startswith("[FAIL] snf(runs=20)")
 
 
 def test_exact_determinant_helper():
