@@ -33,10 +33,10 @@ from .simplicial import (
     SimplicialSet,
     basepoint_directions,
     collapse,
+    guard_product,
     minimal_circle,
     normalized_chains,
     product_list,
-    product_simplex_id,
     quotient_by_action,
 )
 
@@ -73,34 +73,59 @@ def circle_conj():
     return X, SimplicialAction.involution(X, {"a": "c", "c": "a"})
 
 
+def _ids_by_parts(P: SimplicialSet) -> dict:
+    """{coordinates: id} of a product, the inverse of ``P.parts``."""
+    return {fs: sid for sid, fs in P.parts.items()}
+
+
 def _product_involution(P: SimplicialSet, factor_swaps) -> SimplicialAction:
     """Coordinatewise involution of a product, from per-factor base swaps.
 
     Factor involutions preserve degeneracy words, so the image of a
-    nondegenerate tuple is again nondegenerate and its id can be written
-    down directly.
+    nondegenerate tuple is again nondegenerate and is looked up by its
+    coordinates.  An image outside P maps to None, which the involution
+    check refuses (ActionInvalid).
     """
+    sid_of = _ids_by_parts(P)
     swap = {}
     for sid, fs in P.parts.items():
-        target = product_simplex_id(
-            FormalSimplex(f.word, m.get(f.base, f.base))
-            for f, m in zip(fs, factor_swaps)
+        target = sid_of.get(
+            tuple(
+                FormalSimplex(f.word, m.get(f.base, f.base))
+                for f, m in zip(fs, factor_swaps)
+            )
         )
         if target != sid:
             swap[sid] = target
     return SimplicialAction.involution(P, swap)
 
 
+def _circle_power_f_vector(name: str, n: int, C: SimplicialSet) -> list:
+    """f(C^n), range-checked and refused exactly as ``name``(n) is."""
+    if not 1 <= n <= 6:
+        raise range_error(n, 1, f"{name}(n={n}) outside the supported range 1..6")
+    return guard_product([C.f_vector()] * n)
+
+
+def torus_f_vector(n: int) -> list:
+    """f(torus(n)) from the 2-gon's f-vector, refused as torus(n) is."""
+    return _circle_power_f_vector("torus", n, circle_conj()[0])
+
+
+def minimal_torus_f_vector(n: int) -> list:
+    """f(minimal_torus(n)) from the circle's f-vector, refused as it is."""
+    return _circle_power_f_vector("minimal_torus", n, circle())
+
+
 def torus(n: int):
     """(S^1)^n as an n-fold 2-gon product, with diagonal conjugation.
 
-    Returns (space, Z/2 action).  Guarded at n <= 6 and additionally by
+    Returns (space, Z/2 action).  ``torus_f_vector`` guards n <= 6 and
     the cell budget of ``product_list``, which the 2-gon model exceeds at
-    n = 6; the one-vertex model (minimal_torus) covers larger products
-    whenever no involution is required.
+    n = 6, before anything is built; the one-vertex model (minimal_torus)
+    covers larger products whenever no involution is required.
     """
-    if not 1 <= n <= 6:
-        raise range_error(n, 1, f"torus(n={n}) outside the supported range 1..6")
+    torus_f_vector(n)
     C, A = circle_conj()
     P = product_list([C] * n)
     return P, _product_involution(P, [A.generators[0]] * n)
@@ -108,11 +133,19 @@ def torus(n: int):
 
 def minimal_torus(n: int) -> SimplicialSet:
     """(S^1)^n on one-vertex circles; no involution, smallest possible."""
-    if not 1 <= n <= 6:
-        raise range_error(
-            n, 1, f"minimal_torus(n={n}) outside the supported range 1..6"
-        )
+    minimal_torus_f_vector(n)
     return product_list([circle()] * n)
+
+
+def torus_conj_quotient_f_vector(n: int) -> list:
+    """f((S^1)^n / Z/2) by Burnside: (f(T^n) + f(Fix)) / 2.
+
+    Conjugation fixes only the 2^n vertices with every coordinate a real
+    point; a fixed simplex of positive degree would have every coordinate
+    a degenerate vertex, so it is degenerate.
+    """
+    f = torus_f_vector(n)
+    return [(f[0] + 2**n) // 2] + [x // 2 for x in f[1:]]
 
 
 def torus_conj_quotient(n: int) -> SimplicialSet:
@@ -141,15 +174,26 @@ def _permutation_action(P: SimplicialSet, m: int) -> SimplicialAction:
     """Σ_m on the m coordinates of an m-fold product, by its generators.
 
     The m - 1 adjacent transpositions swap coordinates i and i + 1; they
-    generate Σ_m, so their orbits are the Σ_m orbits.
+    generate Σ_m, so their orbits are the Σ_m orbits.  An image outside P
+    maps to None, which action validation refuses (ActionInvalid).
     """
+    sid_of = _ids_by_parts(P)
     return SimplicialAction(
         {
-            sid: product_simplex_id(fs[:i] + (fs[i + 1], fs[i]) + fs[i + 2 :])
+            sid: sid_of.get(fs[:i] + (fs[i + 1], fs[i]) + fs[i + 2 :])
             for sid, fs in P.parts.items()
         }
         for i in range(m - 1)
     )
+
+
+def _guard_sym_product(f: list, m: int):
+    """Range-check m and refuse SP^m of a space with f-vector f over the
+    cell budget of its m-fold product, before either is built."""
+    if m < 0 or m > 3:
+        raise range_error(m, 0, f"sym_product with m={m} outside the range 0..3")
+    if m >= 2:
+        guard_product([f] * m)
 
 
 def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
@@ -158,8 +202,7 @@ def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
     For m >= 2 the quotient's ``parts`` give each orbit's m coordinates
     in X.
     """
-    if m < 0 or m > 3:
-        raise range_error(m, 0, f"sym_product with m={m} outside the range 0..3")
+    _guard_sym_product(X.f_vector(), m)
     if m == 0:
         return point()
     if m == 1:
@@ -169,12 +212,16 @@ def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
 
 
 def sp_torus(n: int, m: int) -> SimplicialSet:
-    """SP^m((S^1)^n) on the minimal torus model."""
+    """SP^m((S^1)^n) on the minimal torus model, refused before the torus
+    is built when its m-fold product is over the cell budget."""
+    _guard_sym_product(minimal_torus_f_vector(n), m)
     return sym_product(minimal_torus(n), m)
 
 
 def rep_sp(n: int, m: int) -> SimplicialSet:
-    """SP^m((S^1)^n / Z/2), the symplectic-group commuting space."""
+    """SP^m((S^1)^n / Z/2), the symplectic-group commuting space, refused
+    before the quotient is built when its m-fold product is over budget."""
+    _guard_sym_product(torus_conj_quotient_f_vector(n), m)
     return sym_product(torus_conj_quotient(n), m)
 
 

@@ -16,12 +16,15 @@ Products use the shuffle description: a nondegenerate k-simplex of a
 product is a tuple of formal k-simplices whose degeneracy words have
 empty common intersection.  Their number follows from the factors'
 f-vectors alone, so a product over the cell budget is refused before
-its first simplex is built.  A finite group action is stored as its
-generators, permutations of the nondegenerate simplices that commute
-with the face maps; a quotient takes the orbits under them.  Geometric
-realization preserves both colimits, so the realizations are the honest
-product and quotient spaces.  A collapse of everything outside a
-locally closed set of simplices completes the constructions.
+its first simplex is built.  Products are built from per-factor tables:
+each factor's formal simplices, their ids and their faces are computed
+once per degree, not once per product simplex.  A finite group action
+is stored as its generators, permutations of the nondegenerate
+simplices that commute with the face maps; a quotient takes the orbits
+under them.  Geometric realization preserves both colimits, so the
+realizations are the honest product and quotient spaces.  A collapse
+of everything outside a locally closed set of simplices completes the
+constructions.
 
 Identifiers are canonical strings derived from construction history
 ("(a|s0(v))" for product tuples, "[x]" for orbits, "*" for a collapse
@@ -198,30 +201,8 @@ def product_simplex_id(fs) -> str:
     return "(" + "|".join(f.render() for f in fs) + ")"
 
 
-def _normalize_tuple(factors, fs):
-    """Peel the common degeneracies off a tuple of formal simplices.
-
-    Returns (word, tuple) with the tuple jointly nondegenerate: a product
-    simplex is in the image of s_j exactly when j lies in every factor's
-    degeneracy word, and peeling the largest common index first keeps the
-    accumulated outer word strictly decreasing.
-    """
-    prefix = []
-    while True:
-        common = set(fs[0].word)
-        for f in fs[1:]:
-            common &= set(f.word)
-            if not common:
-                break
-        if not common:
-            return tuple(prefix), fs
-        j = max(common)
-        fs = tuple(formal_face(X, f, j) for X, f in zip(factors, fs))
-        prefix.append(j)
-
-
-def product_size(f_vectors) -> int:
-    """Number of nondegenerate simplices of a product, from f-vectors alone.
+def product_f_vector(f_vectors) -> list:
+    """f-vector of a product, from its factors' f-vectors alone.
 
     A formal k-simplex whose degeneracy word contains a given s-set of
     indices is that degeneracy of a formal (k-s)-simplex, and a factor
@@ -231,69 +212,156 @@ def product_size(f_vectors) -> int:
     inclusion-exclusion over the shared indices counts them.
     """
     top = sum(len(f) - 1 for f in f_vectors)
-    return sum(
-        (-1) ** s
-        * comb(k, s)
-        * prod(
-            sum(f[j] * comb(k - s, k - s - j) for j in range(min(len(f), k - s + 1)))
-            for f in f_vectors
+    return [
+        sum(
+            (-1) ** s
+            * comb(k, s)
+            * prod(
+                sum(
+                    f[j] * comb(k - s, k - s - j)
+                    for j in range(min(len(f), k - s + 1))
+                )
+                for f in f_vectors
+            )
+            for s in range(k + 1)
         )
         for k in range(top + 1)
-        for s in range(k + 1)
-    )
+    ]
+
+
+def product_size(f_vectors) -> int:
+    """Number of nondegenerate simplices of a product, from f-vectors alone."""
+    return sum(product_f_vector(f_vectors))
+
+
+def guard_product(f_vectors) -> list:
+    """The product's f-vector, refused (ResourceGuard) over ``CELL_BUDGET``."""
+    f = product_f_vector(f_vectors)
+    if sum(f) > CELL_BUDGET:
+        raise ResourceGuard(
+            f"product needs {sum(f)} nondegenerate simplices (budget {CELL_BUDGET})"
+        )
+    return f
+
+
+class _Degree(NamedTuple):
+    """A factor's formal k-simplices, in ``formal_simplices`` order.
+
+    Per pool position: the degeneracy set as a bitmask, the rendered id,
+    and the faces d_0..d_k as positions in the degree k - 1 pool.
+    ``runs`` are the (mask, start, stop) runs of one degeneracy set; the
+    pool keeps each set contiguous.
+    """
+
+    pool: list
+    masks: list
+    names: list
+    faces: list
+    runs: list
+
+
+def _factor_degrees(X: SimplicialSet, top: int) -> list:
+    """X's degree tables for k = 0..top, each face computed once."""
+    degrees = []
+    below = {}
+    for k in range(top + 1):
+        pool = [f for _, f in X.formal_simplices(k)]
+        masks = [sum(1 << w for w in f.word) for f in pool]
+        runs = []
+        for p, mask in enumerate(masks):
+            if runs and runs[-1][0] == mask:
+                runs[-1][2] = p + 1
+            else:
+                runs.append([mask, p, p + 1])
+        faces = []
+        if k:
+            faces = [
+                tuple(below[formal_face(X, f, i)] for i in range(k + 1))
+                for f in pool
+            ]
+        below = {f: p for p, f in enumerate(pool)}
+        degrees.append(
+            _Degree(pool, masks, [f.render() for f in pool], faces, runs)
+        )
+    return degrees
+
+
+def _normalize_tuple(tables, k, ps, ids) -> FormalSimplex:
+    """The product simplex with degree-k pool positions ``ps``, in normal form.
+
+    A product simplex is in the image of s_j exactly when j lies in every
+    factor's degeneracy set; peeling the largest common index first (d_j
+    on every coordinate) keeps the accumulated outer word strictly
+    decreasing.  ``tables`` holds each factor's degree tables and
+    ``ids[k]`` maps jointly nondegenerate positions to their product
+    simplex, as a FormalSimplex with the empty word.
+    """
+    prefix = []
+    while True:
+        common = -1
+        for t, p in zip(tables, ps):
+            common &= t[k].masks[p]
+        if not common:
+            face = ids[k][ps]
+            return FormalSimplex(tuple(prefix), face.base) if prefix else face
+        j = common.bit_length() - 1
+        ps = tuple(t[k].faces[p][j] for t, p in zip(tables, ps))
+        prefix.append(j)
+        k -= 1
 
 
 def product_list(factors) -> SimplicialSet:
     """Product of finitely many simplicial sets (shuffle description).
 
-    The result records ``parts``: for every nondegenerate product simplex
-    its tuple of factor FormalSimplexes, and is not re-validated.  Based
-    factors give a based product.  Over ``CELL_BUDGET`` nondegenerate
-    simplices the product is refused (ResourceGuard) before it is built.
+    Each distinct factor's formal simplices, ids and faces are tabled once
+    per degree.  Only combinations of degeneracy sets with empty common
+    intersection are expanded, and the tuples found are taken in the
+    lexicographic order of their pool positions.  The result records
+    ``parts``: for every nondegenerate product simplex its tuple of factor
+    FormalSimplexes, and is not re-validated.  Based factors give a based
+    product.  Over ``CELL_BUDGET`` nondegenerate simplices the product is
+    refused (ResourceGuard) before it is built.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("empty product")
-    size = product_size([X.f_vector() for X in factors])
-    if size > CELL_BUDGET:
-        raise ResourceGuard(
-            f"product needs {size} nondegenerate simplices (budget {CELL_BUDGET})"
-        )
+    guard_product([X.f_vector() for X in factors])
     top = sum(X.dim for X in factors)
+    distinct = {}
+    for X in factors:
+        if id(X) not in distinct:
+            distinct[id(X)] = _factor_degrees(X, top)
+    tables = [distinct[id(X)] for X in factors]
     simplices = {}
     faces = {}
     parts = {}
-    ids_by_parts = {}
+    ids = []
     for k in range(top + 1):
-        pools = [X.formal_simplices(k) for X in factors]
+        level_tables = [t[k] for t in tables]
+        found = []
+        for combo in iter_product(*(t.runs for t in level_tables)):
+            common = -1
+            for run in combo:
+                common &= run[0]
+            if not common:
+                found.extend(iter_product(*(range(r[1], r[2]) for r in combo)))
+        found.sort()
+        index = {}
+        ids.append(index)
         level = []
-        for combo in iter_product(*pools):
-            inter = combo[0][0]
-            for item in combo[1:]:
-                if not inter:
-                    break
-                inter = inter & item[0]
-            if inter:
-                continue
-            fs = tuple(f for _, f in combo)
-            sid = product_simplex_id(fs)
+        for ps in found:
+            sid = "(" + "|".join([t.names[p] for t, p in zip(level_tables, ps)])
+            sid += ")"
+            index[ps] = FormalSimplex((), sid)
             level.append(sid)
-            parts[sid] = fs
-            ids_by_parts[fs] = sid
+            parts[sid] = tuple([t.pool[p] for t, p in zip(level_tables, ps)])
+            if k:
+                rows = [t.faces[p] for t, p in zip(level_tables, ps)]
+                faces[sid] = tuple(
+                    [_normalize_tuple(tables, k - 1, qs, ids) for qs in zip(*rows)]
+                )
         if level:
             simplices[k] = level
-        for sid in level:
-            fs = parts[sid]
-            if k == 0:
-                continue
-            row = []
-            for i in range(k + 1):
-                faced = tuple(
-                    formal_face(X, f, i) for X, f in zip(factors, fs)
-                )
-                word, core = _normalize_tuple(factors, faced)
-                row.append(FormalSimplex(word, ids_by_parts[core]))
-            faces[sid] = tuple(row)
     basepoint = None
     if all(X.basepoint is not None for X in factors):
         basepoint = product_simplex_id(

@@ -162,6 +162,109 @@ def torus_f_vector(n, vertices_per_circle):
 
 
 # ---------------------------------------------------------------------------
+# Reference product of simplicial sets.
+#
+# A formal k-simplex (word, base) is theta^* base for the monotone
+# surjection theta: [k] -> [dim base] that repeats a value exactly at the
+# indices of its degeneracy word.  The face d_i precomposes theta with the
+# coface skipping i; when that misses a value l, it factors through the
+# base's own face d_l.  A product simplex is a tuple of formal simplices
+# whose words share no index; its faces lose the shared indices W by
+# dropping every position t with t - 1 in W.  Every combination of formal
+# simplices is tried and every id rendered afresh.  Factors are read
+# through ``simplices``, ``faces`` and ``basepoint`` only, and formal
+# simplices are plain (word, base) pairs, which compare equal to the
+# package's.
+
+
+def _surjection(word, k):
+    """theta: [k] -> [k - len(word)] as its list of values."""
+    values = [0]
+    for t in range(k):
+        values.append(values[-1] + (t not in word))
+    return values
+
+
+def _word(values):
+    """The indices where a monotone surjection repeats, decreasing."""
+    return tuple(
+        t for t in reversed(range(len(values) - 1)) if values[t] == values[t + 1]
+    )
+
+
+def _render(f):
+    word, base = f
+    if not word:
+        return base
+    return "s" + "_".join(str(w) for w in word) + "(" + base + ")"
+
+
+def _product_id(fs):
+    return "(" + "|".join(_render(f) for f in fs) + ")"
+
+
+def _formal_face(X, f, i, k):
+    """d_i of the formal k-simplex f of X."""
+    word, base = f
+    phi = _surjection(word, k)
+    del phi[i]
+    top = k - len(word)
+    missed = set(range(top + 1)) - set(phi)
+    if not missed:
+        return _word(phi), base
+    (l,) = missed
+    face_word, face_base = X.faces[base][l]
+    theta = _surjection(face_word, top - 1)
+    return _word([theta[v if v < l else v - 1] for v in phi]), face_base
+
+
+def _formal_pool(X, k):
+    """Formal k-simplices by base dimension, degeneracy set, base order."""
+    out = []
+    for j in range(min(k, max(X.simplices)) + 1):
+        for word in combinations(range(k), k - j):
+            for base in X.simplices.get(j, []):
+                out.append((tuple(reversed(word)), base))
+    return out
+
+
+def reference_product(factors):
+    """(simplices, faces, parts, basepoint) of a product, by brute force."""
+    top = sum(max(X.simplices) for X in factors)
+    simplices, faces, parts = {}, {}, {}
+    for k in range(top + 1):
+        level = []
+        for combo in product(*(_formal_pool(X, k) for X in factors)):
+            if set(range(k)).intersection(*(set(w) for w, _ in combo)):
+                continue
+            sid = _product_id(combo)
+            level.append(sid)
+            parts[sid] = combo
+            if not k:
+                continue
+            row = []
+            for i in range(k + 1):
+                faced = [_formal_face(X, f, i, k) for X, f in zip(factors, combo)]
+                shared = set(range(k - 1)).intersection(*(set(w) for w, _ in faced))
+                core = []
+                for word, base in faced:
+                    kept = [
+                        v
+                        for t, v in enumerate(_surjection(word, k - 1))
+                        if t - 1 not in shared
+                    ]
+                    core.append((_word(kept), base))
+                row.append((tuple(sorted(shared, reverse=True)), _product_id(core)))
+            faces[sid] = tuple(row)
+        if level:
+            simplices[k] = level
+    basepoint = None
+    if all(X.basepoint is not None for X in factors):
+        basepoint = "(" + "|".join(X.basepoint for X in factors) + ")"
+    return simplices, faces, parts, basepoint
+
+
+# ---------------------------------------------------------------------------
 # Exact quaternion arithmetic over the rationals.
 
 

@@ -47,14 +47,22 @@ def test_point_and_circles():
 
 
 def test_torus_f_vectors_match_closed_form():
-    for n in (1, 2, 3):
-        X, _ = catalog.torus(n)
-        assert X.f_vector() == oracles.torus_f_vector(n, 2)
-        assert catalog.minimal_torus(n).f_vector() == oracles.torus_f_vector(
-            n, 1
+    # built spaces against the oracle's closed form and against the
+    # f-vectors the symmetric-product guards read before building
+    for n in range(1, 6):
+        P, A = catalog.torus(n)
+        assert P.f_vector() == oracles.torus_f_vector(n, 2)
+        assert P.f_vector() == catalog.torus_f_vector(n)
+        M = catalog.minimal_torus(n)
+        assert M.f_vector() == oracles.torus_f_vector(n, 1)
+        assert M.f_vector() == catalog.minimal_torus_f_vector(n)
+        assert catalog.quotient_by_action(P, A).f_vector() == (
+            catalog.torus_conj_quotient_f_vector(n)
         )
-    X4, _ = catalog.torus(4)
-    assert X4.f_vector() == [16, 240, 800, 960, 384]
+    assert catalog.torus(4)[0].f_vector() == [16, 240, 800, 960, 384]
+    assert catalog.torus_conj_quotient_f_vector(5) == [
+        32, 496, 2880, 6240, 5760, 1920
+    ]
 
 
 def test_torus_homology_binomial_pattern():
@@ -132,6 +140,17 @@ def test_sym_product_validates_the_action_at_any_size(monkeypatch):
     monkeypatch.setattr(SimplicialAction, "validate", spy)
     catalog.sym_product(catalog.circle(), 2)
     assert validated
+
+
+def test_an_image_outside_the_product_is_an_invalid_action():
+    # coordinate images are looked up in the product's parts; a miss must
+    # reach action validation, not end in a KeyError
+    C, A = catalog.circle_conj()
+    P = product_list([C, catalog.circle()])
+    with pytest.raises(ActionInvalid):
+        catalog.quotient_by_action(P, catalog._permutation_action(P, 2))
+    with pytest.raises(ActionInvalid):
+        catalog._product_involution(P, [A.generators[0], {"e": "f"}])
 
 
 def test_sp2_circle_is_a_mobius_band():
@@ -336,25 +355,29 @@ def test_resource_guards():
 
 
 def test_over_budget_products_are_refused_before_they_start(monkeypatch):
-    # torus(6) builds nothing at all; the others build only their rank-n
-    # torus from circles (dimension 1), never a simplex of the refused power
+    # torus(6) and the symmetric products are refused from f-vectors alone,
+    # before any product (their torus included) is built
     original = SimplicialSet.formal_simplices
     monkeypatch.setattr(SimplicialSet, "formal_simplices", None)
-    with pytest.raises(ResourceGuard, match="budget"):
-        catalog.torus(6)
+    for refused in (
+        lambda: catalog.torus(6),
+        lambda: catalog.sp_torus(4, 3),
+        lambda: catalog.sp_torus(6, 2),
+        lambda: catalog.rep_sp(3, 3),
+        lambda: catalog.rep_sp(5, 2),
+    ):
+        with pytest.raises(ResourceGuard, match="budget"):
+            refused()
 
+    # the sp_circle family builds its rank-n torus from circles (dimension
+    # 1), never a simplex of the refused power
     def circles_only(self, k):
         assert self.dim == 1, "enumerated a factor of a refused product"
         return original(self, k)
 
     monkeypatch.setattr(SimplicialSet, "formal_simplices", circles_only)
-    for refused in (
-        lambda: catalog.sp_torus(4, 3),
-        lambda: catalog.rep_sp(3, 3),
-        lambda: verifier.verify_splitting("sp_circle", 3, m=3),
-    ):
-        with pytest.raises(ResourceGuard, match="budget"):
-            refused()
+    with pytest.raises(ResourceGuard, match="budget"):
+        verifier.verify_splitting("sp_circle", 3, m=3)
 
 
 # -- descriptors -------------------------------------------------------------

@@ -438,6 +438,11 @@ FUZZ_VALUES = ("1", "2") * 4 + (
 )
 
 
+# Share of fuzzed verify argv whose --n (and half the time --m) ignores
+# which suites those flags narrow.
+FUZZ_FLAG_MISMATCH = 0.1
+
+
 def _fuzz_descriptor(rng):
     roll = rng.random()
     if roll < 0.1:
@@ -467,11 +472,19 @@ def _fuzz_argv(rng, cache):
     elif command == "verify":
         suite = rng.choice(verifier.SUITES + ("cohomotopy",))
         argv = ["verify", suite]
-        if suite == "splitting" or rng.random() < 0.5:
+        # --n and --m go to the suites they narrow; a small fixed share goes
+        # anywhere, so the ignored-flag refusal is still reached
+        mismatch = rng.random() < FUZZ_FLAG_MISMATCH
+        if suite == "splitting" or mismatch or (
+            suite == "homology-prop" and rng.random() < 0.5
+        ):
             argv += ["--n", value()]
-        for flag in ("--m", "--seed"):
-            if rng.random() < 0.4:
-                argv += [flag, value()]
+        if (mismatch and rng.random() < 0.5) or (
+            suite in ("rep-u", "rep-sp", "splitting") and rng.random() < 0.5
+        ):
+            argv += ["--m", value()]
+        if rng.random() < 0.4:
+            argv += ["--seed", value()]
     elif command == "catalog":
         group = rng.choice(verifier.RANK_ONE_GROUPS + ("E8",))
         # No 4: it takes seconds for SU2.

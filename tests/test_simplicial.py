@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from repspace.abelian import AbelianGroup, GradedGroup
+from repspace import catalog
 from repspace.catalog import minimal_torus
 from repspace.engine import homology, reduced_homology, suspend
 from repspace.errors import ActionInvalid, ResourceGuard
@@ -21,6 +22,7 @@ from repspace.simplicial import (
     minimal_circle,
     normalized_chains,
     product_list,
+    product_f_vector,
     product_simplex_id,
     product_size,
     quotient_by_action,
@@ -244,6 +246,32 @@ def test_product_with_point_is_identity_on_f_vectors():
     assert X.basepoint == "(b|p)"
 
 
+PRODUCT_CASES = {
+    "minimal T^2 cubed": lambda: [minimal_torus(2)] * 3,
+    "2-gon x circle x rose(2)": lambda: [two_gon()[0], minimal_circle(), rose(2)],
+    "cross-polytope S^1 x 2-gon": lambda: [
+        catalog.sphere_simplicial(1)[0],
+        two_gon()[0],
+    ],
+    "torus_conj_quotient(2) squared": lambda: [catalog.torus_conj_quotient(2)] * 2,
+    # faces s_1 s_0 * on both sides: two shared degeneracies to peel
+    "3-sphere x circle": lambda: [smash([minimal_circle()] * 3), minimal_circle()],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRODUCT_CASES))
+def test_product_matches_the_reference_product(case):
+    # simplex order, faces, coordinates and basepoint, against a brute-force
+    # product that shares no code with the table-driven one
+    factors = PRODUCT_CASES[case]()
+    P = product_list(factors)
+    simplices, faces, parts, basepoint = oracles.reference_product(factors)
+    assert P.simplices == simplices
+    assert P.faces == faces
+    assert P.parts == parts
+    assert P.basepoint == basepoint
+
+
 def test_product_budget_guard():
     C, _ = two_gon()
     assert product_size([C.f_vector()] * 6) > CELL_BUDGET
@@ -259,6 +287,7 @@ def test_product_size_matches_the_shuffle_oracle():
             for _ in range(rng.randint(1, 3))
         ]
         top = sum(len(f) - 1 for f in fvs)
+        assert product_f_vector(fvs) == oracles.product_f_vector(fvs, top), fvs
         assert product_size(fvs) == sum(oracles.product_f_vector(fvs, top)), fvs
     for n in range(1, 7):
         for v in (1, 2):
