@@ -14,17 +14,18 @@ matrices (tests, spot checks, anything a human wants to look at).
 ``invariant_factors(M)`` returns only the nonzero diagonal of D.  It
 works on a sparse dict-of-rows layout, takes every pivot with one step
 (column, then row, reduced to remainders: a rank-one update for a unit
-pivot), and never touches the transform matrices.  Boundary matrices of
-normalized chain complexes are extremely sparse (a column of d_k has at
-most k+1 entries) and almost all pivots are units, so this is the path
-all homology computations take.  Among the pivots of least absolute
-value it takes one of least Markowitz cost, the fill-in its step can
-cause, so the symmetric products, whose elimination fills in, stay
-sparse.
+pivot), and never touches the transform matrices.  Homology does not
+hand it whole boundary matrices: the engine's cleared pass removes their
+unit pivots first, and this routine gets the residual, small but real
+(non-unit entries, and fill from the symmetric products).  Among the
+pivots of least absolute value it takes one of least Markowitz cost,
+the fill-in its step can cause, so such residuals stay sparse.
 
-``rank_mod_p(M, p)``, a sparse row reduction over F_p taking the shortest
-rows first, shares no code with either, so mod-p homology checks the
-integral answer independently.
+``lead_columns_mod_p(entries, p)``, a sparse row reduction over F_p
+taking the shortest rows first, and ``rank_mod_p(M, p)``, the number of
+its lead columns, share no code with either, so mod-p homology, one
+cleared pass of such reductions, checks the integral answer
+independently.
 
 The group of a diagonal is packaged as :class:`AbelianGroup` in
 invariant-factor normal form, and full homology tables as
@@ -392,16 +393,18 @@ def invariant_factors(M: IntMatrix) -> list:
     return _divisor_chain(out)
 
 
-def rank_mod_p(M: IntMatrix, p: int) -> int:
-    """Rank of M over F_p (p prime) by sparse row reduction, without the SNF.
+def lead_columns_mod_p(entries, p: int) -> set:
+    """Lead columns of a row echelon form over F_p (p prime) of {(r, c): v}.
 
     Each row is reduced by the pivot rows found so far, keyed by their
     leading column; a row that does not vanish becomes a pivot row.  Rows
     are taken shortest first, so the early pivot rows, which every later
-    row may pick up, carry little fill.
+    row may pick up, carry little fill.  The pivot rows have distinct
+    leads and span the row space, so a vector in the kernel is determined
+    by its coordinates outside the returned columns.
     """
     rows = {}
-    for (r, c), v in M.entries.items():
+    for (r, c), v in entries.items():
         if v % p:
             rows.setdefault(r, {})[c] = v % p
     pivots = {}
@@ -420,7 +423,12 @@ def rank_mod_p(M: IntMatrix, p: int) -> int:
                     row[c] = w
                 else:
                     row.pop(c, None)
-    return len(pivots)
+    return set(pivots)
+
+
+def rank_mod_p(M: IntMatrix, p: int) -> int:
+    """Rank of M over F_p (p prime) by sparse row reduction, without the SNF."""
+    return len(lead_columns_mod_p(M.entries, p))
 
 
 # ---------------------------------------------------------------------------

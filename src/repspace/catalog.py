@@ -41,6 +41,11 @@ from .simplicial import (
 )
 
 
+# Torus ranks and symmetric-product powers the catalog builds.
+MAX_RANK = 6
+MAX_POWER = 3
+
+
 # ---------------------------------------------------------------------------
 # SECTION: circles and tori
 
@@ -102,8 +107,10 @@ def _product_involution(P: SimplicialSet, factor_swaps) -> SimplicialAction:
 
 def _circle_power_f_vector(name: str, n: int, C: SimplicialSet) -> list:
     """f(C^n), range-checked and refused exactly as ``name``(n) is."""
-    if not 1 <= n <= 6:
-        raise range_error(n, 1, f"{name}(n={n}) outside the supported range 1..6")
+    if not 1 <= n <= MAX_RANK:
+        raise range_error(
+            n, 1, f"{name}(n={n}) outside the supported range 1..{MAX_RANK}"
+        )
     return guard_product([C.f_vector()] * n)
 
 
@@ -120,7 +127,7 @@ def minimal_torus_f_vector(n: int) -> list:
 def torus(n: int):
     """(S^1)^n as an n-fold 2-gon product, with diagonal conjugation.
 
-    Returns (space, Z/2 action).  ``torus_f_vector`` guards n <= 6 and
+    Returns (space, Z/2 action).  ``torus_f_vector`` guards n <= MAX_RANK and
     the cell budget of ``product_list``, which the 2-gon model exceeds at
     n = 6, before anything is built; the one-vertex model (minimal_torus)
     covers larger products whenever no involution is required.
@@ -190,8 +197,10 @@ def _permutation_action(P: SimplicialSet, m: int) -> SimplicialAction:
 def _guard_sym_product(f: list, m: int):
     """Range-check m and refuse SP^m of a space with f-vector f over the
     cell budget of its m-fold product, before either is built."""
-    if m < 0 or m > 3:
-        raise range_error(m, 0, f"sym_product with m={m} outside the range 0..3")
+    if m < 0 or m > MAX_POWER:
+        raise range_error(
+            m, 0, f"sym_product with m={m} outside the range 0..{MAX_POWER}"
+        )
     if m >= 2:
         guard_product([f] * m)
 
@@ -211,9 +220,20 @@ def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
     return quotient_by_action(P, _permutation_action(P, m))
 
 
+def _check_torus_power(name: str, n: int, m: int):
+    """Refuse n or m outside its range under the name the caller was asked
+    by, before any inner constructor can refuse it under its own."""
+    where = f"{name}(n={n},m={m})"
+    if not 1 <= n <= MAX_RANK:
+        raise range_error(n, 1, f"{where}: n outside the range 1..{MAX_RANK}")
+    if not 0 <= m <= MAX_POWER:
+        raise range_error(m, 0, f"{where}: m outside the range 0..{MAX_POWER}")
+
+
 def sp_torus(n: int, m: int) -> SimplicialSet:
     """SP^m((S^1)^n) on the minimal torus model, refused before the torus
     is built when its m-fold product is over the cell budget."""
+    _check_torus_power("sp_torus", n, m)
     _guard_sym_product(minimal_torus_f_vector(n), m)
     return sym_product(minimal_torus(n), m)
 
@@ -221,6 +241,7 @@ def sp_torus(n: int, m: int) -> SimplicialSet:
 def rep_sp(n: int, m: int) -> SimplicialSet:
     """SP^m((S^1)^n / Z/2), the symplectic-group commuting space, refused
     before the quotient is built when its m-fold product is over budget."""
+    _check_torus_power("rep_sp", n, m)
     _guard_sym_product(torus_conj_quotient_f_vector(n), m)
     return sym_product(torus_conj_quotient(n), m)
 

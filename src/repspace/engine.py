@@ -1,26 +1,37 @@
 """Homology of integer chain complexes, over Z and Z/p, with a result cache.
 
-The engine never computes kernel bases.  For each boundary map it takes
-the sparse invariant factors once (memoized per complex) and reads off
+The engine never computes kernel bases.  It reads off
 
     H_k  =  Z^(n_k - rank d_k - rank d_{k+1})  +  torsion(coker d_{k+1})
 
 which is valid because ker d_k is a pure subgroup of C_k, hence a direct
-summand containing im d_{k+1}.  Mod-p dimensions come from
-``abelian.rank_mod_p``, a row reduction over F_p of the raw boundary
-matrices that shares no code with the invariant factors, so the
-universal coefficient check compares two independent routes.
+summand containing im d_{k+1}.  The ranks and torsion come from one
+top-down clearing pass per complex: d_k's unit pivots are eliminated by
+unit Schur steps after the columns of d_{k+1}'s pivot rows are deleted,
+and only the residual goes to ``abelian.invariant_factors``.  Mod-p
+dimensions come from one bottom-up pass of F_p row reductions
+(``abelian.lead_columns_mod_p``), each d_{k+1} without the rows of
+d_k's lead columns.  The two passes run in opposite directions on
+opposite operations and share no code, so the universal coefficient
+check compares two independent routes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import sys
 from pathlib import Path
 
-from .abelian import AbelianGroup, GradedGroup, IntMatrix, invariant_factors, rank_mod_p
+from .abelian import (
+    AbelianGroup,
+    GradedGroup,
+    IntMatrix,
+    invariant_factors,
+    lead_columns_mod_p,
+)
 from .counting import _is_prime
 from .errors import CacheCorrupt, CompositionNotZero, NotPrime
 
@@ -32,15 +43,16 @@ class ChainComplex:
 
     ``diffs[k-1]`` holds d_k, so len(diffs) == len(ranks) - 1.  Shape
     compatibility and d∘d = 0 are checked at construction unless the
-    caller is a constructor that guarantees them (check=False).
+    caller is a constructor that guarantees them (check=False).  Both
+    cleared passes drop rows or columns on the strength of d∘d = 0, so
+    on a non-complex they would answer wrongly rather than fail.
     """
 
-    __slots__ = ("ranks", "diffs", "_factors")
+    __slots__ = ("ranks", "diffs")
 
     def __init__(self, ranks, diffs, check=True):
         self.ranks = [int(r) for r in ranks]
         self.diffs = list(diffs)
-        self._factors = {}
         if any(r < 0 for r in self.ranks):
             raise ValueError("negative rank")
         if len(self.diffs) != max(len(self.ranks) - 1, 0):
@@ -77,20 +89,102 @@ class ChainComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
-    def _factor(self, k: int):
-        if k not in self._factors:
-            self._factors[k] = invariant_factors(self.d(k))
-        return self._factors[k]
+
+def _unit_pivots(d: IntMatrix, cleared) -> tuple:
+    """(pivot rows, residual): d minus columns ``cleared``, its unit pivots out.
+
+    Unit entries are taken by least Markowitz cost from a lazy heap, as in
+    ``invariant_factors``.  Each step is a unit Schur step: subtract the
+    pivot row's multiples from the other rows of its column, then delete
+    the pivot row and column.  That keeps the Smith form up to one 1, so
+    d's invariant factors are one 1 per pivot plus those of the residual,
+    the nonzero rows and columns left over.
+    """
+    rows = {}
+    cols = {}
+    for (r, c), v in d.entries.items():
+        if c not in cleared:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
+    heap = [
+        ((len(row) - 1) * (len(cols[c]) - 1), r, c)
+        for r, row in rows.items()
+        for c, v in row.items()
+        if v == 1 or v == -1
+    ]
+    heapq.heapify(heap)
+    pivots = set()
+    while heap:
+        pushed, r, c = heapq.heappop(heap)
+        row = rows.get(r)
+        v = row.get(c) if row else None
+        if v != 1 and v != -1:
+            continue  # stale: eliminated, or no longer a unit
+        col = cols[c]
+        cost = (len(row) - 1) * (len(col) - 1)
+        if cost > pushed:
+            heapq.heappush(heap, (cost, r, c))
+            continue
+        del rows[r], cols[c]
+        col.discard(r)
+        del row[c]
+        for j in row:
+            cols[j].discard(r)
+        for i in col:
+            ri = rows[i]
+            q = ri.pop(c) * v
+            for j, w in row.items():
+                nv = ri.get(j, 0) - q * w
+                if nv:
+                    ri[j] = nv
+                    cols[j].add(i)
+                    if nv == 1 or nv == -1:
+                        heapq.heappush(
+                            heap, ((len(ri) - 1) * (len(cols[j]) - 1), i, j)
+                        )
+                else:
+                    del ri[j]
+                    cols[j].discard(i)
+            if not ri:
+                del rows[i]
+        pivots.add(r)
+    row_at = {r: i for i, r in enumerate(sorted(rows))}
+    col_at = {c: j for j, c in enumerate(sorted(c for c in cols if cols[c]))}
+    residual = IntMatrix(
+        len(row_at),
+        len(col_at),
+        {(row_at[r], col_at[c]): v for r, row in rows.items() for c, v in row.items()},
+    )
+    return pivots, residual
 
 
 def homology(C: ChainComplex) -> GradedGroup:
-    """Integral homology in invariant-factor form, lowest degree first."""
-    out = []
-    for k in range(len(C.ranks)):
-        upper = C._factor(k + 1)
-        free = C.ranks[k] - len(C._factor(k)) - len(upper)
-        out.append(AbelianGroup.from_factors(free, upper))
-    return GradedGroup(tuple(out))
+    """Integral homology in invariant-factor form, lowest degree first.
+
+    One top-down clearing pass (Chen and Kerber, "Persistent homology
+    computation with a twist", 2011).  For k = top .. 1, d_k loses the
+    columns of d_{k+1}'s pivot rows, then its unit pivots; the residual
+    goes to ``invariant_factors``.  The pivots of d_{k+1} sit on an
+    invertible minor d_{k+1}[A, B], so d_k d_{k+1} = 0 writes each column
+    of d_k in A as a Z-combination of its other columns: im d_k, hence
+    its invariant factors, survive the deletion.
+    """
+    n = len(C.ranks)
+    rank = [0] * (n + 1)
+    upper = [()] * (n + 1)
+    cleared = set()
+    for k in range(C.top, 0, -1):
+        pivots, residual = _unit_pivots(C.diffs[k - 1], cleared)
+        factors = invariant_factors(residual)
+        rank[k] = len(pivots) + len(factors)
+        upper[k] = factors
+        cleared = pivots
+    return GradedGroup(
+        tuple(
+            AbelianGroup.from_factors(C.ranks[k] - rank[k] - rank[k + 1], upper[k + 1])
+            for k in range(n)
+        )
+    )
 
 
 def reduced_homology(C: ChainComplex) -> GradedGroup:
@@ -105,23 +199,40 @@ def reduced_homology(C: ChainComplex) -> GradedGroup:
 
 
 def homology_mod_p(C: ChainComplex, p: int) -> list:
-    """dim_{F_p} H_k(C; F_p) for every degree."""
+    """dim_{F_p} H_k(C; F_p) for every degree, by one bottom-up pass.
+
+    d_k is row-reduced with the rows of d_{k-1}'s lead columns dropped
+    (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+    (co)homology", 2011).  Those lead columns are k-1 cells in which
+    every cycle of C_{k-1} is determined by its other coordinates, so the
+    dropped rows carry no rank of d_k, whose image consists of cycles.
+    """
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    rank = [rank_mod_p(C.d(k), p) for k in range(len(C.ranks) + 1)]
+    rank = [0] * (len(C.ranks) + 1)
+    leads = ()
+    for k in range(1, len(C.ranks)):
+        leads = lead_columns_mod_p(
+            {rc: v for rc, v in C.diffs[k - 1].entries.items() if rc[0] not in leads},
+            p,
+        )
+        rank[k] = len(leads)
     return [C.ranks[k] - rank[k] - rank[k + 1] for k in range(len(C.ranks))]
 
 
-def universal_coefficients_check(C: ChainComplex, p: int) -> bool:
-    """dim H_k(F_p) == rank H_k + t_p(H_k) + t_p(H_{k-1}) in every degree."""
+def universal_coefficients_check(C: ChainComplex, *primes: int) -> bool:
+    """dim H_k(F_p) == rank H_k + t_p(H_k) + t_p(H_{k-1}) in every degree,
+    for each of the primes, against one integral homology of C."""
+    if not primes:
+        raise ValueError("universal coefficients check needs a prime")
     h = homology(C)
-    dims = homology_mod_p(C, p)
-    for k, dim in enumerate(dims):
-        expected = h[k].free_rank + h[k].torsion_rank(p)
-        if k >= 1:
-            expected += h[k - 1].torsion_rank(p)
-        if dim != expected:
-            return False
+    for p in primes:
+        for k, dim in enumerate(homology_mod_p(C, p)):
+            expected = h[k].free_rank + h[k].torsion_rank(p)
+            if k >= 1:
+                expected += h[k - 1].torsion_rank(p)
+            if dim != expected:
+                return False
     return True
 
 
@@ -133,6 +244,12 @@ def suspend(C: ChainComplex) -> ChainComplex:
     This satisfies d∘d = 0 exactly when the input is augmentable (every
     d_1 column sums to zero), which holds for chains of any space model.
     The effect on homology is the suspension shift H̃_{k+1} = H̃_k.
+
+    check=False stays sound although both cleared passes rely on d∘d = 0:
+    the one new composition, the new d_1 after C's d_1, is zero exactly
+    by the augmentation test below, and every other composition is one
+    of C's, checked when C was built (or, for a suspension, by this
+    argument).
     """
     if not C.ranks:
         raise ValueError("cannot suspend an empty complex")

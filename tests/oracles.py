@@ -265,6 +265,106 @@ def reference_product(factors):
 
 
 # ---------------------------------------------------------------------------
+# Chain complexes with planted homology.
+#
+# A direct sum of pieces "0 -> Z" (a free class in one degree) and
+# "Z --d--> Z" (from degree k to k - 1: Z/d in H_{k-1} when d > 1, nothing
+# when d = 1, a free class at both ends when d = 0) has its homology by
+# inspection.  Each degree's basis is then changed by a random unimodular
+# matrix, a product of elementary operations whose inverse is built
+# alongside, so the boundaries look nothing like the pieces.
+
+
+def _unimodular_pair(rng, n, steps):
+    """(A, A^-1) as dense rows, from random elementary row operations."""
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    B = [row[:] for row in A]
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-1, 1, 1, 2))
+        # A <- E A with E = I + q e_ij; A^-1 <- A^-1 E^-1 (column j -= q col i)
+        A[i] = [a + q * b for a, b in zip(A[i], A[j])]
+        for row in B:
+            row[j] -= q * row[i]
+    for i in range(n):  # row sign flips reach determinant -1 too
+        if rng.random() < 0.3:
+            A[i] = [-a for a in A[i]]
+            for row in B:
+                row[i] = -row[i]
+    return A, B
+
+
+def _matmul(X, Y, rows, cols):
+    inner = len(Y)
+    return [
+        [sum(X[i][t] * Y[t][j] for t in range(inner)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def planted_complex(rng, top, pieces=6, steps=6):
+    """A random complex in degrees 0..top with its planted answers.
+
+    Returns (ranks, diffs, homology, pieces): diffs[k - 1] is d_k as dense
+    rows (ranks[k - 1] x ranks[k]), homology[k] is (free rank, torsion
+    orders > 1), and each piece is (degree, d), d None for "0 -> Z".
+    """
+    chosen = []
+    for _ in range(pieces):
+        if top == 0 or rng.random() < 0.3:
+            chosen.append((rng.randrange(top + 1), None))
+        else:
+            k = rng.randrange(1, top + 1)
+            chosen.append((k, rng.choice((0, 1, 1, 2, 3, 4, 6))))
+    ranks = [0] * (top + 1)
+    cell = []  # per piece: its cell index in each degree it occupies
+    for k, d in chosen:
+        at = {k: ranks[k]}
+        ranks[k] += 1
+        if d is not None:
+            at[k - 1] = ranks[k - 1]
+            ranks[k - 1] += 1
+        cell.append(at)
+    plain = [[[0] * ranks[k] for _ in range(ranks[k - 1])] for k in range(1, top + 1)]
+    homology = [[0, []] for _ in range(top + 1)]
+    for (k, d), at in zip(chosen, cell):
+        if d is None:
+            homology[k][0] += 1
+            continue
+        plain[k - 1][at[k - 1]][at[k]] = d
+        if d == 0:
+            homology[k][0] += 1
+            homology[k - 1][0] += 1
+        elif d > 1:
+            homology[k - 1][1].append(d)
+    change = [_unimodular_pair(rng, n, steps) for n in ranks]
+    # in the new bases d_k becomes A_{k-1} d_k A_k^-1
+    diffs = [
+        _matmul(
+            _matmul(change[k - 1][0], plain[k - 1], ranks[k - 1], ranks[k]),
+            change[k][1],
+            ranks[k - 1],
+            ranks[k],
+        )
+        for k in range(1, top + 1)
+    ]
+    homology = [(free, sorted(tors)) for free, tors in homology]
+    return ranks, diffs, homology, chosen
+
+
+def planted_dims_mod_p(top, pieces, p):
+    """dim H_k(F_p) of a planted complex, read off its pieces mod p."""
+    dims = [0] * (top + 1)
+    for k, d in pieces:
+        if d is None:
+            dims[k] += 1
+        elif d % p == 0:
+            dims[k] += 1
+            dims[k - 1] += 1
+    return dims
+
+
+# ---------------------------------------------------------------------------
 # Exact quaternion arithmetic over the rationals.
 
 

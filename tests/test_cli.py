@@ -144,6 +144,32 @@ def test_values_above_the_valid_range_are_refused(capsys, argv):
     assert len(err) < 200
 
 
+@pytest.mark.parametrize(
+    "space, code",
+    [
+        ("rep_sp(n=0,m=5)", 2),
+        ("rep_sp(n=0,m=2)", 2),
+        ("rep_sp(n=7,m=2)", 3),
+        ("rep_sp(n=7,m=0)", 3),
+        ("rep_sp(n=2,m=-1)", 2),
+        ("rep_sp(n=2,m=4)", 3),
+        ("sp_torus(n=7,m=2)", 3),
+        ("sp_torus(n=7,m=5)", 3),
+        ("sp_torus(n=0,m=2)", 2),
+        ("sp_torus(n=1,m=-1)", 2),
+        ("sp_torus(n=2,m=4)", 3),
+    ],
+)
+def test_a_refusal_names_the_constructor_asked_for(capsys, space, code):
+    # the inner torus and sym_product constructors have ranges of their
+    # own; the message must still send the user to the descriptor they gave
+    got, out, err = run(capsys, "homology", space)
+    assert got == code and out == ""
+    assert len(err.splitlines()) == 1
+    prefix = "error: " if code == 2 else "resource guard: "
+    assert err.startswith(prefix + space + ":"), err
+
+
 def test_homology_cache_dir_flag(tmp_path, capsys):
     code, first, _ = run(
         capsys,

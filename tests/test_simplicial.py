@@ -8,7 +8,7 @@ import oracles
 from repspace.abelian import AbelianGroup, GradedGroup
 from repspace import catalog
 from repspace.catalog import minimal_torus
-from repspace.engine import homology, reduced_homology, suspend
+from repspace.engine import ChainComplex, homology, reduced_homology, suspend
 from repspace.errors import ActionInvalid, ResourceGuard
 from repspace.simplicial import (
     CELL_BUDGET,
@@ -422,6 +422,17 @@ def test_suspension_shifts_reduced_homology():
     # suspension of a wedge of two circles
     SW = suspend(normalized_chains(rose(2)))
     assert reduced_homology(SW) == GradedGroup.of(Z(0), Z(0), Z(2))
+
+
+def test_suspensions_are_chain_complexes():
+    # suspend skips the d∘d = 0 check that both cleared passes rely on;
+    # the complexes it builds must pass that check when rebuilt with it
+    for C in (
+        normalized_chains(catalog.sphere_bundle_quotient(2)),
+        normalized_chains(rose(3)),
+    ):
+        for S in (suspend(C), suspend(suspend(C))):
+            ChainComplex(S.ranks, S.diffs, check=True)  # raises unless d∘d = 0
 
 
 def test_iterated_suspension_randomized_shift():

@@ -344,6 +344,15 @@ def test_simplicial_report_covers_the_catalog():
     assert len(rep.rows) >= 25
 
 
+def test_simplicial_report_reduces_each_sample_once(monkeypatch):
+    original = engine.homology
+    calls = []
+    monkeypatch.setattr(engine, "homology", lambda C: calls.append(C) or original(C))
+    rep = check_simplicial()
+    assert rep.ok
+    assert len(calls) == len(rep.rows) == len(catalog.catalog_samples())
+
+
 def test_simplicial_report_fails_on_one_wrong_factor_list(monkeypatch):
     original = engine.invariant_factors
     corrupted = []
