@@ -38,6 +38,7 @@ from .simplicial import (
     normalized_chains,
     product_list,
     quotient_by_action,
+    symmetric_product_list,
 )
 
 
@@ -78,11 +79,6 @@ def circle_conj():
     return X, SimplicialAction.involution(X, {"a": "c", "c": "a"})
 
 
-def _ids_by_parts(P: SimplicialSet) -> dict:
-    """{coordinates: id} of a product, the inverse of ``P.parts``."""
-    return {fs: sid for sid, fs in P.parts.items()}
-
-
 def _product_involution(P: SimplicialSet, factor_swaps) -> SimplicialAction:
     """Coordinatewise involution of a product, from per-factor base swaps.
 
@@ -91,7 +87,7 @@ def _product_involution(P: SimplicialSet, factor_swaps) -> SimplicialAction:
     coordinates.  An image outside P maps to None, which the involution
     check refuses (ActionInvalid).
     """
-    sid_of = _ids_by_parts(P)
+    sid_of = {fs: sid for sid, fs in P.parts.items()}
     swap = {}
     for sid, fs in P.parts.items():
         target = sid_of.get(
@@ -177,26 +173,9 @@ def smash_factor(n: int) -> SimplicialSet:
 # SECTION: symmetric products
 
 
-def _permutation_action(P: SimplicialSet, m: int) -> SimplicialAction:
-    """Σ_m on the m coordinates of an m-fold product, by its generators.
-
-    The m - 1 adjacent transpositions swap coordinates i and i + 1; they
-    generate Σ_m, so their orbits are the Σ_m orbits.  An image outside P
-    maps to None, which action validation refuses (ActionInvalid).
-    """
-    sid_of = _ids_by_parts(P)
-    return SimplicialAction(
-        {
-            sid: sid_of.get(fs[:i] + (fs[i + 1], fs[i]) + fs[i + 2 :])
-            for sid, fs in P.parts.items()
-        }
-        for i in range(m - 1)
-    )
-
-
 def _guard_sym_product(f: list, m: int):
-    """Range-check m and refuse SP^m of a space with f-vector f over the
-    cell budget of its m-fold product, before either is built."""
+    """Range-check m and refuse SP^m of a space with f-vector f when its
+    m-fold product is over the cell budget, before anything is built."""
     if m < 0 or m > MAX_POWER:
         raise range_error(
             m, 0, f"sym_product with m={m} outside the range 0..{MAX_POWER}"
@@ -206,18 +185,18 @@ def _guard_sym_product(f: list, m: int):
 
 
 def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
-    """SP^m(X) = X^m / Σ_m; X itself for m = 1.
+    """SP^m(X) = X^m / Σ_m; a point for m = 0 and X itself for m = 1.
 
-    For m >= 2 the quotient's ``parts`` give each orbit's m coordinates
-    in X.
+    For m >= 2 it is built from sorted tuples, one simplex per Σ_m orbit
+    (``symmetric_product_list``), with neither X^m nor a quotient built;
+    its ``parts`` give each orbit's m coordinates in X.
     """
     _guard_sym_product(X.f_vector(), m)
     if m == 0:
         return point()
     if m == 1:
         return X
-    P = product_list([X] * m)
-    return quotient_by_action(P, _permutation_action(P, m))
+    return symmetric_product_list(X, m)
 
 
 def _check_torus_power(name: str, n: int, m: int):

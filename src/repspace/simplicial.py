@@ -18,13 +18,16 @@ empty common intersection.  Their number follows from the factors'
 f-vectors alone, so a product over the cell budget is refused before
 its first simplex is built.  Products are built from per-factor tables:
 each factor's formal simplices, their ids and their faces are computed
-once per degree, not once per product simplex.  A finite group action
-is stored as its generators, permutations of the nondegenerate
-simplices that commute with the face maps; a quotient takes the orbits
-under them.  Geometric realization preserves both colimits, so the
-realizations are the honest product and quotient spaces.  A collapse
-of everything outside a locally closed set of simplices completes the
-constructions.
+once per degree, not once per product simplex.  A symmetric product
+SP^m X = X^m / Σ_m is built from the same tables without X^m: each
+Σ_m orbit of product simplices has exactly one member whose coordinates
+are sorted by table position, and only those are enumerated.  A finite
+group action is stored as its generators, permutations of the
+nondegenerate simplices that commute with the face maps; a quotient
+takes the orbits under them.  Geometric realization preserves both
+colimits, so the realizations are the honest product and quotient
+spaces.  A collapse of everything outside a locally closed set of
+simplices completes the constructions.
 
 Identifiers are canonical strings derived from construction history
 ("(a|s0(v))" for product tuples, "[x]" for orbits, "*" for a collapse
@@ -33,7 +36,12 @@ basepoint), so equal constructions produce identical ids across runs.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    groupby,
+    permutations,
+)
 from itertools import product as iter_product
 from math import comb, prod
 from typing import NamedTuple
@@ -368,6 +376,73 @@ def product_list(factors) -> SimplicialSet:
             FormalSimplex((), X.basepoint) for X in factors
         )
     out = SimplicialSet(simplices, faces, basepoint=basepoint, check=False)
+    out.parts = parts
+    return out
+
+
+def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
+    """SP^m X = X^m / Σ_m (m >= 2), built without X^m or a quotient.
+
+    Permuting coordinates keeps a product simplex nondegenerate, and each
+    Σ_m orbit of jointly nondegenerate tuples has exactly one member with
+    non-decreasing pool positions: only those are enumerated, in
+    lexicographic order, which is the order in which the orbits first
+    occur in X^m.  An orbit is named "[" + its least member's product id
+    + "]" and records that member's coordinates as ``parts``.  Every
+    distinct permutation of a representative is indexed, so
+    ``_normalize_tuple`` resolves faces to orbits.  The result is
+    validated.  Refused (ResourceGuard) when X^m is over ``CELL_BUDGET``.
+    """
+    guard_product([X.f_vector()] * m)
+    degrees = _factor_degrees(X, m * X.dim)
+    tables = [degrees] * m
+    simplices = {}
+    faces = {}
+    parts = {}
+    ids = []
+    for k, t in enumerate(degrees):
+        found = []
+        for combo in combinations_with_replacement(range(len(t.runs)), m):
+            common = -1
+            for r in combo:
+                common &= t.runs[r][0]
+            if common:
+                continue
+            groups = [
+                combinations_with_replacement(
+                    range(t.runs[r][1], t.runs[r][2]), len(list(g))
+                )
+                for r, g in groupby(combo)
+            ]
+            found.extend(sum(ps, ()) for ps in iter_product(*groups))
+        found.sort()
+        index = {}
+        ids.append(index)
+        level = []
+        for ps in found:
+            named = {
+                "(" + "|".join([t.names[p] for p in qs]) + ")": qs
+                for qs in set(permutations(ps))
+            }
+            least = min(named)
+            oid = "[" + least + "]"
+            orbit = FormalSimplex((), oid)
+            for qs in named.values():
+                index[qs] = orbit
+            level.append(oid)
+            parts[oid] = tuple([t.pool[p] for p in named[least]])
+            if k:
+                rows = [t.faces[p] for p in ps]
+                faces[oid] = tuple(
+                    [_normalize_tuple(tables, k - 1, qs, ids) for qs in zip(*rows)]
+                )
+        if level:
+            simplices[k] = level
+    basepoint = None
+    if X.basepoint is not None:
+        point = FormalSimplex((), X.basepoint)
+        basepoint = "[" + product_simplex_id([point] * m) + "]"
+    out = SimplicialSet(simplices, faces, basepoint=basepoint)
     out.parts = parts
     return out
 

@@ -585,9 +585,9 @@ def suite_builders(name: str, seed: int = 0, runs: int = 1200) -> list:
     if name == "homology-prop":
         return [partial(check_homology_prop, n) for n in (1, 2, 3, 4)]
     if name == "rep-u":
-        return [partial(check_rep_u_cohomology, m) for m in (1, 2)]
+        return [partial(check_rep_u_cohomology, m) for m in (1, 2, 3)]
     if name == "rep-sp":
-        return [partial(check_rep_sp, 2, m) for m in (0, 1, 2)]
+        return [partial(check_rep_sp, 2, m) for m in (0, 1, 2, 3)]
     if name == "splitting":
         return [
             partial(verify_splitting, family, n)

@@ -1,14 +1,19 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Nothing here imports the package under test: every routine is a direct
-transcription of a textbook definition, deliberately slow and dumb, so a
-disagreement with the fast implementation always means the fast side is
-wrong (or the oracle's definition was misread, which is easier to audit).
+Every routine is a direct transcription of a textbook definition,
+deliberately slow and dumb, so a disagreement with the fast
+implementation always means the fast side is wrong (or the oracle's
+definition was misread, which is easier to audit).  Only the
+symmetric-product section uses the package under test: it replays the
+route the direct construction replaced, X^m and then its quotient.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
-from math import comb, gcd
+from itertools import combinations, permutations, product
+from math import comb, factorial, gcd, prod
+
+from repspace.simplicial import SimplicialAction, product_list, quotient_by_action
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +127,54 @@ def formal_simplices(f_vector, k):
 
 
 def product_f_vector(f_vectors, top):
-    """f-vector of a product by brute shuffle enumeration."""
+    """f-vector of a product by brute shuffle enumeration.
+
+    Formal simplices are tallied by word set: a combination of word sets
+    with empty common intersection counts the product of their tallies.
+    """
     counts = []
     for k in range(top + 1):
-        pools = [formal_simplices(fv, k) for fv in f_vectors]
+        pools = [
+            Counter(word for word, _, _ in formal_simplices(fv, k)).items()
+            for fv in f_vectors
+        ]
         n = 0
         for combo in product(*pools):
-            common = combo[0][0]
-            for item in combo[1:]:
-                common = common & item[0]
-                if not common:
-                    break
-            if not common:
-                n += 1
+            if not frozenset(range(k)).intersection(*(w for w, _ in combo)):
+                n += prod(c for _, c in combo)
         counts.append(n)
     return counts
+
+
+def cycle_count(sigma):
+    """Number of cycles of a permutation given as a tuple of images."""
+    seen = set()
+    cycles = 0
+    for start in range(len(sigma)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = sigma[i]
+    return cycles
+
+
+def polya_f_vector(f_vector, m):
+    """f-vector of SP^m X from X's f-vector alone, by Burnside's lemma.
+
+    σ in Σ_m fixes exactly the tuples constant on its cycles, and those
+    are the nondegenerate simplices of X^c(σ), c(σ) the cycle count; so
+    each degree's orbit count is the average of f(X^c(σ)) over Σ_m.
+    """
+    dim = len(f_vector) - 1
+    total = [0] * (m * dim + 1)
+    for sigma in permutations(range(m)):
+        c = cycle_count(sigma)
+        for k, n in enumerate(product_f_vector([f_vector] * c, c * dim)):
+            total[k] += n
+    assert all(t % factorial(m) == 0 for t in total), total
+    return [t // factorial(m) for t in total]
 
 
 def surjections(s, k):
@@ -262,6 +300,36 @@ def reference_product(factors):
     if all(X.basepoint is not None for X in factors):
         basepoint = "(" + "|".join(X.basepoint for X in factors) + ")"
     return simplices, faces, parts, basepoint
+
+
+# ---------------------------------------------------------------------------
+# Symmetric products the old way: X^m, then its quotient by Σ_m.
+#
+# Σ_m acts by its m - 1 adjacent transpositions; each swaps two
+# coordinates and is looked up by its image's coordinates.  This route
+# enumerates every tuple and names each orbit through ``orbit_ids``, so
+# it shares no enumeration or naming with the sorted-tuple construction.
+
+
+def permutation_action(P, m):
+    """Σ_m on the m coordinates of an m-fold product, by its generators.
+
+    An image outside P maps to None, which action validation refuses.
+    """
+    sid_of = {fs: sid for sid, fs in P.parts.items()}
+    return SimplicialAction(
+        {
+            sid: sid_of.get(fs[:i] + (fs[i + 1], fs[i]) + fs[i + 2 :])
+            for sid, fs in P.parts.items()
+        }
+        for i in range(m - 1)
+    )
+
+
+def reference_sym_product(X, m):
+    """SP^m X = X^m / Σ_m as the quotient of the built product (m >= 2)."""
+    P = product_list([X] * m)
+    return quotient_by_action(P, permutation_action(P, m))
 
 
 # ---------------------------------------------------------------------------

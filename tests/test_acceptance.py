@@ -60,12 +60,14 @@ def test_criterion_1_conjugation_quotient_homology():
 
 
 def test_criterion_2_unitary_and_symplectic_rep_spaces():
-    """SP^2 of the 2-torus is torsion-free with ranks 1,2,2,2,1, and
-    SP^m of its conjugation quotient is complex projective m-space."""
-    h = homology(normalized_chains(catalog.sp_torus(2, 2)))
-    assert h.betti() == [1, 2, 2, 2, 1]
-    assert all(not g.torsion for g in h.groups)
-    for m in (1, 2):
+    """SP^2 and SP^3 of the 2-torus are torsion-free with ranks 1,2,2,2,1
+    and 1,2,2,2,2,2,1, and SP^m of its conjugation quotient is complex
+    projective m-space."""
+    for m, betti in ((2, [1, 2, 2, 2, 1]), (3, [1, 2, 2, 2, 2, 2, 1])):
+        h = homology(normalized_chains(catalog.sp_torus(2, m)))
+        assert h.betti() == betti
+        assert all(not g.torsion for g in h.groups)
+    for m in (1, 2, 3):
         cp = homology(normalized_chains(catalog.rep_sp(2, m)))
         assert cp == G(
             *[T(1) if k % 2 == 0 else T(0) for k in range(2 * m + 1)]

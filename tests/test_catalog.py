@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 import oracles
-from repspace import catalog, verifier
+from repspace import catalog, simplicial, verifier
 from repspace.abelian import AbelianGroup, GradedGroup
 from repspace.engine import (
     ChainComplex,
@@ -128,18 +128,57 @@ def test_sym_product_degenerate_multiplicities():
     assert catalog.sym_product(C, 1) is C
 
 
-def test_sym_product_validates_the_action_at_any_size(monkeypatch):
-    monkeypatch.setattr(SimplicialSet, "size", lambda self: 10**6)
-    validated = []
-    original = SimplicialAction.validate
+def test_sym_product_builds_no_product(monkeypatch):
+    # SP^m X comes from sorted tuples; X^m is never built on the way
+    spaces = [(catalog.circle(), 2), (catalog.minimal_torus(2), 3)]
+    original = simplicial.product_list
+    calls = []
 
-    def spy(self, X):
-        validated.append(X)
-        return original(self, X)
+    def spy(factors):
+        factors = list(factors)
+        calls.append(len(factors))
+        return original(factors)
 
-    monkeypatch.setattr(SimplicialAction, "validate", spy)
-    catalog.sym_product(catalog.circle(), 2)
-    assert validated
+    monkeypatch.setattr(catalog, "product_list", spy)
+    monkeypatch.setattr(simplicial, "product_list", spy)
+    for X, m in spaces:
+        catalog.sym_product(X, m)
+    assert calls == []
+
+
+SYM_CASES = {
+    "sp2_circle": lambda: (catalog.circle(), 2),
+    "sp3_circle": lambda: (catalog.circle(), 3),
+    "sp_torus(2,2)": lambda: (catalog.minimal_torus(2), 2),
+    "sp_torus(2,3)": lambda: (catalog.minimal_torus(2), 3),
+    "rep_sp(2,2)": lambda: (catalog.torus_conj_quotient(2), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(SYM_CASES))
+def test_sym_product_is_the_quotient_of_the_product_byte_for_byte(case):
+    X, m = SYM_CASES[case]()
+    got = catalog.sym_product(X, m)
+    want = oracles.reference_sym_product(X, m)
+    assert list(got.simplices.items()) == list(want.simplices.items())
+    assert list(got.faces.items()) == list(want.faces.items())
+    assert list(got.parts.items()) == list(want.parts.items())
+    assert got.basepoint == want.basepoint
+
+
+def test_sym_product_f_vectors_are_the_polya_counts():
+    # built orbit counts against Burnside's average over Σ_m, which reads
+    # only the base space's f-vector
+    for X, m, built in (
+        (catalog.minimal_torus(2), 3, catalog.sp_torus(2, 3)),
+        (catalog.minimal_torus(3), 2, catalog.sp_torus(3, 2)),
+        (catalog.torus_conj_quotient(2), 2, catalog.rep_sp(2, 2)),
+        (catalog.torus_conj_quotient(2), 3, catalog.rep_sp(2, 3)),
+    ):
+        assert built.f_vector() == oracles.polya_f_vector(X.f_vector(), m)
+    assert oracles.polya_f_vector(catalog.torus_conj_quotient_f_vector(3), 2) == [
+        36, 630, 5032, 16908, 26880, 20160, 5760
+    ]
 
 
 def test_an_image_outside_the_product_is_an_invalid_action():
@@ -148,7 +187,7 @@ def test_an_image_outside_the_product_is_an_invalid_action():
     C, A = catalog.circle_conj()
     P = product_list([C, catalog.circle()])
     with pytest.raises(ActionInvalid):
-        catalog.quotient_by_action(P, catalog._permutation_action(P, 2))
+        catalog.quotient_by_action(P, oracles.permutation_action(P, 2))
     with pytest.raises(ActionInvalid):
         catalog._product_involution(P, [A.generators[0], {"e": "f"}])
 
@@ -188,7 +227,7 @@ def _sym_case(X, m, Q):
         for p in permutations(range(m))
     ]
     orbits = {frozenset(g[s] for g in every) for s in P.dim_of}
-    return P, catalog._permutation_action(P, m), orbits, Q
+    return P, oracles.permutation_action(P, m), orbits, Q
 
 
 def _conj_case(n):

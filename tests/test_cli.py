@@ -222,7 +222,7 @@ def test_verify_json_schema(capsys):
     code, out, _ = run(capsys, "verify", "rep-u", "--format", "json")
     assert code == 0
     docs = json.loads(out)
-    assert [d["name"] for d in docs] == ["rep-u(m=1)", "rep-u(m=2)"]
+    assert [d["name"] for d in docs] == ["rep-u(m=1)", "rep-u(m=2)", "rep-u(m=3)"]
     assert all(d["ok"] for d in docs)
     assert {"item", "expected", "got", "ok"} <= set(docs[0]["rows"][0])
 

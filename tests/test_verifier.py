@@ -408,7 +408,7 @@ def test_su2_report():
 
 def test_run_suite_names_and_verdicts():
     reports = run_suite("rep-u")
-    assert [r.name for r in reports] == ["rep-u(m=1)", "rep-u(m=2)"]
+    assert [r.name for r in reports] == ["rep-u(m=1)", "rep-u(m=2)", "rep-u(m=3)"]
     assert all(r.ok for r in reports)
 
 
