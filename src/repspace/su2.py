@@ -11,13 +11,17 @@ constructor raises TypeMismatch on exactly the other matrices.
 
 Every product renormalizes, so drift over the tuple sizes used here
 (well under 10^2 products) stays far below the default 1e-9 tolerance.
+The arithmetic runs on plain float 4-tuples: ``_unit`` normalizes and
+``_product`` multiplies.  Commutators are computed on 4-tuples with the
+same renormalization after every product, so a commutator builds one
+UnitQuaternion (or none, inside the pairwise scans) instead of five.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 from .abelian import IntMatrix, rank_mod_p
 from .errors import (
@@ -31,35 +35,101 @@ NORM_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class UnitQuaternion:
-    """A unit quaternion w + xi + yj + zk, renormalized on construction."""
+def _unit(w: float, x: float, y: float, z: float) -> tuple:
+    """(w, x, y, z) divided by its norm, as a plain 4-tuple.
 
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
+    Raises ValueError when the norm is below 1e-6, not finite, or
+    overflows, and when the result drifts more than NORM_TOL from norm 1.
+    """
+    try:
+        n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    except OverflowError:
+        raise ValueError("quaternion norm overflows") from None
+    if not 1e-6 <= n < math.inf:
         if n < 1e-6:
             raise ValueError("quaternion too close to zero to normalize")
-        object.__setattr__(self, "w", self.w / n)
-        object.__setattr__(self, "x", self.x / n)
-        object.__setattr__(self, "y", self.y / n)
-        object.__setattr__(self, "z", self.z / n)
-        drift = abs(
-            self.w**2 + self.x**2 + self.y**2 + self.z**2 - 1.0
+        raise ValueError("quaternion has a non-finite norm")
+    w, x, y, z = w / n, x / n, y / n, z / n
+    drift = abs(w**2 + x**2 + y**2 + z**2 - 1.0)
+    if drift > NORM_TOL:
+        raise ValueError(f"normalized quaternion drifts {drift:.1e} from norm 1")
+    return w, x, y, z
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The Hamilton product of two 4-tuples, not renormalized."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
+def _inverse(a: tuple) -> tuple:
+    w, x, y, z = a
+    return _unit(w, -x, -y, -z)
+
+
+def _commutator(a: tuple, b: tuple) -> tuple:
+    """a b a⁻¹ b⁻¹ on 4-tuples; every product but the last renormalized."""
+    ab = _unit(*_product(a, b))
+    return _product(_unit(*_product(ab, _inverse(a))), _inverse(b))
+
+
+def _distance(a: tuple, bw: float) -> float:
+    """Euclidean distance from a 4-tuple to the real quaternion bw."""
+    w, x, y, z = a
+    return math.sqrt((w - bw) ** 2 + x**2 + y**2 + z**2)
+
+
+_set = object.__setattr__
+
+
+class UnitQuaternion:
+    """A unit quaternion w + xi + yj + zk, renormalized on construction.
+
+    Immutable, with value equality and hashing over the four components.
+    """
+
+    __slots__ = ("w", "x", "y", "z")
+
+    def __init__(self, w: float, x: float, y: float, z: float):
+        w, x, y, z = _unit(w, x, y, z)
+        _set(self, "w", w)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (_restore, self.components())
+
+    def components(self) -> tuple:
+        return (self.w, self.x, self.y, self.z)
+
+    def __eq__(self, o):
+        if o.__class__ is not UnitQuaternion:
+            return NotImplemented
+        return self.components() == o.components()
+
+    def __hash__(self):
+        return hash(self.components())
+
+    def __repr__(self):
+        return (
+            f"UnitQuaternion(w={self.w!r}, x={self.x!r}, y={self.y!r}, z={self.z!r})"
         )
-        assert drift <= NORM_TOL
 
     def __mul__(self, o: "UnitQuaternion") -> "UnitQuaternion":
-        return UnitQuaternion(
-            self.w * o.w - self.x * o.x - self.y * o.y - self.z * o.z,
-            self.w * o.x + self.x * o.w + self.y * o.z - self.z * o.y,
-            self.w * o.y - self.x * o.z + self.y * o.w + self.z * o.x,
-            self.w * o.z + self.x * o.y - self.y * o.x + self.z * o.w,
-        )
+        return UnitQuaternion(*_product(self.components(), o.components()))
 
     def inverse(self) -> "UnitQuaternion":
         return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
@@ -83,6 +153,14 @@ class UnitQuaternion:
         )
 
 
+def _restore(*components) -> UnitQuaternion:
+    """Rebuild a pickled or copied quaternion without renormalizing it."""
+    q = object.__new__(UnitQuaternion)
+    for name, v in zip(UnitQuaternion.__slots__, components):
+        _set(q, name, v)
+    return q
+
+
 ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
 MINUS_ONE = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
 I = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
@@ -91,7 +169,7 @@ K = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def commutator(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
-    return a * b * a.inverse() * b.inverse()
+    return UnitQuaternion(*_commutator(a.components(), b.components()))
 
 
 @dataclass(frozen=True)
@@ -152,10 +230,10 @@ class SignMatrix:
         return self.f2_rank() <= 2
 
 
-def _nearest_central_sign(q: UnitQuaternion):
-    """(sign, distance) of the nearer of ±1."""
-    d_plus = q.distance(ONE)
-    d_minus = q.distance(MINUS_ONE)
+def _nearest_central_sign(q: tuple):
+    """(sign, distance) of the nearer of ±1 to a unit 4-tuple."""
+    d_plus = _distance(q, 1.0)
+    d_minus = _distance(q, -1.0)
     return (1, d_plus) if d_plus <= d_minus else (-1, d_minus)
 
 
@@ -167,12 +245,13 @@ def _pairwise_commutators(t: SU2Tuple, refuse=None):
     raises ``refuse(i, j, distance)``.
     """
     n = len(t)
+    quads = [x.components() for x in t.elements]
     rows = [[1] * n for _ in range(n)]
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             sign, dist = _nearest_central_sign(
-                commutator(t.elements[i], t.elements[j])
+                _unit(*_commutator(quads[i], quads[j]))
             )
             if refuse is not None and dist > t.tol:
                 raise refuse(i, j, dist)
@@ -212,7 +291,9 @@ def psi_construct(x_i, x_j, w, C: SignMatrix, i: int, j: int) -> SU2Tuple:
         raise ValueError(f"need {n - 2} signs, got {len(w)}")
     if any(s not in (1, -1) for s in w):
         raise ValueError("w entries must be ±1")
-    sign, dist = _nearest_central_sign(commutator(x_i, x_j))
+    sign, dist = _nearest_central_sign(
+        _unit(*_commutator(x_i.components(), x_j.components()))
+    )
     if dist > DEFAULT_TOL:
         raise NotAlmostCommuting(i, j, dist)
     if sign == 1:

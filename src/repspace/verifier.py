@@ -64,10 +64,9 @@ from .su2 import (
     J,
     SignMatrix,
     SU2Tuple,
+    _pairwise_commutators,
     classify_so3_tuple,
-    commutator_type,
     conjugate_tuple,
-    max_commutator_defect,
     psi_construct,
     random_torus_tuple,
     random_unit_quaternion,
@@ -393,8 +392,10 @@ def psi_sweep(n: int, runs: int, seed) -> dict:
 
     Each run draws a realizable matrix (covering all of them first) and a
     random tuple built for it, then measures the tuple's type and
-    commutator defect.  Returns {"runs", "failures",
-    "max_commutator_defect"}.
+    commutator defect from one pass over its commutators.  A run fails
+    when the construction raises, the defect exceeds DEFAULT_TOL or the
+    signs differ from the target; the worst defect counts failed runs too.
+    Returns {"runs", "failures", "max_commutator_defect"}.
     """
     rng = random.Random(seed)
     realizable = [C for C in sign_matrices(n) if C.is_realizable()]
@@ -404,11 +405,12 @@ def psi_sweep(n: int, runs: int, seed) -> dict:
         C = realizable[run] if run < len(realizable) else rng.choice(realizable)
         try:
             t = _random_tuple(C, rng)
-            defect = max_commutator_defect(t)
-            worst = max(worst, defect)
-            if commutator_type(t) != C or defect > DEFAULT_TOL:
-                failures += 1
         except RepspaceError:
+            failures += 1
+            continue
+        rows, defect = _pairwise_commutators(t)
+        worst = max(worst, defect)
+        if defect > DEFAULT_TOL or SignMatrix.from_rows(rows) != C:
             failures += 1
     return {"runs": runs, "failures": failures, "max_commutator_defect": worst}
 
@@ -441,21 +443,26 @@ def so3_invariance(cases: int, seed) -> dict:
 
     Each case builds a commuting SO(3) tuple (via its SU(2) lifts),
     flips a random subset of lift signs, conjugates everything by a
-    random element, and demands the same sign matrix back.
+    random element, and demands the same sign matrix back.  A case whose
+    tuple cannot be built or classified counts as a failure.
     """
     rng = random.Random(seed)
     pools = {n: [C for C in sign_matrices(n) if C.is_realizable()] for n in (2, 3, 4)}
     failures = 0
     for _ in range(cases):
         n = rng.choice((2, 3, 4))
-        t = _random_tuple(rng.choice(pools[n]), rng)
-        before = classify_so3_tuple(t.elements)
-        flipped = [
-            x if rng.random() < 0.5 else x.neg() for x in t.elements
-        ]
-        g = random_unit_quaternion(rng)
-        gi = g.inverse()
-        after = classify_so3_tuple([g * x * gi for x in flipped])
+        try:
+            t = _random_tuple(rng.choice(pools[n]), rng)
+            before = classify_so3_tuple(t.elements)
+            flipped = [
+                x if rng.random() < 0.5 else x.neg() for x in t.elements
+            ]
+            g = random_unit_quaternion(rng)
+            gi = g.inverse()
+            after = classify_so3_tuple([g * x * gi for x in flipped])
+        except RepspaceError:
+            failures += 1
+            continue
         if after != before:
             failures += 1
     return {"cases": cases, "failures": failures}

@@ -499,14 +499,16 @@ def _fuzz_argv(rng, cache):
         suite = rng.choice(verifier.SUITES + ("cohomotopy",))
         argv = ["verify", suite]
         # --n and --m go to the suites they narrow; a small fixed share goes
-        # anywhere, so the ignored-flag refusal is still reached
+        # anywhere, so the ignored-flag refusal is still reached.  rep-sp
+        # always gets --m: unnarrowed, it runs every m for seconds, and
+        # test_verify_csv_rows covers that argv's exit code.
         mismatch = rng.random() < FUZZ_FLAG_MISMATCH
         if suite == "splitting" or mismatch or (
             suite == "homology-prop" and rng.random() < 0.5
         ):
             argv += ["--n", value()]
-        if (mismatch and rng.random() < 0.5) or (
-            suite in ("rep-u", "rep-sp", "splitting") and rng.random() < 0.5
+        if suite == "rep-sp" or (mismatch and rng.random() < 0.5) or (
+            suite in ("rep-u", "splitting") and rng.random() < 0.5
         ):
             argv += ["--m", value()]
         if rng.random() < 0.4:

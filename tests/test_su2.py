@@ -1,5 +1,7 @@
 """SU(2) numerics: quaternions, sign matrices, the explicit constructor."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -80,8 +82,45 @@ def test_float_products_match_exact_oracle():
 def test_unit_quaternion_normalizes():
     q = UnitQuaternion(3.0, 4.0, 0.0, 0.0)
     assert abs(q.w - 0.6) < 1e-15 and abs(q.x - 0.8) < 1e-15
-    with pytest.raises(ValueError):
-        UnitQuaternion(1e-9, 0.0, 0.0, 0.0)
+    nan, inf = float("nan"), float("inf")
+    for args in (
+        (1e-9, 0.0, 0.0, 0.0),
+        (nan, 0.0, 0.0, 0.0),
+        (0.0, 0.0, nan, 1.0),
+        (inf, 0.0, 0.0, 0.0),
+        (1.0, -inf, 0.0, 0.0),
+        (1e200, 0.0, 0.0, 0.0),  # the squared norm overflows
+    ):
+        with pytest.raises(ValueError):
+            UnitQuaternion(*args)
+
+
+def test_unit_quaternion_is_an_immutable_value():
+    q = UnitQuaternion(3.0, 4.0, 0.0, 0.0)
+    assert (q.w, q.x, q.y, q.z) == (0.6, 0.8, 0.0, 0.0)
+    with pytest.raises(AttributeError):
+        q.w = 1.0
+    with pytest.raises(AttributeError):
+        q.extra = 1.0
+    with pytest.raises(AttributeError):
+        del q.x
+    assert q == UnitQuaternion(0.6, 0.8, 0.0, 0.0)
+    assert q != I and q != (0.6, 0.8, 0.0, 0.0)
+    assert len({q, UnitQuaternion(3.0, 4.0, 0.0, 0.0), I}) == 2
+    assert repr(q) == "UnitQuaternion(w=0.6, x=0.8, y=0.0, z=0.0)"
+    assert pickle.loads(pickle.dumps(q)) == q
+    assert copy.deepcopy(q) == q
+
+
+def test_commutator_equals_the_product_of_four_quaternions():
+    # The 4-tuple commutator must reproduce the object route bit for bit.
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        a = random_unit_quaternion(rng)
+        b = random_unit_quaternion(rng)
+        got = commutator(a, b)
+        want = a * b * a.inverse() * b.inverse()
+        assert (got.w, got.x, got.y, got.z) == (want.w, want.x, want.y, want.z)
 
 
 def test_commutator_fixtures():

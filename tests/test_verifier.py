@@ -11,6 +11,7 @@ from repspace.engine import reduced_homology
 from repspace.errors import ResourceGuard, Unsupported
 from repspace.simplicial import collapse, normalized_chains
 from repspace import catalog, engine, verifier
+from repspace.su2 import SignMatrix, SU2Tuple, UnitQuaternion, max_commutator_defect
 from repspace.verifier import (
     Report,
     check_counts,
@@ -385,6 +386,72 @@ def test_psi_sweep_is_deterministic_and_clean():
     assert out == psi_sweep(3, 150, seed=13)
     assert out["runs"] == 150 and out["failures"] == 0
     assert out["max_commutator_defect"] < 1e-9
+
+
+# psi_sweep(n, 200, seed=5) as computed by the dataclass quaternions the
+# 4-tuple arithmetic replaced; the floats must match exactly.
+FROZEN_SWEEPS = {
+    2: 3.7341307954279784e-16,
+    3: 5.125396027766234e-16,
+    4: 6.5865219954586615e-16,
+}
+
+
+@pytest.mark.parametrize("n", sorted(FROZEN_SWEEPS))
+def test_psi_sweep_matches_frozen_values(n):
+    assert psi_sweep(n, 200, seed=5) == {
+        "runs": 200,
+        "failures": 0,
+        "max_commutator_defect": FROZEN_SWEEPS[n],
+    }
+
+
+def _flip_first_sign(C):
+    rows = [list(r) for r in C.entries]
+    rows[0][1] = rows[1][0] = -rows[0][1]
+    return SignMatrix.from_rows(rows)
+
+
+def test_sweeps_fail_on_a_wrong_commutator_sign(monkeypatch):
+    # n <= 3: every sign matrix is realizable, so the tuple built for the
+    # flipped matrix is a clean almost-commuting tuple of the wrong type.
+    built = verifier._random_tuple
+
+    def wrong_sign(C, rng):
+        return built(_flip_first_sign(C) if C.n <= 3 else C, rng)
+
+    monkeypatch.setattr(verifier, "_random_tuple", wrong_sign)
+    for n in (2, 3):
+        out = psi_sweep(n, 40, seed=3)
+        assert out["failures"] == 40
+        assert out["max_commutator_defect"] < 1e-9
+    rep = check_su2(runs=120, seed=2024)
+    sweeps = [r["ok"] for r in rep.rows if r["item"].startswith("construction")]
+    assert sweeps == [False, False, True]
+
+
+def test_sweeps_fail_on_a_perturbed_element(monkeypatch):
+    built = verifier._random_tuple
+    seen = []
+
+    def perturbed(C, rng):
+        t = built(C, rng)
+        q = t.elements[0]
+        bent = UnitQuaternion(q.w, q.x + 1e-6, q.y, q.z)
+        seen.append(SU2Tuple((bent,) + t.elements[1:]))
+        return seen[-1]
+
+    monkeypatch.setattr(verifier, "_random_tuple", perturbed)
+    for n in (2, 3, 4):
+        seen.clear()
+        out = psi_sweep(n, 40, seed=3)
+        defects = [max_commutator_defect(t) for t in seen]
+        assert out["max_commutator_defect"] == max(defects) > 1e-9
+        assert out["failures"] == sum(d > 1e-9 for d in defects) > 0
+    rep = check_su2(runs=120, seed=2024)
+    sweeps = [r["ok"] for r in rep.rows if r["item"].startswith("construction")]
+    assert sweeps == [False, False, False]
+    assert not rep.rows[-1]["ok"]  # the SO(3) classifier refuses them too
 
 
 def test_psi_refusals_only_appear_at_rank_four():
