@@ -14,12 +14,12 @@ matrices (tests, spot checks, anything a human wants to look at).
 ``invariant_factors(M)`` returns only the nonzero diagonal of D.  It
 works on a sparse dict-of-rows layout, takes every pivot with one step
 (column, then row, reduced to remainders: a rank-one update for a unit
-pivot), and never touches the transform matrices.  Homology does not
-hand it whole boundary matrices: the engine's cleared pass removes their
-unit pivots first, and this routine gets the residual, small but real
-(non-unit entries, and fill from the symmetric products).  Among the
-pivots of least absolute value it takes one of least Markowitz cost,
-the fill-in its step can cause, so such residuals stay sparse.
+pivot), and never touches the transform matrices.  Among the pivots of
+least absolute value it takes one of least Markowitz cost, the fill-in
+its step can cause, so the boundary matrices of the symmetric products
+stay sparse.  It is the one elimination of integral homology: the
+engine's clearing pass hands it each boundary matrix whole, with the
+columns to leave out, and gets back the rows of its first unit pivots.
 
 ``lead_columns_mod_p(entries, p)``, a sparse row reduction over F_p
 taking the shortest rows first, and ``rank_mod_p(M, p)``, the number of
@@ -300,96 +300,123 @@ def _divisor_chain(values) -> list:
     return ds
 
 
-def invariant_factors(M: IntMatrix) -> list:
-    """Nonzero diagonal of the Smith form of M, as a divisibility chain.
+def invariant_factors(M: IntMatrix, skip=frozenset(), unit_rows=None) -> list:
+    """Nonzero diagonal of the Smith form of M without the columns ``skip``.
 
-    len() of the result is rank(M); entries > 1 present the torsion of
-    the cokernel.  Elimination order: always an entry of smallest
-    absolute value, and among those the one of least Markowitz cost
-    (row nonzeros - 1) * (column nonzeros - 1), the fill-in its unit step
-    can cause at most (Markowitz, 1957).  A lazy heap keys each entry by
-    the cost at its push; a popped entry whose cost has since grown goes
-    back with its current cost.  One step serves every pivot v: row
-    operations reduce its column to remainders mod v, then, once the
-    column is clear, column operations reduce its row.  A unit pivot
-    leaves no remainder, so its step is the rank-one update that
-    eliminates its row and column; any remainder is smaller than |v| and
-    is pivoted on before v is taken again.
+    The result is a divisibility chain, 1s included, so its len() is the
+    rank; entries > 1 present the torsion of the cokernel.  Elimination
+    order: always an entry of smallest absolute value, and among those the
+    one of least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1),
+    the fill-in its unit step can cause at most (Markowitz, 1957).  A lazy
+    heap keys each entry by the cost at its push; a popped entry whose
+    cost has since grown goes back with its current cost.  A unit pivot's
+    step is the rank-one update that eliminates its row and column.  Any
+    other pivot v takes one step: row operations reduce its column to
+    remainders mod v, then, once the column is clear, column operations
+    reduce its row; a remainder is smaller than |v| and is pivoted on
+    before v is taken again.
+
+    ``unit_rows``, if given, gains the row of each unit pivot taken before
+    the first non-unit pivot.  Those steps are unit Schur steps on the
+    original rows and columns, so the rows and columns of those pivots
+    form a minor of determinant ±1, which clearing needs; a unit made by a
+    non-unit step's operations is not recorded.
     """
     rows = {}
     cols = {}
     for (r, c), v in M.entries.items():
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-
-    def cost(r, c):
-        """Markowitz cost of (r, c) now: a bound on the fill of its unit step."""
-        return (len(rows[r]) - 1) * (len(cols[c]) - 1)
-
-    def push(r, c, v):
-        heapq.heappush(heap, (abs(v), cost(r, c), r, c))
-
-    heap = [(abs(v), cost(r, c), r, c) for (r, c), v in M.entries.items()]
+        if c not in skip:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
+    heap = [
+        (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
+        for r, row in rows.items()
+        for c, v in row.items()
+    ]
     heapq.heapify(heap)
+    push = heapq.heappush
     out = []
-
-    def set_entry(r, c, v):
-        if v:
-            rows[r][c] = v
-            cols[c].add(r)
-            push(r, c, v)
-        elif c in rows[r]:
-            del rows[r][c]
-            cols[c].discard(r)
-            if not cols[c]:
-                del cols[c]
-
     while heap:
         a, pushed, r, c = heapq.heappop(heap)
-        if r not in rows or c not in rows[r] or abs(rows[r][c]) != a:
+        row = rows.get(r)
+        v = row.get(c) if row else None
+        if v is None or abs(v) != a:
             continue  # stale heap entry
-        if cost(r, c) > pushed:
+        col = cols[c]
+        cost = (len(row) - 1) * (len(col) - 1)
+        if cost > pushed:
             # |v| stays first in the key, so this cannot skip a smaller value
-            push(r, c, rows[r][c])
+            push(heap, (a, cost, r, c))
             continue
-        v = rows[r][c]
-        rest = [(j, w) for j, w in rows[r].items() if j != c]
+        if a == 1:
+            # Unit Schur step: row i -= (row i's entry at c * v) * row r for
+            # every other row of column c, then row r and column c go.
+            del rows[r], cols[c], row[c]
+            col.discard(r)
+            for j in row:
+                cols[j].discard(r)
+            for i in col:
+                ri = rows[i]
+                q = ri.pop(c) * v
+                for j, w in row.items():
+                    nv = ri.get(j, 0) - q * w
+                    if nv:
+                        ri[j] = nv
+                        cj = cols[j]
+                        cj.add(i)
+                        push(heap, (abs(nv), (len(ri) - 1) * (len(cj) - 1), i, j))
+                    else:
+                        del ri[j]
+                        cols[j].discard(i)
+                if not ri:
+                    del rows[i]
+            out.append(1)
+            if unit_rows is not None:
+                unit_rows.add(r)
+            continue
+        unit_rows = None  # from here on a unit is no clearing pivot
+        rest = [(j, w) for j, w in row.items() if j != c]
         remainder = False
         # Column pass: row i -= q * row r.  |v| is the least live value, so
         # q != 0; r stays in cols[j] for each j of row r, so none empties.
-        for i in [i for i in cols[c] if i != r]:
+        for i in [i for i in col if i != r]:
             ri = rows[i]
             q, rem = divmod(ri[c], v)
             for j, w in rest:
                 nv = ri.get(j, 0) - q * w
                 if nv:
                     ri[j] = nv
-                    cols[j].add(i)
-                    push(i, j, nv)
+                    cj = cols[j]
+                    cj.add(i)
+                    push(heap, (abs(nv), (len(ri) - 1) * (len(cj) - 1), i, j))
                 elif j in ri:
                     del ri[j]
                     cols[j].discard(i)
             if rem:
                 ri[c] = rem
-                push(i, c, rem)
+                push(heap, (abs(rem), (len(ri) - 1) * (len(col) - 1), i, c))
                 remainder = True
             else:
                 del ri[c]
-                cols[c].discard(i)
+                col.discard(i)
                 if not ri:
                     del rows[i]
         if not remainder:
             # column c is {r}, so column operations touch only row r
             for j, w in rest:
-                set_entry(r, j, w % v)
-            remainder = len(rows[r]) > 1
+                w %= v
+                if w:
+                    row[j] = w
+                    push(heap, (abs(w), (len(row) - 1) * (len(cols[j]) - 1), r, j))
+                else:
+                    del row[j]
+                    cols[j].discard(r)
+            remainder = len(row) > 1
         if remainder:
-            push(r, c, v)
+            push(heap, (a, (len(row) - 1) * (len(col) - 1), r, c))
             continue
         out.append(a)
-        set_entry(r, c, 0)
-        if not rows[r]:
-            del rows[r]
+        del rows[r], cols[c]
     return _divisor_chain(out)
 
 

@@ -6,20 +6,18 @@ The engine never computes kernel bases.  It reads off
 
 which is valid because ker d_k is a pure subgroup of C_k, hence a direct
 summand containing im d_{k+1}.  The ranks and torsion come from one
-top-down clearing pass per complex: d_k's unit pivots are eliminated by
-unit Schur steps after the columns of d_{k+1}'s pivot rows are deleted,
-and only the residual goes to ``abelian.invariant_factors``.  Mod-p
-dimensions come from one bottom-up pass of F_p row reductions
-(``abelian.lead_columns_mod_p``), each d_{k+1} without the rows of
-d_k's lead columns.  The two passes run in opposite directions on
-opposite operations and share no code, so the universal coefficient
-check compares two independent routes.
+top-down clearing pass per complex, one ``abelian.invariant_factors``
+call per boundary map: d_k is eliminated without the columns of the
+rows of d_{k+1}'s first unit pivots.  Mod-p dimensions come from one
+bottom-up pass of F_p row reductions (``abelian.lead_columns_mod_p``),
+each d_{k+1} without the rows of d_k's lead columns.  The two passes
+run in opposite directions on opposite operations and share no code, so
+the universal coefficient check compares two independent routes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import os
 import sys
@@ -90,93 +88,25 @@ class ChainComplex:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
 
-def _unit_pivots(d: IntMatrix, cleared) -> tuple:
-    """(pivot rows, residual): d minus columns ``cleared``, its unit pivots out.
-
-    Unit entries are taken by least Markowitz cost from a lazy heap, as in
-    ``invariant_factors``.  Each step is a unit Schur step: subtract the
-    pivot row's multiples from the other rows of its column, then delete
-    the pivot row and column.  That keeps the Smith form up to one 1, so
-    d's invariant factors are one 1 per pivot plus those of the residual,
-    the nonzero rows and columns left over.
-    """
-    rows = {}
-    cols = {}
-    for (r, c), v in d.entries.items():
-        if c not in cleared:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
-    heap = [
-        ((len(row) - 1) * (len(cols[c]) - 1), r, c)
-        for r, row in rows.items()
-        for c, v in row.items()
-        if v == 1 or v == -1
-    ]
-    heapq.heapify(heap)
-    pivots = set()
-    while heap:
-        pushed, r, c = heapq.heappop(heap)
-        row = rows.get(r)
-        v = row.get(c) if row else None
-        if v != 1 and v != -1:
-            continue  # stale: eliminated, or no longer a unit
-        col = cols[c]
-        cost = (len(row) - 1) * (len(col) - 1)
-        if cost > pushed:
-            heapq.heappush(heap, (cost, r, c))
-            continue
-        del rows[r], cols[c]
-        col.discard(r)
-        del row[c]
-        for j in row:
-            cols[j].discard(r)
-        for i in col:
-            ri = rows[i]
-            q = ri.pop(c) * v
-            for j, w in row.items():
-                nv = ri.get(j, 0) - q * w
-                if nv:
-                    ri[j] = nv
-                    cols[j].add(i)
-                    if nv == 1 or nv == -1:
-                        heapq.heappush(
-                            heap, ((len(ri) - 1) * (len(cols[j]) - 1), i, j)
-                        )
-                else:
-                    del ri[j]
-                    cols[j].discard(i)
-            if not ri:
-                del rows[i]
-        pivots.add(r)
-    row_at = {r: i for i, r in enumerate(sorted(rows))}
-    col_at = {c: j for j, c in enumerate(sorted(c for c in cols if cols[c]))}
-    residual = IntMatrix(
-        len(row_at),
-        len(col_at),
-        {(row_at[r], col_at[c]): v for r, row in rows.items() for c, v in row.items()},
-    )
-    return pivots, residual
-
-
 def homology(C: ChainComplex) -> GradedGroup:
     """Integral homology in invariant-factor form, lowest degree first.
 
     One top-down clearing pass (Chen and Kerber, "Persistent homology
-    computation with a twist", 2011).  For k = top .. 1, d_k loses the
-    columns of d_{k+1}'s pivot rows, then its unit pivots; the residual
-    goes to ``invariant_factors``.  The pivots of d_{k+1} sit on an
-    invertible minor d_{k+1}[A, B], so d_k d_{k+1} = 0 writes each column
-    of d_k in A as a Z-combination of its other columns: im d_k, hence
-    its invariant factors, survive the deletion.
+    computation with a twist", 2011), one ``invariant_factors`` call per
+    boundary map.  For k = top .. 1, d_k is eliminated without the columns
+    of the rows of d_{k+1}'s first unit pivots.  Those pivots sit on a
+    minor d_{k+1}[A, B] of determinant ±1, so d_k d_{k+1} = 0 writes each
+    column of d_k in A as a Z-combination of its other columns: im d_k,
+    hence its invariant factors, survive the deletion.
     """
     n = len(C.ranks)
     rank = [0] * (n + 1)
     upper = [()] * (n + 1)
-    cleared = set()
+    cleared = frozenset()
     for k in range(C.top, 0, -1):
-        pivots, residual = _unit_pivots(C.diffs[k - 1], cleared)
-        factors = invariant_factors(residual)
-        rank[k] = len(pivots) + len(factors)
+        pivots = set()
+        factors = invariant_factors(C.diffs[k - 1], cleared, pivots)
+        rank[k] = len(factors)
         upper[k] = factors
         cleared = pivots
     return GradedGroup(

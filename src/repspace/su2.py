@@ -38,19 +38,18 @@ DEFAULT_TOL = 1e-9
 def _unit(w: float, x: float, y: float, z: float) -> tuple:
     """(w, x, y, z) divided by its norm, as a plain 4-tuple.
 
-    Raises ValueError when the norm is below 1e-6, not finite, or
-    overflows, and when the result drifts more than NORM_TOL from norm 1.
+    Raises ValueError when the norm is below 1e-6 or not finite (a square
+    that overflows is inf), and when the result drifts more than NORM_TOL
+    from norm 1.  Squares are products, not ``**2``, so every float is
+    correctly rounded and the same on every platform.
     """
-    try:
-        n = math.sqrt(w**2 + x**2 + y**2 + z**2)
-    except OverflowError:
-        raise ValueError("quaternion norm overflows") from None
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if not 1e-6 <= n < math.inf:
         if n < 1e-6:
             raise ValueError("quaternion too close to zero to normalize")
         raise ValueError("quaternion has a non-finite norm")
     w, x, y, z = w / n, x / n, y / n, z / n
-    drift = abs(w**2 + x**2 + y**2 + z**2 - 1.0)
+    drift = abs(w * w + x * x + y * y + z * z - 1.0)
     if drift > NORM_TOL:
         raise ValueError(f"normalized quaternion drifts {drift:.1e} from norm 1")
     return w, x, y, z
@@ -82,7 +81,8 @@ def _commutator(a: tuple, b: tuple) -> tuple:
 def _distance(a: tuple, bw: float) -> float:
     """Euclidean distance from a 4-tuple to the real quaternion bw."""
     w, x, y, z = a
-    return math.sqrt((w - bw) ** 2 + x**2 + y**2 + z**2)
+    w -= bw
+    return math.sqrt(w * w + x * x + y * y + z * z)
 
 
 _set = object.__setattr__
@@ -145,11 +145,8 @@ class UnitQuaternion:
         return out
 
     def distance(self, o: "UnitQuaternion") -> float:
-        return math.sqrt(
-            (self.w - o.w) ** 2
-            + (self.x - o.x) ** 2
-            + (self.y - o.y) ** 2
-            + (self.z - o.z) ** 2
+        return _distance(
+            (self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z), 0.0
         )
 
 

@@ -100,6 +100,51 @@ def test_invariant_factors_nonunit_pivots():
         ), rows
 
 
+def test_skip_gives_the_factors_of_the_column_deleted_matrix():
+    rng = random.Random(5150)
+    values = (0, 0, 1, -1, 2, -3, 4)
+    for _ in range(300):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        rows = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
+        skip = {j for j in range(c) if rng.random() < 0.3}
+        kept = [j for j in range(c) if j not in skip]
+
+        def submatrix(rs):
+            return IntMatrix(
+                len(rs),
+                len(kept),
+                {
+                    (a, b): rows[i][j]
+                    for a, i in enumerate(rs)
+                    for b, j in enumerate(kept)
+                },
+            )
+
+        M = IntMatrix(
+            r, c, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+        )
+        _, D, _ = smith_normal_form(submatrix(range(r)))
+        diag = [D.entry(i, i) for i in range(min(D.shape)) if D.entry(i, i)]
+        unit_rows = set()
+        assert invariant_factors(M, skip, unit_rows) == diag, (rows, skip)
+        # the recorded rows carry a ±1 minor, so their own factors are all 1
+        picked = invariant_factors(submatrix(sorted(unit_rows)))
+        assert picked == [1] * len(unit_rows), (rows, skip)
+
+
+def test_unit_rows_stop_at_the_first_nonunit_pivot():
+    # the 1 of [[2, 3]] is a remainder of the pivot 2, not a unit of the matrix
+    s = set()
+    assert invariant_factors(IntMatrix.from_rows([[2, 3]]), unit_rows=s) == [1]
+    assert s == set()
+    s = set()
+    assert invariant_factors(IntMatrix.from_rows([[1, 0], [0, 2]]), unit_rows=s) == [
+        1,
+        2,
+    ]
+    assert s == {0}
+
+
 @pytest.mark.parametrize("space", ["sp_torus(n=2,m=3)", "torus_conj_quotient(n=4)"])
 def test_invariant_factor_count_is_the_large_prime_rank(space):
     # Boundaries whose elimination fills in; the pivot order matters here.

@@ -82,18 +82,33 @@ def test_reduced_homology_strips_one_z():
 
 
 def test_universal_coefficients_check_catches_a_wrong_factor_list(monkeypatch):
-    # the 2s of d_2 and d_4 are non-units, so they reach invariant_factors
-    # in the residuals; a wrong SNF of each gives Z/3 for Z/2 in H_1 and H_3
+    # the 2s of d_2 and d_4 are non-unit pivots; a wrong SNF of each
+    # gives Z/3 for Z/2 in H_1 and H_3
     original = engine.invariant_factors
     monkeypatch.setattr(
         engine,
         "invariant_factors",
-        lambda M: [3 if e == 2 else e for e in original(M)],
+        lambda M, *args: [3 if e == 2 else e for e in original(M, *args)],
     )
     C = rp_complex(4)
     assert homology(C) == GradedGroup.of(Z(1), T(0, 3), Z(0), T(0, 3), Z(0))
     assert not universal_coefficients_check(C, 2)
     assert not universal_coefficients_check(C, 3)
+
+
+def test_homology_eliminates_each_boundary_map_once(monkeypatch):
+    original = engine.invariant_factors
+    seen = []
+    monkeypatch.setattr(
+        engine,
+        "invariant_factors",
+        lambda M, *args: seen.append(M) or original(M, *args),
+    )
+    for C in (rp_complex(4), catalog.resolve("torus_conj_quotient(n=2)")[1]()):
+        seen.clear()
+        homology(C)
+        assert len(seen) == C.top
+        assert all(M is C.diffs[k - 1] for M, k in zip(seen, range(C.top, 0, -1)))
 
 
 def _planted(seed):
@@ -115,7 +130,7 @@ def _planted(seed):
 
 
 def test_homology_matches_planted_complexes():
-    # torsion, free pieces and non-unit residuals in every degree, hidden
+    # torsion, free pieces and non-unit pivots in every degree, hidden
     # by a random change of basis; the cleared pass must see through it
     with_torsion = 0
     for seed in range(300):

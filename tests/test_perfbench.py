@@ -42,3 +42,15 @@ def test_traced_pass_checks_every_answer_and_reaches_every_span(tmp_path, worklo
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report["failures"] == []
     assert report["unexercised"] == []
+    if workload == "sym_products":
+        # one invariant_factors call per boundary map, d_top first, each
+        # found among its complex's diffs: the degrees of the calls under
+        # one homology span run top, ..., 1
+        calls = [s for s in report["spans"] if s[0] == "abelian.invariant_factors"]
+        degrees = {}
+        for span, row in zip(calls, report["matrices"], strict=True):
+            degrees.setdefault(span[3], []).append(row["degree"])
+        assert degrees
+        for ds in degrees.values():
+            assert ds == list(range(len(ds), 0, -1)), ds
+        assert sum(row["rank"] for row in report["matrices"]) > 0

@@ -358,8 +358,8 @@ def test_simplicial_report_fails_on_one_wrong_factor_list(monkeypatch):
     original = engine.invariant_factors
     corrupted = []
 
-    def corrupt(M):
-        factors = original(M)
+    def corrupt(M, *args):
+        factors = original(M, *args)
         if not corrupted and 2 in factors:
             corrupted.append(M)
             return [3 if e == 2 else e for e in factors]
