@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .abelian import IntMatrix
 from .engine import ChainComplex, suspend
-from .errors import ResourceGuard, UnknownSpace, range_error
+from .errors import UnknownSpace, range_error
 from .simplicial import (
     CELL_BUDGET,
     FormalSimplex,
@@ -101,12 +101,19 @@ def _product_involution(P: SimplicialSet, factor_swaps) -> SimplicialAction:
     return SimplicialAction.involution(P, swap)
 
 
+def _check_ranges(name: str, **ranges):
+    """Refuse a parameter outside its ``(value, low, high)`` range under the
+    descriptor the caller was asked by, before any inner constructor can
+    refuse it under its own.  The message starts ``name(k=v,...):``."""
+    where = f"{name}({','.join(f'{k}={v}' for k, (v, _, _) in ranges.items())})"
+    for k, (v, low, high) in ranges.items():
+        if not low <= v <= high:
+            raise range_error(v, low, f"{where}: {k} outside the range {low}..{high}")
+
+
 def _circle_power_f_vector(name: str, n: int, C: SimplicialSet) -> list:
     """f(C^n), range-checked and refused exactly as ``name``(n) is."""
-    if not 1 <= n <= MAX_RANK:
-        raise range_error(
-            n, 1, f"{name}(n={n}) outside the supported range 1..{MAX_RANK}"
-        )
+    _check_ranges(name, n=(n, 1, MAX_RANK))
     return guard_product([C.f_vector()] * n)
 
 
@@ -153,6 +160,7 @@ def torus_conj_quotient_f_vector(n: int) -> list:
 
 def torus_conj_quotient(n: int) -> SimplicialSet:
     """(S^1)^n / Z/2, conjugation acting diagonally."""
+    _check_ranges("torus_conj_quotient", n=(n, 1, MAX_RANK))
     return quotient_by_action(*torus(n))
 
 
@@ -163,8 +171,7 @@ def smash_factor(n: int) -> SimplicialSet:
     invariant and collapsing it in the conjugation quotient gives the
     same space as quotienting the smash product.
     """
-    if not 1 <= n <= 5:
-        raise range_error(n, 1, f"smash_factor(n={n}) outside the range 1..5")
+    _check_ranges("smash_factor", n=(n, 1, 5))
     Q = torus_conj_quotient(n)
     return collapse(Q, [s for s in Q.dim_of if not basepoint_directions(Q, s)])
 
@@ -199,20 +206,10 @@ def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
     return symmetric_product_list(X, m)
 
 
-def _check_torus_power(name: str, n: int, m: int):
-    """Refuse n or m outside its range under the name the caller was asked
-    by, before any inner constructor can refuse it under its own."""
-    where = f"{name}(n={n},m={m})"
-    if not 1 <= n <= MAX_RANK:
-        raise range_error(n, 1, f"{where}: n outside the range 1..{MAX_RANK}")
-    if not 0 <= m <= MAX_POWER:
-        raise range_error(m, 0, f"{where}: m outside the range 0..{MAX_POWER}")
-
-
 def sp_torus(n: int, m: int) -> SimplicialSet:
     """SP^m((S^1)^n) on the minimal torus model, refused before the torus
     is built when its m-fold product is over the cell budget."""
-    _check_torus_power("sp_torus", n, m)
+    _check_ranges("sp_torus", n=(n, 1, MAX_RANK), m=(m, 0, MAX_POWER))
     _guard_sym_product(minimal_torus_f_vector(n), m)
     return sym_product(minimal_torus(n), m)
 
@@ -220,7 +217,7 @@ def sp_torus(n: int, m: int) -> SimplicialSet:
 def rep_sp(n: int, m: int) -> SimplicialSet:
     """SP^m((S^1)^n / Z/2), the symplectic-group commuting space, refused
     before the quotient is built when its m-fold product is over budget."""
-    _check_torus_power("rep_sp", n, m)
+    _check_ranges("rep_sp", n=(n, 1, MAX_RANK), m=(m, 0, MAX_POWER))
     _guard_sym_product(torus_conj_quotient_f_vector(n), m)
     return sym_product(torus_conj_quotient(n), m)
 
@@ -275,17 +272,13 @@ def iter_signs(n: int):
 
 def rp_simplicial(n: int) -> SimplicialSet:
     """RP^n as the antipodal quotient of the cross-polytope sphere."""
-    if n > 4:
-        raise ResourceGuard(f"rp_simplicial(n={n}) outside the range 0..4")
+    _check_ranges("rp_simplicial", n=(n, 0, 4))
     return quotient_by_action(*sphere_simplicial(n))
 
 
 def sphere_chain(n: int) -> ChainComplex:
     """Minimal CW sphere: one 0-cell and one n-cell (two 0-cells for S^0)."""
-    if not 0 <= n <= CELL_BUDGET:
-        raise range_error(
-            n, 0, f"sphere dimension {n} outside the range 0..{CELL_BUDGET}"
-        )
+    _check_ranges("sphere", n=(n, 0, CELL_BUDGET))
     if n == 0:
         return ChainComplex([2], [])
     ranks = [1] + [0] * (n - 1) + [1]
@@ -306,7 +299,7 @@ def stunted_projective(m: int, k: int) -> ChainComplex:
         raise range_error(
             min(k, m - k),
             0,
-            f"stunted_projective needs 0 <= k <= m <= {CELL_BUDGET}, got ({m}, {k})",
+            f"stunted_projective(m={m},k={k}): needs 0 <= k <= m <= {CELL_BUDGET}",
         )
     if k == 0:
         ranks = [1] * (m + 1)
@@ -325,6 +318,7 @@ def stunted_projective(m: int, k: int) -> ChainComplex:
 
 
 def rp_chain(m: int) -> ChainComplex:
+    _check_ranges("rp", n=(m, 0, CELL_BUDGET))
     return stunted_projective(m, 0)
 
 
@@ -334,8 +328,7 @@ def thom_space_su2_factor(n: int) -> ChainComplex:
     For n >= 1 this is the stunted projective space RP^{n+2}/RP^{n-1};
     for n = 0 the zero bundle gives RP^2 with a disjoint basepoint.
     """
-    if n < 0:
-        raise ValueError("bundle multiplicity must be >= 0")
+    _check_ranges("thom_su2", n=(n, 0, CELL_BUDGET - 2))
     if n == 0:
         # RP^2 plus a disjoint 0-cell
         return ChainComplex(
@@ -352,10 +345,7 @@ def sphere_bundle_quotient(n: int) -> SimplicialSet:
     over RP^2, realized on cross-polytope factors so that the diagonal
     involution is simplicial and free.
     """
-    if not 1 <= n <= 4:
-        raise range_error(
-            n, 1, f"sphere_bundle_quotient(n={n}) outside the range 1..4"
-        )
+    _check_ranges("sphere_bundle_quotient", n=(n, 1, 4))
     S2, A2 = sphere_simplicial(2)
     Sn, An = sphere_simplicial(n - 1)
     P = product_list([S2, Sn])
@@ -371,6 +361,7 @@ def thom_zero_quotient(n: int) -> ChainComplex:
     suspension is taken algebraically on the chains of the simplicial
     sphere-bundle quotient.
     """
+    _check_ranges("thom_zero_quotient", n=(n, 1, 4))
     return suspend(normalized_chains(sphere_bundle_quotient(n)))
 
 
@@ -454,7 +445,8 @@ def parse_descriptor(key: str):
     return name, params
 
 
-def canonical_descriptor(key: str) -> str:
+def _lookup(key: str):
+    """(canonical descriptor, name, params) of a catalog descriptor."""
     name, params = parse_descriptor(key)
     if name not in _REGISTRY:
         raise UnknownSpace(f"no catalog space named {name!r}")
@@ -464,7 +456,11 @@ def canonical_descriptor(key: str) -> str:
             f"{name} takes parameters {set(wanted) or '{}'}, got {set(params) or '{}'}"
         )
     inner = ",".join(f"{k}={params[k]}" for k in wanted)
-    return f"{name}({inner})"
+    return f"{name}({inner})", name, params
+
+
+def canonical_descriptor(key: str) -> str:
+    return _lookup(key)[0]
 
 
 def resolve(key: str):
@@ -473,8 +469,7 @@ def resolve(key: str):
     The thunk returns the space's ChainComplex: every catalog entry is a
     chain complex, whose homology ``engine.cached_homology`` computes.
     """
-    canonical = canonical_descriptor(key)
-    name, params = parse_descriptor(canonical)
+    canonical, name, params = _lookup(key)
     _, builder = _REGISTRY[name]
     return canonical, lambda: builder(**params)
 

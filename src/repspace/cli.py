@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -179,6 +180,9 @@ def cmd_su2(args) -> int:
     return 0 if out["failures"] == 0 else 1
 
 
+# Built on the first call and kept for the process.  It holds no command
+# functions: ``main`` finds ``cmd_<command>`` by name when it dispatches.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
@@ -200,32 +204,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     h.add_argument("descriptor", help='e.g. "torus_conj_quotient(n=3)"')
     h.add_argument("--cache-dir", default=None, help="cache root (else $REPSPACE_CACHE)")
-    h.set_defaults(func=cmd_homology)
 
     c = sub.add_parser("counts", parents=[fmt], help="closed-form counts at rank n")
     c.add_argument("--n", type=int, required=True)
-    c.set_defaults(func=cmd_counts)
 
     v = sub.add_parser("verify", parents=[fmt], help="run a verification suite")
     v.add_argument("suite", choices=verifier.SUITES)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--n", type=int, default=None, help="narrow to one rank")
     v.add_argument("--m", type=int, default=None, help="narrow to one power")
-    v.set_defaults(func=cmd_verify)
 
     g = sub.add_parser(
         "catalog", parents=[fmt], help="stable factor of a rank-one group"
     )
     g.add_argument("group", choices=verifier.RANK_ONE_GROUPS)
     g.add_argument("--n", type=int, required=True)
-    g.set_defaults(func=cmd_catalog)
 
     s = sub.add_parser("su2", parents=[fmt], help="numerical SU(2) probes")
     s.add_argument("action", choices=("verify-psi",))
     s.add_argument("--n", type=int, default=3)
     s.add_argument("--runs", type=int, default=1000)
     s.add_argument("--seed", type=int, default=42)
-    s.set_defaults(func=cmd_su2)
     return p
 
 
@@ -237,7 +236,7 @@ def main(argv=None) -> int:
             code = 0 if err.code in (0, None) else 2
         else:
             args.fmt = args.format_late or args.format or "markdown"
-            code = args.func(args)
+            code = globals()["cmd_" + args.command](args)
         sys.stdout.flush()  # a reader that closed stdout shows here
         return code
     except BrokenPipeError:  # the reader stopped early (``| head``)

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, cache wiring."""
 
+import argparse
 import csv
 import io
 import json
@@ -14,8 +15,8 @@ import pytest
 
 import repspace
 from repspace.abelian import GradedGroup
+from repspace import cli, verifier
 from repspace.cli import main
-from repspace import verifier
 
 SRC = Path(repspace.__file__).resolve().parents[1]
 README = SRC.parent / "README.md"
@@ -158,6 +159,20 @@ def test_values_above_the_valid_range_are_refused(capsys, argv):
         ("sp_torus(n=0,m=2)", 2),
         ("sp_torus(n=1,m=-1)", 2),
         ("sp_torus(n=2,m=4)", 3),
+        ("rp(n=-1)", 2),
+        ("rp(n=999999)", 3),
+        ("thom_su2(n=-1)", 2),
+        ("thom_su2(n=999999)", 3),
+        ("torus_conj_quotient(n=0)", 2),
+        ("torus_conj_quotient(n=99)", 3),
+        ("thom_zero_quotient(n=0)", 2),
+        ("thom_zero_quotient(n=99)", 3),
+        ("sphere(n=-1)", 2),
+        ("sphere(n=999999)", 3),
+        ("stunted_projective(m=3,k=5)", 2),
+        ("stunted_projective(m=999999,k=0)", 3),
+        ("rp_simplicial(n=-1)", 2),
+        ("smash_factor(n=7)", 3),
     ],
 )
 def test_a_refusal_names_the_constructor_asked_for(capsys, space, code):
@@ -433,6 +448,48 @@ def test_help_exits_zero(capsys):
 def test_missing_command_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    main(["counts", "--n", "2"])  # the parser may not exist yet
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    codes = [
+        main(["homology", "circle"]),
+        main(["counts", "--n", "3"]),
+        main(["counts", "--n", "many"]),
+        main(["--help"]),
+        main(["--format", "json", "homology", "sphere(n=2)"]),
+    ]
+    capsys.readouterr()
+    assert codes == [0, 0, 2, 0, 0]
+    assert built == []
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    expected = run(capsys, "counts", "--n", "3", "--format", "csv")
+    assert run(capsys, "counts", "--n", "3", "--format", "tsv")[0] == 2
+    assert run(capsys, "counts", "--format", "csv")[0] == 2
+    assert run(capsys, "counts", "--n", "3", "--format", "csv") == expected
+
+
+def test_a_rebound_command_runs_after_the_parser_is_built(capsys, monkeypatch):
+    assert run(capsys, "counts", "--n", "3")[0] == 0
+    seen = []
+
+    def stub(args):
+        seen.append((args.n, args.fmt))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_counts", stub)
+    assert run(capsys, "counts", "--n", "3") == (0, "", "")
+    assert seen == [(3, "markdown")]
 
 
 # -- exit-code contract under random input ---------------------------------
