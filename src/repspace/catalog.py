@@ -15,7 +15,8 @@ Simplicial models are kept as small as the required symmetry allows:
 
 Every public constructor has a string descriptor ("torus(n=3)") used as
 the cache key and accepted by the CLI.  Size guards raise ResourceGuard
-before any large construction starts.
+before any large construction starts, and a space built from its
+descriptor names that descriptor in every refusal.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from itertools import combinations
 
 from .abelian import IntMatrix
 from .engine import ChainComplex, suspend
-from .errors import UnknownSpace, range_error
+from .errors import ResourceGuard, UnknownSpace, range_error
 from .simplicial import (
     CELL_BUDGET,
     FormalSimplex,
@@ -218,6 +219,8 @@ def rep_sp(n: int, m: int) -> SimplicialSet:
     """SP^m((S^1)^n / Z/2), the symplectic-group commuting space, refused
     before the quotient is built when its m-fold product is over budget."""
     _check_ranges("rep_sp", n=(n, 1, MAX_RANK), m=(m, 0, MAX_POWER))
+    if m == 0:
+        return point()
     _guard_sym_product(torus_conj_quotient_f_vector(n), m)
     return sym_product(torus_conj_quotient(n), m)
 
@@ -471,7 +474,18 @@ def resolve(key: str):
     """
     canonical, name, params = _lookup(key)
     _, builder = _REGISTRY[name]
-    return canonical, lambda: builder(**params)
+
+    def build():
+        try:
+            return builder(**params)
+        except ResourceGuard as err:
+            # range refusals already start with the descriptor; the cell
+            # budget guards of products do not
+            if str(err).startswith(canonical + ":"):
+                raise
+            raise ResourceGuard(f"{canonical}: {err}") from None
+
+    return canonical, build
 
 
 def catalog_samples() -> list:

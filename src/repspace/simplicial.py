@@ -162,7 +162,10 @@ class SimplicialSet:
             range(max(self.simplices) + 1)
         ):
             raise ValueError("dimensions are not contiguous from 0")
+        checked, degree = set(), 0  # faces whose structure passed, per degree
         for sid, k in self.dim_of.items():
+            if k != degree:
+                checked, degree = set(), k
             if k == 0:
                 if sid in self.faces:
                     raise ValueError(f"0-simplex {sid!r} has a face entry")
@@ -171,6 +174,8 @@ class SimplicialSet:
             if fs is None or len(fs) != k + 1:
                 raise ValueError(f"{sid!r} needs {k + 1} faces")
             for f in fs:
+                if f in checked:
+                    continue
                 if f.base not in self.dim_of:
                     raise ValueError(f"face of {sid!r} references {f.base!r}")
                 if len(f.word) + self.dim_of[f.base] != k - 1:
@@ -179,16 +184,28 @@ class SimplicialSet:
                     raise ValueError(f"face word of {sid!r} not normal")
                 if f.word and f.word[0] > k - 2:
                     raise ValueError(f"face word of {sid!r} out of range")
-        # simplicial identities d_i d_j = d_{j-1} d_i (i < j) on generators
+                checked.add(f)
+        # simplicial identities d_i d_j = d_{j-1} d_i (i < j) on generators;
+        # the faces of a nondegenerate face are its face table entry, and
+        # those of a degenerate face are pushed through its word once a call
+        faces = self.faces
+        pushed = {}
         for sid, k in self.dim_of.items():
             if k < 2:
                 continue
-            fs = self.faces[sid]
+            ds = []
+            for f in faces[sid]:
+                if f.word:
+                    g = pushed.get(f)
+                    if g is None:
+                        g = pushed[f] = [formal_face(self, f, i) for i in range(k)]
+                    ds.append(g)
+                else:
+                    ds.append(faces[f.base])
             for j in range(1, k + 1):
+                dj = ds[j]
                 for i in range(j):
-                    left = formal_face(self, fs[j], i)
-                    right = formal_face(self, fs[i], j - 1)
-                    if left != right:
+                    if dj[i] != ds[i][j - 1]:
                         raise ValueError(
                             f"d_{i} d_{j} ≠ d_{j - 1} d_{i} on {sid!r}"
                         )

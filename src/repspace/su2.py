@@ -12,9 +12,10 @@ constructor raises TypeMismatch on exactly the other matrices.
 Every product renormalizes, so drift over the tuple sizes used here
 (well under 10^2 products) stays far below the default 1e-9 tolerance.
 The arithmetic runs on plain float 4-tuples: ``_unit`` normalizes and
-``_product`` multiplies.  Commutators are computed on 4-tuples with the
-same renormalization after every product, so a commutator builds one
-UnitQuaternion (or none, inside the pairwise scans) instead of five.
+``_product`` multiplies.  Random elements, conjugates, the psi
+constructor and commutators all have 4-tuple cores that perform the
+UnitQuaternion operations in the same order, so the public functions are
+thin wrappers over them and the construction sweep builds no objects.
 """
 
 from __future__ import annotations
@@ -72,10 +73,20 @@ def _inverse(a: tuple) -> tuple:
     return _unit(w, -x, -y, -z)
 
 
-def _commutator(a: tuple, b: tuple) -> tuple:
-    """a b a⁻¹ b⁻¹ on 4-tuples; every product but the last renormalized."""
-    ab = _unit(*_product(a, b))
-    return _product(_unit(*_product(ab, _inverse(a))), _inverse(b))
+def _neg(a: tuple) -> tuple:
+    w, x, y, z = a
+    return _unit(-w, -x, -y, -z)
+
+
+def _commutator(a: tuple, b: tuple, ai: tuple, bi: tuple) -> tuple:
+    """a b a⁻¹ b⁻¹ on 4-tuples, given ai = a⁻¹ and bi = b⁻¹; every product
+    but the last renormalized."""
+    return _product(_unit(*_product(_unit(*_product(a, b)), ai)), bi)
+
+
+def _conjugate(g: tuple, x: tuple, gi: tuple) -> tuple:
+    """g x g⁻¹ on 4-tuples, given gi = g⁻¹, renormalized as ``g * x * gi``."""
+    return _unit(*_product(_unit(*_product(g, x)), gi))
 
 
 def _distance(a: tuple, bw: float) -> float:
@@ -166,7 +177,8 @@ K = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def commutator(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
-    return UnitQuaternion(*_commutator(a.components(), b.components()))
+    qa, qb = a.components(), b.components()
+    return UnitQuaternion(*_commutator(qa, qb, _inverse(qa), _inverse(qb)))
 
 
 @dataclass(frozen=True)
@@ -234,27 +246,37 @@ def _nearest_central_sign(q: tuple):
     return (1, d_plus) if d_plus <= d_minus else (-1, d_minus)
 
 
-def _pairwise_commutators(t: SU2Tuple, refuse=None):
-    """(sign rows, largest defect) over every pairwise commutator.
+def _pairwise_commutators(quads, tol=DEFAULT_TOL, refuse=None):
+    """(sign rows as tuples, largest defect) over every pairwise commutator
+    of a sequence of 4-tuples.
 
     Each commutator is matched to the nearer of ±1.  With ``refuse``
-    given, the first pair (i, j) farther than the tuple's tolerance
-    raises ``refuse(i, j, distance)``.
+    given, the first pair (i, j) farther than ``tol`` raises
+    ``refuse(i, j, distance)``.  Each element is inverted once.
     """
-    n = len(t)
-    quads = [x.components() for x in t.elements]
+    n = len(quads)
+    inverses = [_inverse(q) for q in quads]
     rows = [[1] * n for _ in range(n)]
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
             sign, dist = _nearest_central_sign(
-                _unit(*_commutator(quads[i], quads[j]))
+                _unit(*_commutator(quads[i], quads[j], inverses[i], inverses[j]))
             )
-            if refuse is not None and dist > t.tol:
+            if refuse is not None and dist > tol:
                 raise refuse(i, j, dist)
             rows[i][j] = rows[j][i] = sign
             worst = max(worst, dist)
-    return rows, worst
+    return tuple(map(tuple, rows)), worst
+
+
+def _components(t: SU2Tuple) -> list:
+    return [x.components() for x in t.elements]
+
+
+def _su2_tuple(quads, tol=DEFAULT_TOL) -> SU2Tuple:
+    """An SU2Tuple holding the 4-tuples as they are, not renormalized."""
+    return SU2Tuple(tuple(_restore(*q) for q in quads), tol=tol)
 
 
 def commutator_type(t: SU2Tuple) -> SignMatrix:
@@ -263,12 +285,13 @@ def commutator_type(t: SU2Tuple) -> SignMatrix:
     Raises NotAlmostCommuting when any commutator is farther than the
     tuple's tolerance from both central elements.
     """
-    return SignMatrix.from_rows(_pairwise_commutators(t, NotAlmostCommuting)[0])
+    rows, _ = _pairwise_commutators(_components(t), t.tol, NotAlmostCommuting)
+    return SignMatrix(len(rows), rows)
 
 
 def max_commutator_defect(t: SU2Tuple) -> float:
     """Largest distance of any pairwise commutator from {±1}."""
-    return _pairwise_commutators(t)[1]
+    return _pairwise_commutators(_components(t))[1]
 
 
 def psi_construct(x_i, x_j, w, C: SignMatrix, i: int, j: int) -> SU2Tuple:
@@ -281,6 +304,13 @@ def psi_construct(x_i, x_j, w, C: SignMatrix, i: int, j: int) -> SU2Tuple:
     a matrix violating that (equivalently, of F2 rank > 2) raises
     TypeMismatch, and no almost-commuting SU(2) tuple realizes it at all.
     """
+    return _su2_tuple(
+        _psi_construct(x_i.components(), x_j.components(), w, C, i, j)
+    )
+
+
+def _psi_construct(x_i: tuple, x_j: tuple, w, C: SignMatrix, i: int, j: int):
+    """``psi_construct`` on 4-tuples: the list of the tuple's elements."""
     n = C.n
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError("base indices out of range")
@@ -289,7 +319,7 @@ def psi_construct(x_i, x_j, w, C: SignMatrix, i: int, j: int) -> SU2Tuple:
     if any(s not in (1, -1) for s in w):
         raise ValueError("w entries must be ±1")
     sign, dist = _nearest_central_sign(
-        _unit(*_commutator(x_i.components(), x_j.components()))
+        _unit(*_commutator(x_i, x_j, _inverse(x_i), _inverse(x_j)))
     )
     if dist > DEFAULT_TOL:
         raise NotAlmostCommuting(i, j, dist)
@@ -313,10 +343,14 @@ def psi_construct(x_i, x_j, w, C: SignMatrix, i: int, j: int) -> SU2Tuple:
     elements = [None] * n
     elements[i] = x_i
     elements[j] = x_j
+    # x.power(1) is ONE * x, renormalized; x.power(0) is ONE
+    one = ONE.components()
+    powers_i = (one, _unit(*_product(one, x_i)))
+    powers_j = (one, _unit(*_product(one, x_j)))
     for s, k in enumerate(others):
-        y = x_i.power(a[k]) * x_j.power(b[k])
-        elements[k] = y if w[s] == 1 else y.neg()
-    return SU2Tuple(tuple(elements))
+        y = _unit(*_product(powers_i[a[k]], powers_j[b[k]]))
+        elements[k] = y if w[s] == 1 else _neg(y)
+    return elements
 
 
 def classify_so3_tuple(rotations) -> SignMatrix:
@@ -333,11 +367,16 @@ def classify_so3_tuple(rotations) -> SignMatrix:
             f"(lifted commutator {dist:.3e} from ±1)"
         )
 
-    rows, _ = _pairwise_commutators(SU2Tuple(tuple(rotations)), refuse)
-    return SignMatrix.from_rows(rows)
+    t = SU2Tuple(tuple(rotations))
+    rows, _ = _pairwise_commutators(_components(t), t.tol, refuse)
+    return SignMatrix(len(rows), rows)
 
 
 def random_unit_quaternion(rng: random.Random) -> UnitQuaternion:
+    return _restore(*_random_unit(rng))
+
+
+def _random_unit(rng: random.Random) -> tuple:
     while True:
         q = (
             rng.gauss(0, 1),
@@ -346,7 +385,7 @@ def random_unit_quaternion(rng: random.Random) -> UnitQuaternion:
             rng.gauss(0, 1),
         )
         if sum(v * v for v in q) > 1e-6:
-            return UnitQuaternion(*q)
+            return _unit(*q)
 
 
 def random_torus_tuple(n: int, seed) -> SU2Tuple:
@@ -355,21 +394,26 @@ def random_torus_tuple(n: int, seed) -> SU2Tuple:
     Built as g · diag(θ_k) · g^{-1} for one random g, so the sign matrix
     is all +1 for every seed.
     """
+    return _su2_tuple(_random_torus(n, seed))
+
+
+def _random_torus(n: int, seed) -> list:
+    """``random_torus_tuple`` on 4-tuples: the list of its elements."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
-    g = random_unit_quaternion(rng)
+    g = _random_unit(rng)
+    gi = _inverse(g)
     elements = []
     for _ in range(n):
         theta = rng.uniform(0, 2 * math.pi)
-        diag = UnitQuaternion(math.cos(theta), math.sin(theta), 0.0, 0.0)
-        elements.append(g * diag * g.inverse())
-    return SU2Tuple(tuple(elements))
+        diag = _unit(math.cos(theta), math.sin(theta), 0.0, 0.0)
+        elements.append(_conjugate(g, diag, gi))
+    return elements
 
 
 def conjugate_tuple(g: UnitQuaternion, t: SU2Tuple) -> SU2Tuple:
     """Simultaneous conjugation; commutator signs are unchanged."""
-    gi = g.inverse()
-    return SU2Tuple(
-        tuple(g * x * gi for x in t.elements), tol=t.tol
-    )
+    qg = g.components()
+    gi = _inverse(qg)
+    return _su2_tuple((_conjugate(qg, x, gi) for x in _components(t)), tol=t.tol)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from math import comb
 
@@ -63,13 +63,16 @@ from .su2 import (
     I,
     J,
     SignMatrix,
-    SU2Tuple,
+    _conjugate,
+    _inverse,
+    _neg,
     _pairwise_commutators,
+    _psi_construct,
+    _random_torus,
+    _random_unit,
+    _restore,
     classify_so3_tuple,
-    conjugate_tuple,
     psi_construct,
-    random_torus_tuple,
-    random_unit_quaternion,
 )
 
 # ---------------------------------------------------------------------------
@@ -369,8 +372,19 @@ def sign_matrices(n: int) -> list:
     return out
 
 
-def _random_tuple(C: SignMatrix, rng: random.Random) -> SU2Tuple:
-    """A random SU(2) tuple built to have the realizable sign matrix C.
+@cache
+def _sign_tables(n: int) -> tuple:
+    """(realizable, unrealizable) sign matrices of size n, as tuples built
+    once per process."""
+    realizable, unrealizable = [], []
+    for C in sign_matrices(n):
+        (realizable if C.is_realizable() else unrealizable).append(C)
+    return tuple(realizable), tuple(unrealizable)
+
+
+def _random_tuple(C: SignMatrix, rng: random.Random) -> list:
+    """A random SU(2) tuple built to have the realizable sign matrix C, as
+    a list of 4-tuples.
 
     The trivial matrix gets a random common-axis tuple; any other gets a
     conjugated anticommuting base pair at a random -1 entry and random
@@ -378,13 +392,15 @@ def _random_tuple(C: SignMatrix, rng: random.Random) -> SU2Tuple:
     """
     n = C.n
     if all(s == 1 for row in C.entries for s in row):
-        return random_torus_tuple(n, rng.randrange(2**63))
+        return _random_torus(n, rng.randrange(2**63))
     pairs = [(i, j) for i, j in combinations(range(n), 2) if C.entry(i, j) == -1]
     i, j = pairs[rng.randrange(len(pairs))]
-    g = random_unit_quaternion(rng)
-    base = conjugate_tuple(g, SU2Tuple((I, J)))
+    g = _random_unit(rng)
+    gi = _inverse(g)
+    x_i = _conjugate(g, I.components(), gi)
+    x_j = _conjugate(g, J.components(), gi)
     w = tuple(rng.choice((1, -1)) for _ in range(n - 2))
-    return psi_construct(base.elements[0], base.elements[1], w, C, i, j)
+    return _psi_construct(x_i, x_j, w, C, i, j)
 
 
 def psi_sweep(n: int, runs: int, seed) -> dict:
@@ -398,7 +414,7 @@ def psi_sweep(n: int, runs: int, seed) -> dict:
     Returns {"runs", "failures", "max_commutator_defect"}.
     """
     rng = random.Random(seed)
-    realizable = [C for C in sign_matrices(n) if C.is_realizable()]
+    realizable = _sign_tables(n)[0]
     failures = 0
     worst = 0.0
     for run in range(runs):
@@ -410,7 +426,7 @@ def psi_sweep(n: int, runs: int, seed) -> dict:
             continue
         rows, defect = _pairwise_commutators(t)
         worst = max(worst, defect)
-        if defect > DEFAULT_TOL or SignMatrix.from_rows(rows) != C:
+        if defect > DEFAULT_TOL or rows != C.entries:
             failures += 1
     return {"runs": runs, "failures": failures, "max_commutator_defect": worst}
 
@@ -423,7 +439,7 @@ def psi_refusals(n: int) -> dict:
     rank bound forbids — so a TypeMismatch at every position is not just
     expected but guaranteed.
     """
-    unreal = [C for C in sign_matrices(n) if not C.is_realizable()]
+    unreal = _sign_tables(n)[1]
     refused = 0
     for C in unreal:
         ok = True
@@ -447,19 +463,18 @@ def so3_invariance(cases: int, seed) -> dict:
     tuple cannot be built or classified counts as a failure.
     """
     rng = random.Random(seed)
-    pools = {n: [C for C in sign_matrices(n) if C.is_realizable()] for n in (2, 3, 4)}
     failures = 0
     for _ in range(cases):
         n = rng.choice((2, 3, 4))
         try:
-            t = _random_tuple(rng.choice(pools[n]), rng)
-            before = classify_so3_tuple(t.elements)
-            flipped = [
-                x if rng.random() < 0.5 else x.neg() for x in t.elements
-            ]
-            g = random_unit_quaternion(rng)
-            gi = g.inverse()
-            after = classify_so3_tuple([g * x * gi for x in flipped])
+            t = _random_tuple(rng.choice(_sign_tables(n)[0]), rng)
+            before = classify_so3_tuple([_restore(*x) for x in t])
+            flipped = [x if rng.random() < 0.5 else _neg(x) for x in t]
+            g = _random_unit(rng)
+            gi = _inverse(g)
+            after = classify_so3_tuple(
+                [_restore(*_conjugate(g, x, gi)) for x in flipped]
+            )
         except RepspaceError:
             failures += 1
             continue

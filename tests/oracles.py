@@ -3,17 +3,21 @@
 Every routine is a direct transcription of a textbook definition,
 deliberately slow and dumb, so a disagreement with the fast
 implementation always means the fast side is wrong (or the oracle's
-definition was misread, which is easier to audit).  Only the
-symmetric-product section uses the package under test: it replays the
-route the direct construction replaced, X^m and then its quotient.
+definition was misread, which is easier to audit).  Only two sections
+use the package under test, each replaying the route a faster
+construction replaced: symmetric products as X^m and then its quotient,
+and the SU(2) sweep tuples as UnitQuaternion products.
 """
 
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, gcd, prod
 
 from repspace.simplicial import SimplicialAction, product_list, quotient_by_action
+from repspace.su2 import I, J, UnitQuaternion
 
 
 # ---------------------------------------------------------------------------
@@ -485,3 +489,45 @@ Q_ONE = QFrac(1)
 Q_I = QFrac(0, 1)
 Q_J = QFrac(0, 0, 1)
 Q_K = QFrac(0, 0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# SU(2) sweep tuples the object way.
+#
+# The sweeps build their tuples on float 4-tuples.  This replays the
+# route they replaced, with the same random draws: one UnitQuaternion per
+# product, power, inverse and negation, each renormalized on
+# construction, and the psi fill written out from its definition.
+
+
+def _reference_unit(rng):
+    while True:
+        q = [rng.gauss(0, 1) for _ in range(4)]
+        if sum(v * v for v in q) > 1e-6:
+            return UnitQuaternion(*q)
+
+
+def reference_random_tuple(C, rng):
+    """The UnitQuaternions of a sweep tuple for the realizable matrix C."""
+    n = C.n
+    if all(s == 1 for row in C.entries for s in row):
+        torus_rng = random.Random(rng.randrange(2**63))
+        g = _reference_unit(torus_rng)
+        out = []
+        for _ in range(n):
+            theta = torus_rng.uniform(0, 2 * math.pi)
+            diag = UnitQuaternion(math.cos(theta), math.sin(theta), 0.0, 0.0)
+            out.append(g * diag * g.inverse())
+        return out
+    pairs = [(i, j) for i, j in combinations(range(n), 2) if C.entry(i, j) == -1]
+    i, j = pairs[rng.randrange(len(pairs))]
+    g = _reference_unit(rng)
+    x_i, x_j = g * I * g.inverse(), g * J * g.inverse()
+    w = [rng.choice((1, -1)) for _ in range(n - 2)]
+    out = [None] * n
+    out[i], out[j] = x_i, x_j
+    # position k gets w_k x_i^{a_k} x_j^{b_k}, C[j][k] = (-1)^{a_k}, C[i][k] = (-1)^{b_k}
+    for s, k in zip(w, [k for k in range(n) if k not in (i, j)]):
+        y = x_i.power((1 - C.entry(j, k)) // 2) * x_j.power((1 - C.entry(i, k)) // 2)
+        out[k] = y if s == 1 else y.neg()
+    return out

@@ -173,6 +173,14 @@ def test_values_above_the_valid_range_are_refused(capsys, argv):
         ("stunted_projective(m=999999,k=0)", 3),
         ("rp_simplicial(n=-1)", 2),
         ("smash_factor(n=7)", 3),
+        ("torus(n=6)", 3),
+        ("torus_conj_quotient(n=6)", 3),
+        ("rep_sp(n=6,m=1)", 3),
+        ("rep_sp(n=6,m=2)", 3),
+        ("sp_torus(n=6,m=2)", 3),
+        ("smash_factor(n=6)", 3),
+        ("rep_sp(n=5,m=3)", 3),
+        ("sp_torus(n=4,m=3)", 3),
     ],
 )
 def test_a_refusal_names_the_constructor_asked_for(capsys, space, code):
@@ -183,6 +191,14 @@ def test_a_refusal_names_the_constructor_asked_for(capsys, space, code):
     assert len(err.splitlines()) == 1
     prefix = "error: " if code == 2 else "resource guard: "
     assert err.startswith(prefix + space + ":"), err
+
+
+@pytest.mark.parametrize("space", ["rep_sp(n=6,m=0)", "sp_torus(n=6,m=0)"])
+def test_the_zeroth_symmetric_product_is_a_point_at_any_rank(capsys, space):
+    # SP^0 is answered before the torus or its quotient is counted
+    code, out, err = run(capsys, "--format", "json", "homology", space)
+    assert code == 0 and err == ""
+    assert json.loads(out)["homology"] == [{"free_rank": 1, "torsion": []}]
 
 
 def test_homology_cache_dir_flag(tmp_path, capsys):
@@ -345,6 +361,18 @@ def test_su2_verify_psi_rejects_counts_below_one(capsys, flag, value):
     code, out, err = run(capsys, "su2", "verify-psi", flag, value)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_su2_verify_psi_matches_frozen_stdout(capsys):
+    # computed before the sweeps built their tuples on 4-tuples
+    assert run(
+        capsys, "su2", "verify-psi", "--n", "4", "--runs", "200", "--seed", "3"
+    ) == (
+        0,
+        '{\n  "runs": 200,\n  "failures": 0,\n'
+        '  "max_commutator_defect": 4.1518530461638927e-16\n}\n',
+        "",
+    )
 
 
 def test_su2_verify_psi_deterministic(capsys):

@@ -172,6 +172,21 @@ def test_validate_rejects_broken_simplicial_identity():
     assert X.dim == 1  # the 1-skeleton itself was fine
 
 
+def test_validate_rejects_a_broken_identity_through_a_degenerate_face():
+    # s_0 u has faces (u, u), so d_0 d_2 = d_1 d_0 needs d_0 of d_2 t to be
+    # u; t1 passes, and t2, whose d_2 is the edge from v, must still fail
+    # after t1 has pushed d_i through s_0 u
+    su = F((0,), "u")
+    simplices = {0: ["u", "v"], 1: ["e"], 2: ["t1"]}
+    faces = {"e": (F((), "v"), F((), "u")), "t1": (su, su, su)}
+    assert SimplicialSet(simplices, faces).dim == 2
+    with pytest.raises(ValueError, match="d_0 d_2 ≠ d_1 d_0 on 't2'"):
+        SimplicialSet(
+            {**simplices, 2: ["t1", "t2"]},
+            {**faces, "t2": (su, su, F((), "e"))},
+        )
+
+
 # -- basic models ------------------------------------------------------------
 
 

@@ -10,8 +10,9 @@ from repspace.abelian import AbelianGroup, GradedGroup, IntMatrix, determinant
 from repspace.engine import reduced_homology
 from repspace.errors import ResourceGuard, Unsupported
 from repspace.simplicial import collapse, normalized_chains
-from repspace import catalog, engine, verifier
-from repspace.su2 import SignMatrix, SU2Tuple, UnitQuaternion, max_commutator_defect
+import oracles
+from repspace import catalog, engine, su2, verifier
+from repspace.su2 import SignMatrix, max_commutator_defect
 from repspace.verifier import (
     Report,
     check_counts,
@@ -406,6 +407,34 @@ def test_psi_sweep_matches_frozen_values(n):
     }
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sweep_tuples_match_the_quaternion_route_bit_for_bit(n):
+    # every realizable matrix, the trivial one included, over seeded runs
+    # whose random streams must also stay in step
+    for seed in range(12):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for C in verifier._sign_tables(n)[0]:
+            got = verifier._random_tuple(C, got_rng)
+            want = oracles.reference_random_tuple(C, want_rng)
+            assert [tuple(map(float.hex, q)) for q in got] == [
+                tuple(map(float.hex, q.components())) for q in want
+            ]
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+# check_su2(runs=120, seed=2024) as rendered before the sweeps built their
+# tuples on 4-tuples; every row, the n = 2..4 sweep rows included.
+FROZEN_SU2_REPORT = """\
+[ok] su2(runs=120)
+  + construction sweep n=2 (40 runs): expected 0 failures, got 0 failures, worst defect 4.27e-16
+  + refusals n=2: expected 0 matrices refused everywhere, got 0 matrices refused everywhere
+  + construction sweep n=3 (40 runs): expected 0 failures, got 0 failures, worst defect 3.28e-16
+  + refusals n=3: expected 0 matrices refused everywhere, got 0 matrices refused everywhere
+  + construction sweep n=4 (40 runs): expected 0 failures, got 0 failures, worst defect 3.66e-16
+  + refusals n=4: expected 28 matrices refused everywhere, got 28 matrices refused everywhere
+  + SO(3) lift/conjugation invariance (40 cases): expected 0 failures, got 0 failures"""
+
+
 def _flip_first_sign(C):
     rows = [list(r) for r in C.entries]
     rows[0][1] = rows[1][0] = -rows[0][1]
@@ -436,16 +465,15 @@ def test_sweeps_fail_on_a_perturbed_element(monkeypatch):
 
     def perturbed(C, rng):
         t = built(C, rng)
-        q = t.elements[0]
-        bent = UnitQuaternion(q.w, q.x + 1e-6, q.y, q.z)
-        seen.append(SU2Tuple((bent,) + t.elements[1:]))
+        w, x, y, z = t[0]
+        seen.append([su2._unit(w, x + 1e-6, y, z)] + t[1:])
         return seen[-1]
 
     monkeypatch.setattr(verifier, "_random_tuple", perturbed)
     for n in (2, 3, 4):
         seen.clear()
         out = psi_sweep(n, 40, seed=3)
-        defects = [max_commutator_defect(t) for t in seen]
+        defects = [max_commutator_defect(su2._su2_tuple(t)) for t in seen]
         assert out["max_commutator_defect"] == max(defects) > 1e-9
         assert out["failures"] == sum(d > 1e-9 for d in defects) > 0
     rep = check_su2(runs=120, seed=2024)
@@ -468,6 +496,7 @@ def test_su2_report():
     rep = check_su2(runs=120, seed=2024)
     assert rep.ok
     assert len(rep.rows) == 7  # three sweeps, three refusal rows, invariance
+    assert rep.render() == FROZEN_SU2_REPORT
 
 
 # -- suite runner -----------------------------------------------------------
