@@ -185,14 +185,20 @@ def power_exceeds(base: int, exponent: int, bound: int) -> bool:
     return value > bound
 
 
-def enumerate_types(n: int, K) -> list:
-    """All antisymmetric type matrices over K, upper triangle lex order."""
+def guard_types(n: int, K):
+    """Refuse (ResourceGuard) when the n×n types over K exceed
+    ``ENUMERATION_GUARD``, before any is built."""
     order, slots = group_order(K), comb(n, 2)
     if power_exceeds(order, slots, ENUMERATION_GUARD):
         raise ResourceGuard(
             f"{order}^{slots} type matrices exceed the enumeration guard "
             f"{ENUMERATION_GUARD}"
         )
+
+
+def enumerate_types(n: int, K) -> list:
+    """All antisymmetric type matrices over K, upper triangle lex order."""
+    guard_types(n, K)
     K = tuple(K)
     elements = list(iter_product(*[range(d) for d in K]))
     zero = (0,) * len(K)

@@ -36,6 +36,14 @@ from .errors import CacheCorrupt, CompositionNotZero, NotPrime
 ENGINE_VERSION = "1"
 
 
+def _by_column(d: IntMatrix) -> list:
+    """d's entries as one list of (row, value) pairs per column."""
+    by_col = [[] for _ in range(d.cols)]
+    for (r, c), v in d.entries.items():
+        by_col[c].append((r, v))
+    return by_col
+
+
 class ChainComplex:
     """Free Z-modules ranks[0..top] with boundaries d_k : C_k -> C_{k-1}.
 
@@ -80,9 +88,29 @@ class ChainComplex:
         return IntMatrix.zero(self.ranks[self.top] if self.ranks else 0, 0)
 
     def validate(self):
-        for k in range(1, self.top):
-            if not self.d(k).mul(self.d(k + 1)).is_zero():
-                raise CompositionNotZero(f"d_{k} ∘ d_{k + 1} ≠ 0")
+        """d_k ∘ d_{k+1} = 0 for k = 1 .. top - 1, column by column.
+
+        Each boundary's entries are grouped once into per-column (row,
+        value) lists, shared by the two compositions the boundary is part
+        of; only the two boundaries of the composition being checked are
+        held at a time.  Column c of d_k d_{k+1} is summed in a dict keyed
+        by the rows of d_k, and the first nonzero column raises.  No
+        product matrix is built, and every column of every composition is
+        checked.
+        """
+        columns = map(_by_column, self.diffs)
+        lower = next(columns, None)
+        acc = {}
+        get = acc.get
+        for k, upper in enumerate(columns, start=1):
+            for column in upper:
+                for mid, v in column:
+                    for r, w in lower[mid]:
+                        acc[r] = get(r, 0) + v * w
+                if any(acc.values()):
+                    raise CompositionNotZero(f"d_{k} ∘ d_{k + 1} ≠ 0")
+                acc.clear()
+            lower = upper
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))

@@ -36,12 +36,8 @@ basepoint), so equal constructions produce identical ids across runs.
 
 from __future__ import annotations
 
-from itertools import (
-    combinations,
-    combinations_with_replacement,
-    groupby,
-    permutations,
-)
+from functools import cmp_to_key
+from itertools import combinations, combinations_with_replacement, groupby
 from itertools import product as iter_product
 from math import comb, prod
 from typing import NamedTuple
@@ -319,7 +315,9 @@ def _normalize_tuple(tables, k, ps, ids) -> FormalSimplex:
     on every coordinate) keeps the accumulated outer word strictly
     decreasing.  ``tables`` holds each factor's degree tables and
     ``ids[k]`` maps jointly nondegenerate positions to their product
-    simplex, as a FormalSimplex with the empty word.
+    simplex, as a FormalSimplex with the empty word.  For a symmetric
+    product ``ids[k]`` is an ``_OrbitIndex``, which looks the positions up
+    sorted, so the peeled tuple needs no order.
     """
     prefix = []
     while True:
@@ -397,6 +395,40 @@ def product_list(factors) -> SimplicialSet:
     return out
 
 
+class _OrbitIndex(dict):
+    """One degree's Σ_m orbits, each keyed by its sorted pool positions; a
+    lookup under any other order of the same positions is sorted first."""
+
+    __slots__ = ()
+
+    def __missing__(self, ps):
+        orbit = self.get(tuple(sorted(ps)))
+        if orbit is None:
+            raise KeyError(ps)
+        return orbit
+
+
+def _least_id_ranks(names) -> list:
+    """Each pool position's rank in the order that puts the least product id
+    first: x before y when x|y| < y|x| as strings.
+
+    That order on strings s_x = x + "|" is total and sorting by it gives
+    the least concatenation (the smallest-number arrangement).  Every
+    arrangement of one tuple joins to the same length, so the least
+    concatenation is also the least product id, whatever the names hold.
+    """
+    piped = [name + "|" for name in names]
+
+    def cmp(x, y):
+        a, b = piped[x] + piped[y], piped[y] + piped[x]
+        return (a > b) - (a < b)
+
+    rank = [0] * len(names)
+    for r, p in enumerate(sorted(range(len(names)), key=cmp_to_key(cmp))):
+        rank[p] = r
+    return rank
+
+
 def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
     """SP^m X = X^m / Σ_m (m >= 2), built without X^m or a quotient.
 
@@ -405,10 +437,12 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
     non-decreasing pool positions: only those are enumerated, in
     lexicographic order, which is the order in which the orbits first
     occur in X^m.  An orbit is named "[" + its least member's product id
-    + "]" and records that member's coordinates as ``parts``.  Every
-    distinct permutation of a representative is indexed, so
-    ``_normalize_tuple`` resolves faces to orbits.  The result is
-    validated.  Refused (ResourceGuard) when X^m is over ``CELL_BUDGET``.
+    + "]" and records that member's coordinates as ``parts``; the least
+    member is the representative sorted by ``_least_id_ranks``.  Each
+    orbit is indexed once, under its sorted positions, and
+    ``_normalize_tuple`` resolves a face through ``_OrbitIndex``.  The
+    result is validated.  Refused (ResourceGuard) when X^m is over
+    ``CELL_BUDGET``.
     """
     guard_product([X.f_vector()] * m)
     degrees = _factor_degrees(X, m * X.dim)
@@ -433,21 +467,16 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
             ]
             found.extend(sum(ps, ()) for ps in iter_product(*groups))
         found.sort()
-        index = {}
+        index = _OrbitIndex()
         ids.append(index)
         level = []
+        rank = _least_id_ranks(t.names).__getitem__
         for ps in found:
-            named = {
-                "(" + "|".join([t.names[p] for p in qs]) + ")": qs
-                for qs in set(permutations(ps))
-            }
-            least = min(named)
-            oid = "[" + least + "]"
-            orbit = FormalSimplex((), oid)
-            for qs in named.values():
-                index[qs] = orbit
+            least = sorted(ps, key=rank)
+            oid = "[(" + "|".join([t.names[p] for p in least]) + ")]"
+            index[ps] = FormalSimplex((), oid)
             level.append(oid)
-            parts[oid] = tuple([t.pool[p] for p in named[least]])
+            parts[oid] = tuple([t.pool[p] for p in least])
             if k:
                 rows = [t.faces[p] for p in ps]
                 faces[oid] = tuple(
@@ -651,11 +680,13 @@ def normalized_chains(X: SimplicialSet) -> ChainComplex:
         entries = {}
         below = index[k - 1]
         for col, sid in enumerate(X.ids(k)):
-            for i, f in enumerate(X.faces[sid]):
+            sign = -1
+            for f in X.faces[sid]:
+                sign = -sign  # (-1)^i for d_i
                 if f.word:
                     continue
                 key = (below[f.base], col)
-                entries[key] = entries.get(key, 0) + (-1) ** i
+                entries[key] = entries.get(key, 0) + sign
         diffs.append(
             IntMatrix(ranks[k - 1], ranks[k], entries)
         )

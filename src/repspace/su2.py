@@ -24,7 +24,6 @@ import math
 import random
 from dataclasses import FrozenInstanceError, dataclass
 
-from .abelian import IntMatrix, rank_mod_p
 from .errors import (
     BadBasePair,
     NotAlmostCommuting,
@@ -227,16 +226,30 @@ class SignMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
 
-    def f2_rank(self) -> int:
-        """Rank of the associated alternating F2 form (sign -1 -> 1)."""
-        return rank_mod_p(
-            IntMatrix.from_rows([[(1 - s) // 2 for s in row] for row in self.entries]),
-            2,
+    def is_realizable(self) -> bool:
+        """Whether some almost-commuting SU(2) tuple has this sign matrix:
+        whether its alternating F2 form (sign -1 -> 1) has rank at most 2."""
+        return _f2_rank_at_most_2(
+            [sum(1 << j for j, s in enumerate(row) if s < 0) for row in self.entries]
         )
 
-    def is_realizable(self) -> bool:
-        """Whether some almost-commuting SU(2) tuple has this sign matrix."""
-        return self.f2_rank() <= 2
+
+def _f2_rank_at_most_2(rows) -> bool:
+    """Whether bitmask rows span at most two dimensions over F2.
+
+    ``min(r, r ^ b)`` clears b's leading bit from r.  Each basis element
+    is reduced by the earlier ones, so it lacks their leading bits, and
+    reducing in insertion order leaves none of them set.
+    """
+    basis = []
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            if len(basis) == 2:
+                return False
+            basis.append(r)
+    return True
 
 
 def _nearest_central_sign(q: tuple):

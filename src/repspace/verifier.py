@@ -38,7 +38,7 @@ from .counting import (
     c_via_recurrence,
     conj_quotient_homology,
     d_count,
-    enumerate_types,
+    guard_types,
     k_count,
     k_via_recurrence,
     n_central_product,
@@ -64,6 +64,7 @@ from .su2 import (
     J,
     SignMatrix,
     _conjugate,
+    _f2_rank_at_most_2,
     _inverse,
     _neg,
     _pairwise_commutators,
@@ -154,14 +155,9 @@ def _graded_rows(rep: Report, expected: GradedGroup, got: GradedGroup, tag="H"):
 FAMILY_LIMITS = {"hom_circle": 5, "rep_su2": 5, "sp_circle": 3}
 
 
-def splitting_base(family: str, n: int, m: int = 2) -> tuple:
-    """(rank-n total space X, {simplex of X: its basepoint directions}).
-
-    X is the space whose reduced homology the wedge must reproduce.  A
-    simplex at the basepoint in direction j lies in the image of the
-    subtorus omitting j; an orbit of SP^m((S^1)^n) takes the directions
-    shared by all m of its torus coordinates.
-    """
+def _check_splitting(family: str, n: int, m: int) -> None:
+    """Refuse a family, rank or power that the splitting check does not
+    cover; each message names the family."""
     if family not in FAMILY_LIMITS:
         raise ValueError(f"unknown splitting family {family!r}")
     limit = FAMILY_LIMITS[family]
@@ -171,17 +167,27 @@ def splitting_base(family: str, n: int, m: int = 2) -> tuple:
         )
     if family == "sp_circle" and not 1 <= m <= 3:
         raise range_error(m, 1, f"sp_circle needs 1 <= m <= 3, not m={m}")
+
+
+def splitting_base(family: str, n: int, m: int = 2) -> tuple:
+    """(rank-n total space X, {simplex of X: its basepoint directions}).
+
+    X is the space whose reduced homology the wedge must reproduce.  A
+    simplex at the basepoint in direction j lies in the image of the
+    subtorus omitting j; an orbit of SP^m((S^1)^n) takes the directions
+    shared by all m of its torus coordinates.
+    """
+    _check_splitting(family, n, m)
     if family == "rep_su2":
         T = X = catalog.torus_conj_quotient(n)
     else:
         T = catalog.minimal_torus(n)
         X = catalog.sym_product(T, m) if family == "sp_circle" else T
+    torus = {sid: basepoint_directions(T, sid) for sid in T.dim_of}
+    if X is T:  # every family but SP^m with m >= 2
+        return X, torus
     return X, {
-        sid: basepoint_directions(X, sid)
-        if X is T  # every family but SP^m with m >= 2
-        else frozenset.intersection(
-            *(basepoint_directions(T, f.base) for f in X.parts[sid])
-        )
+        sid: frozenset.intersection(*(torus[f.base] for f in X.parts[sid]))
         for sid in X.dim_of
     }
 
@@ -203,7 +209,13 @@ def verify_splitting(family: str, n: int, m: int = 2) -> Report:
     Each proper set D of the n directions cuts out one factor, of rank
     n - |D|.  X is released before its chains, the memory peak, are reduced.
     """
-    X, directions = splitting_base(family, n, m)
+    _check_splitting(family, n, m)
+    suffix = f"(n={n},m={m})" if family == "sp_circle" else f"(n={n})"
+    name = f"splitting[{family}]{suffix}"
+    try:  # a construction refused past the range checks names this report
+        X, directions = splitting_base(family, n, m)
+    except ResourceGuard as err:
+        raise ResourceGuard(f"{name}: {err}") from None
     right = poincare_assembly(
         (1, reduced_homology(normalized_chains(_slice(X, directions, frozenset(D)))))
         for k in range(n)
@@ -211,8 +223,7 @@ def verify_splitting(family: str, n: int, m: int = 2) -> Report:
     )
     chains = normalized_chains(X)
     del X, directions
-    suffix = f"(n={n},m={m})" if family == "sp_circle" else f"(n={n})"
-    rep = Report(f"splitting[{family}]{suffix}")
+    rep = Report(name)
     _graded_rows(rep, right, reduced_homology(chains), tag="H~")
     return rep
 
@@ -357,28 +368,29 @@ def check_counts() -> Report:
 # SECTION: randomized SU(2) sweeps
 
 
-def sign_matrices(n: int) -> list:
-    """All symmetric sign matrices with +1 diagonal, via the F2 type list."""
-    out = []
-    for t in enumerate_types(n, (2,)):
-        out.append(
-            SignMatrix.from_rows(
-                [
-                    [(-1) ** t.entry(i, j)[0] for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-        )
-    return out
-
-
 @cache
 def _sign_tables(n: int) -> tuple:
-    """(realizable, unrealizable) sign matrices of size n, as tuples built
-    once per process."""
+    """(realizable, unrealizable) sign matrices of size n, in the order of
+    ``enumerate_types(n, (2,))``, as tuples built once per process.
+
+    A type's upper-triangle slots (i, j), i < j in row-major order, are
+    the bits of its index with the first slot most significant; a set
+    bit is the sign -1.  A matrix is realizable when its F2 form has rank
+    at most 2, tested on bitmask rows as ``SignMatrix.is_realizable`` does.
+    """
+    guard_types(n, (2,))
+    slots = list(combinations(range(n), 2))
+    signs = [tuple(-1 if m >> j & 1 else 1 for j in range(n)) for m in range(2**n)]
     realizable, unrealizable = [], []
-    for C in sign_matrices(n):
-        (realizable if C.is_realizable() else unrealizable).append(C)
+    for bits in range(2 ** len(slots)):
+        rows = [0] * n
+        for i, j in reversed(slots):
+            if bits & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            bits >>= 1
+        C = SignMatrix(n, tuple([signs[r] for r in rows]))
+        (realizable if _f2_rank_at_most_2(rows) else unrealizable).append(C)
     return tuple(realizable), tuple(unrealizable)
 
 

@@ -3,10 +3,11 @@
 Every routine is a direct transcription of a textbook definition,
 deliberately slow and dumb, so a disagreement with the fast
 implementation always means the fast side is wrong (or the oracle's
-definition was misread, which is easier to audit).  Only two sections
+definition was misread, which is easier to audit).  Only three sections
 use the package under test, each replaying the route a faster
 construction replaced: symmetric products as X^m and then its quotient,
-and the SU(2) sweep tuples as UnitQuaternion products.
+the SU(2) sweep tuples as UnitQuaternion products, and the sign-matrix
+tables as one type matrix, sign matrix and F2 rank per type.
 """
 
 import math
@@ -16,8 +17,10 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, gcd, prod
 
+from repspace.abelian import IntMatrix, rank_mod_p
+from repspace.counting import enumerate_types
 from repspace.simplicial import SimplicialAction, product_list, quotient_by_action
-from repspace.su2 import I, J, UnitQuaternion
+from repspace.su2 import I, J, SignMatrix, UnitQuaternion
 
 
 # ---------------------------------------------------------------------------
@@ -531,3 +534,30 @@ def reference_random_tuple(C, rng):
         y = x_i.power((1 - C.entry(j, k)) // 2) * x_j.power((1 - C.entry(i, k)) // 2)
         out[k] = y if s == 1 else y.neg()
     return out
+
+
+# ---------------------------------------------------------------------------
+# Sign-matrix tables the object way.
+#
+# The sweeps read their sign matrices off upper-triangle bits and test
+# the F2 rank on bitmask rows.  This replays the route that replaced:
+# every Z/2 type matrix from ``enumerate_types``, its validated
+# SignMatrix, and the mod-2 rank of its 0/1 matrix.
+
+
+def sign_f2_rank(C):
+    """Rank of a sign matrix's alternating F2 form (sign -1 -> 1)."""
+    return rank_mod_p(
+        IntMatrix.from_rows([[(1 - s) // 2 for s in row] for row in C.entries]), 2
+    )
+
+
+def reference_sign_tables(n):
+    """(realizable, unrealizable) sign matrices of size n, in type order."""
+    tables = ([], [])
+    for t in enumerate_types(n, (2,)):
+        C = SignMatrix.from_rows(
+            [[(-1) ** t.entry(i, j)[0] for j in range(n)] for i in range(n)]
+        )
+        tables[sign_f2_rank(C) > 2].append(C)
+    return tuple(tables[0]), tuple(tables[1])

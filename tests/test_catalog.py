@@ -146,12 +146,27 @@ def test_sym_product_builds_no_product(monkeypatch):
     assert calls == []
 
 
+def wedge_of_loops(*loops):
+    """One vertex v with one loop per id."""
+    v = FormalSimplex((), "v")
+    return SimplicialSet({0: ["v"], 1: list(loops)}, {e: (v, v) for e in loops}, "v")
+
+
+# Loop ids on which a shortcut names orbits wrongly: sorting by id puts a
+# before ab, and sorting by id + "|" puts b before b|a, but the least
+# product ids are "(ab|a)" and "(b|a|b)".
+WEDGES = {"a,ab": ("a", "ab"), "b,b|a": ("b", "b|a"), "e,e1,e|": ("e", "e1", "e|")}
+
 SYM_CASES = {
     "sp2_circle": lambda: (catalog.circle(), 2),
     "sp3_circle": lambda: (catalog.circle(), 3),
     "sp_torus(2,2)": lambda: (catalog.minimal_torus(2), 2),
     "sp_torus(2,3)": lambda: (catalog.minimal_torus(2), 3),
     "rep_sp(2,2)": lambda: (catalog.torus_conj_quotient(2), 2),
+} | {
+    f"sp{m}_wedge({name})": lambda loops=loops, m=m: (wedge_of_loops(*loops), m)
+    for name, loops in WEDGES.items()
+    for m in (2, 3)
 }
 
 
@@ -164,6 +179,28 @@ def test_sym_product_is_the_quotient_of_the_product_byte_for_byte(case):
     assert list(got.faces.items()) == list(want.faces.items())
     assert list(got.parts.items()) == list(want.parts.items())
     assert got.basepoint == want.basepoint
+
+
+def test_the_orbit_index_holds_one_entry_per_orbit(monkeypatch):
+    # each degree's index keys every orbit once, under its sorted positions
+    made = []
+
+    class Spy(simplicial._OrbitIndex):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(simplicial, "_OrbitIndex", Spy)
+    for case in ("sp_torus(2,3)", "rep_sp(2,2)", "sp3_wedge(b,b|a)"):
+        X, m = SYM_CASES[case]()
+        made.clear()
+        Y = catalog.sym_product(X, m)
+        assert len(made) == m * X.dim + 1, case
+        for k, index in enumerate(made):
+            assert [f.base for f in index.values()] == Y.ids(k), case
+            assert all(list(ps) == sorted(ps) for ps in index), case
 
 
 def test_sym_product_f_vectors_are_the_polya_counts():

@@ -281,6 +281,25 @@ def test_verify_splitting_narrowed_rank_skips_families_that_stop_below_it(capsys
     assert "sp_circle" not in out
 
 
+def test_a_refused_splitting_check_names_its_report(capsys):
+    # hom_circle and rep_su2 at n = 3 fit; the sp_circle product does not
+    code, out, err = run(capsys, "verify", "splitting", "--n", "3", "--m", "3")
+    assert code == 3 and out == ""
+    assert err == (
+        "resource guard: splitting[sp_circle](n=3,m=3): product needs "
+        "14174522 nondegenerate simplices (budget 200000)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "m, code, prefix", [("4", 3, "resource guard"), ("0", 2, "error")]
+)
+def test_a_splitting_range_refusal_names_its_family_once(capsys, m, code, prefix):
+    got, out, err = run(capsys, "verify", "splitting", "--n", "2", "--m", m)
+    assert got == code and out == ""
+    assert err == f"{prefix}: sp_circle needs 1 <= m <= 3, not m={m}\n"
+
+
 def test_verify_homology_prop_narrowed(capsys):
     code, out, _ = run(capsys, "verify", "homology-prop", "--n", "3")
     assert code == 0

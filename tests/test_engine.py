@@ -51,6 +51,107 @@ def test_validation_rejects_nonzero_composition():
         ChainComplex([1, 2, 1], [d1, d2])
 
 
+def _product_route(C):
+    """The first k with d_k d_{k+1} != 0 through the whole product, or None."""
+    for k in range(1, C.top):
+        if not C.d(k).mul(C.d(k + 1)).is_zero():
+            return k
+    return None
+
+
+def _validation_failure(C):
+    try:
+        C.validate()
+    except CompositionNotZero as err:
+        return str(err)
+    return None
+
+
+def _random_complex(rng, top):
+    """(ranks, diffs) of a random complex whose d∘d = 0 by cancellation.
+
+    Each boundary's columns are signed copies of a few base columns, so
+    columns a and b copied from one base give the kernel vector
+    s_a e_a - s_b e_b.  The next boundary's base columns are integer
+    sums of those, so each of its columns meets d in two entries at
+    least, and they cancel.
+    """
+    ranks = [rng.randint(1, 5)]
+    diffs = []
+    kernel = None
+    for _ in range(top):
+        base = []
+        for _ in range(rng.randint(1, 3)):
+            col = {}
+            if kernel is None:
+                for r in rng.sample(range(ranks[-1]), rng.randint(0, ranks[-1])):
+                    col[r] = rng.choice((-2, -1, 1, 2))
+            for vec in rng.sample(kernel or [], min(2, len(kernel or []))):
+                q = rng.choice((-2, -1, 1, 2))
+                for r, v in vec.items():
+                    col[r] = col.get(r, 0) + q * v
+            base.append(col)
+        picks = [
+            (rng.randrange(len(base)), rng.choice((1, -1)))
+            for _ in range(rng.randint(2, 6))
+        ]
+        entries = {
+            (r, c): s * v for c, (b, s) in enumerate(picks) for r, v in base[b].items()
+        }
+        diffs.append(IntMatrix(ranks[-1], len(picks), entries))
+        ranks.append(len(picks))
+        kernel = [
+            {a: sa, b: -sb}
+            for a, (ba, sa) in enumerate(picks)
+            for b, (bb, sb) in enumerate(picks)
+            if a < b and ba == bb
+        ]
+    return ranks, diffs
+
+
+def test_validation_agrees_with_the_whole_product_on_random_complexes():
+    rng = random.Random(2026)
+    outcomes = set()
+    for _ in range(400):
+        ranks, diffs = _random_complex(rng, rng.randint(2, 5))
+        if rng.random() < 0.5:  # one entry of one boundary changed
+            k = rng.randrange(len(diffs))
+            d = diffs[k]
+            key = (rng.randrange(d.rows), rng.randrange(d.cols))
+            entries = dict(d.entries)
+            entries[key] = entries.get(key, 0) + rng.choice((-2, -1, 1, 2))
+            diffs[k] = IntMatrix(d.rows, d.cols, entries)
+        C = ChainComplex(ranks, diffs, check=False)
+        k = _product_route(C)
+        want = None if k is None else f"d_{k} ∘ d_{k + 1} ≠ 0"
+        assert _validation_failure(C) == want
+        outcomes.add(k is None)
+    assert outcomes == {True, False}
+
+
+def test_validation_sees_one_entry_in_the_last_column_of_the_top_composition():
+    # a new (top-1)-cell u with boundary a new (top-2)-cell w, and a new
+    # last top-cell with boundary u: d_{top-1} d_top is w in that column
+    rng = random.Random(5)
+    for _ in range(40):
+        top = rng.randint(2, 5)
+        ranks, diffs = _random_complex(rng, top)
+        w, u, last = ranks[top - 2], ranks[top - 1], ranks[top]
+        grown = ranks[: top - 2] + [w + 1, u + 1, last + 1]
+        lower, upper = diffs[top - 2].entries, diffs[top - 1].entries
+        diffs = diffs[: top - 2] + [
+            IntMatrix(grown[top - 2], grown[top - 1], lower | {(w, u): 1}),
+            IntMatrix(grown[top - 1], grown[top], upper | {(u, last): 1}),
+        ]
+        if top > 2:
+            d = diffs[top - 3]
+            diffs[top - 3] = IntMatrix(d.rows, d.cols + 1, d.entries)
+        C = ChainComplex(grown, diffs, check=False)
+        assert C.d(top - 1).mul(C.d(top)).entries == {(w, last): 1}
+        assert _product_route(C) == top - 1
+        assert _validation_failure(C) == f"d_{top - 1} ∘ d_{top} ≠ 0"
+
+
 def test_validation_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         ChainComplex([1, 2], [IntMatrix.zero(2, 2)])

@@ -151,9 +151,9 @@ def test_sign_matrix_validation():
 
 def test_sign_matrix_rank_and_realizability():
     flat = sign_matrix([[1, 1], [1, 1]])
-    assert flat.f2_rank() == 0 and flat.is_realizable()
+    assert oracles.sign_f2_rank(flat) == 0 and flat.is_realizable()
     pair = sign_matrix([[1, -1], [-1, 1]])
-    assert pair.f2_rank() == 2 and pair.is_realizable()
+    assert oracles.sign_f2_rank(pair) == 2 and pair.is_realizable()
     quad = sign_matrix(
         [
             [1, -1, 1, 1],
@@ -162,7 +162,7 @@ def test_sign_matrix_rank_and_realizability():
             [1, 1, -1, 1],
         ]
     )
-    assert quad.f2_rank() == 4 and not quad.is_realizable()
+    assert oracles.sign_f2_rank(quad) == 4 and not quad.is_realizable()
 
 
 # -- commutator_type ---------------------------------------------------------

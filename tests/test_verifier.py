@@ -27,7 +27,6 @@ from repspace.verifier import (
     psi_sweep,
     rank_one_catalog,
     run_suite,
-    sign_matrices,
     so3_invariance,
     splitting_factor,
     verify_splitting,
@@ -376,10 +375,24 @@ def test_simplicial_report_fails_on_one_wrong_factor_list(monkeypatch):
 
 
 def test_sign_matrix_enumeration_sizes():
+    def sign_matrices(n):
+        return sum(verifier._sign_tables(n), ())
+
     assert len(sign_matrices(2)) == 2
     assert len(sign_matrices(3)) == 8
     assert len(sign_matrices(4)) == 64
     assert sum(C.is_realizable() for C in sign_matrices(4)) == 36
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sign_tables_match_the_type_matrix_route_in_order(n):
+    # the bitmask tables against one TypeMatrix, SignMatrix and mod-2 rank
+    # per type; order matters, since the sweeps cover the table in order
+    realizable, unrealizable = oracles.reference_sign_tables(n)
+    assert verifier._sign_tables(n) == (realizable, unrealizable)
+    # the public predicate on its bitmask rows agrees with the mod-2 rank
+    assert all(C.is_realizable() for C in realizable)
+    assert not any(C.is_realizable() for C in unrealizable)
 
 
 def test_psi_sweep_is_deterministic_and_clean():
