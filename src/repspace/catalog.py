@@ -6,8 +6,9 @@ Simplicial models are kept as small as the required symmetry allows:
 * the 2-gon circle (vertices the two real points, edges the upper and
   lower arcs) wherever complex conjugation must act simplicially — the
   minimal circle admits no such involution;
-* cross-polytope boundary spheres with axis-ordered vertices, on which
-  the antipodal map is a simplicial automorphism;
+* spheres with two simplices per dimension, the hemispheres of each
+  S^j over S^{j-1}, on which the antipodal map swaps the two and is a
+  free simplicial automorphism;
 * cellular (not simplicial) chain complexes for projective spaces,
   stunted projective spaces and Thom spaces, where the classical one-
   cell-per-dimension pattern with boundaries alternating 0 and 2 is
@@ -22,7 +23,6 @@ descriptor names that descriptor in every refusal.
 from __future__ import annotations
 
 import re
-from itertools import combinations
 
 from .abelian import IntMatrix
 from .engine import ChainComplex, suspend
@@ -46,6 +46,10 @@ from .simplicial import (
 # Torus ranks and symmetric-product powers the catalog builds.
 MAX_RANK = 6
 MAX_POWER = 3
+# Largest n of rp_simplicial(n), sphere_bundle_quotient(n) and
+# thom_zero_quotient(n).  S^{n-1} has 2^n formal (n-1)-simplices, so the
+# bundle's build and homology cost about doubles with each n.
+MAX_SPHERE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -230,52 +234,37 @@ def rep_sp(n: int, m: int) -> SimplicialSet:
 
 
 def sphere_simplicial(k: int):
-    """Boundary of the (k+1)-cross-polytope with the antipodal involution.
+    """S^k with two nondegenerate simplices e_j^± per dimension j <= k.
 
-    Vertices ±e_0 .. ±e_k; a nondegenerate j-simplex picks j+1 distinct
-    axes (ordered) with a sign each, so the antipodal flip preserves the
-    vertex order and is simplicial on the nose — and free, which makes
-    the quotient a model of RP^k.
+    Faces: d_0 e_j^± = e_{j-1}^∓, d_j e_j^± = e_{j-1}^±, and the middle
+    faces are degenerate, d_i e_j^± = s_{i-1} e_{j-2}^± for 0 < i < j.
+    The upper and lower j-simplices form the two hemispheres of S^j over
+    the equatorial S^{j-1}.  The swap + ↔ - is the antipodal map: it
+    commutes with every face and fixes no simplex, so it is free and the
+    quotient is RP^k with one cell per dimension.
     """
     if k < 0:
         raise ValueError("sphere dimension must be >= 0")
-    vid = lambda axis, sign: f"x{axis}{'+' if sign > 0 else '-'}"
-    simplices = {}
-    faces = {}
+    F = FormalSimplex
+    simplices, faces, swap = {}, {}, {}
     for j in range(k + 1):
-        level = []
-        for axes in combinations(range(k + 1), j + 1):
-            for signs in iter_signs(j + 1):
-                verts = [vid(a, s) for a, s in zip(axes, signs)]
-                sid = ".".join(verts)
-                level.append(sid)
-                if j >= 1:
-                    faces[sid] = tuple(
-                        FormalSimplex(
-                            (), ".".join(verts[:i] + verts[i + 1 :])
-                        )
-                        for i in range(j + 1)
-                    )
-        simplices[j] = level
-    X = SimplicialSet(simplices, faces, check=False)
-    swap = {}
-    for sid in X.dim_of:
-        flipped = ".".join(
-            v.replace("+", "~").replace("-", "+").replace("~", "-")
-            for v in sid.split(".")
-        )
-        swap[sid] = flipped
+        simplices[j] = [f"e{j}+", f"e{j}-"]
+        for sign, other in (("+", "-"), ("-", "+")):
+            swap[f"e{j}{sign}"] = f"e{j}{other}"
+            if j:
+                faces[f"e{j}{sign}"] = (
+                    (F((), f"e{j - 1}{other}"),)
+                    + tuple(F((i - 1,), f"e{j - 2}{sign}") for i in range(1, j))
+                    + (F((), f"e{j - 1}{sign}"),)
+                )
+    X = SimplicialSet(simplices, faces)
     return X, SimplicialAction.involution(X, swap)
 
 
-def iter_signs(n: int):
-    for bits in range(1 << n):
-        yield tuple(1 if bits & (1 << i) else -1 for i in range(n))
-
-
 def rp_simplicial(n: int) -> SimplicialSet:
-    """RP^n as the antipodal quotient of the cross-polytope sphere."""
-    _check_ranges("rp_simplicial", n=(n, 0, 4))
+    """RP^n as the antipodal quotient of the two-cell sphere: one cell per
+    dimension."""
+    _check_ranges("rp_simplicial", n=(n, 0, MAX_SPHERE))
     return quotient_by_action(*sphere_simplicial(n))
 
 
@@ -345,10 +334,10 @@ def sphere_bundle_quotient(n: int) -> SimplicialSet:
     """(S^2 × S^{n-1}) / (antipodal × antipodal), the n-plane sphere bundle.
 
     This is the unit sphere bundle S(nλ) of n times the canonical line
-    over RP^2, realized on cross-polytope factors so that the diagonal
+    over RP^2, on two-cell spheres (``sphere_simplicial``), whose diagonal
     involution is simplicial and free.
     """
-    _check_ranges("sphere_bundle_quotient", n=(n, 1, 4))
+    _check_ranges("sphere_bundle_quotient", n=(n, 1, MAX_SPHERE))
     S2, A2 = sphere_simplicial(2)
     Sn, An = sphere_simplicial(n - 1)
     P = product_list([S2, Sn])
@@ -364,7 +353,7 @@ def thom_zero_quotient(n: int) -> ChainComplex:
     suspension is taken algebraically on the chains of the simplicial
     sphere-bundle quotient.
     """
-    _check_ranges("thom_zero_quotient", n=(n, 1, 4))
+    _check_ranges("thom_zero_quotient", n=(n, 1, MAX_SPHERE))
     return suspend(normalized_chains(sphere_bundle_quotient(n)))
 
 

@@ -107,17 +107,12 @@ def _verify_reports(args) -> list:
         raise ValueError("verify splitting takes --m only with --n")
     if args.suite == "splitting" and args.n is not None:
         m = args.m if args.m is not None else 2
-        reports = []
-        for family, limit in verifier.FAMILY_LIMITS.items():
-            if args.n <= limit:
-                reports.append(
-                    verifier.verify_splitting(
-                        family, args.n, m if family == "sp_circle" else 2
-                    )
-                )
-        if not reports:
+        families = [f for f, top in verifier.FAMILY_LIMITS.items() if args.n <= top]
+        if not families:
             raise ResourceGuard(f"no family supports n={args.n}")
-        return reports
+        for family in families:  # every family is refused before any is built
+            verifier.guard_splitting(family, args.n, m)
+        return [verifier.verify_splitting(f, args.n, m) for f in families]
     if args.suite == "homology-prop" and args.n is not None:
         return [verifier.check_homology_prop(args.n)]
     if args.suite == "rep-u" and args.m is not None:

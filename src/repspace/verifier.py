@@ -203,19 +203,32 @@ def splitting_factor(family: str, r: int, m: int = 2) -> SimplicialSet:
     return _slice(*splitting_base(family, r, m))
 
 
+def guard_splitting(family: str, n: int, m: int = 2) -> str:
+    """The report name of a splitting check, refused before anything is built.
+
+    m counts only for sp_circle.  Range refusals name the family; within
+    the ranges only SP^m((S^1)^n) can exceed the cell budget, counted from
+    f-vectors, and that refusal starts with the report name.
+    """
+    _check_splitting(family, n, m)
+    if family != "sp_circle":
+        return f"splitting[{family}](n={n})"
+    name = f"splitting[sp_circle](n={n},m={m})"
+    try:
+        catalog._guard_sym_product(catalog.minimal_torus_f_vector(n), m)
+    except ResourceGuard as err:
+        raise ResourceGuard(f"{name}: {err}") from None
+    return name
+
+
 def verify_splitting(family: str, n: int, m: int = 2) -> Report:
     """Reduced homology of the total space against the sum of its slices.
 
     Each proper set D of the n directions cuts out one factor, of rank
     n - |D|.  X is released before its chains, the memory peak, are reduced.
     """
-    _check_splitting(family, n, m)
-    suffix = f"(n={n},m={m})" if family == "sp_circle" else f"(n={n})"
-    name = f"splitting[{family}]{suffix}"
-    try:  # a construction refused past the range checks names this report
-        X, directions = splitting_base(family, n, m)
-    except ResourceGuard as err:
-        raise ResourceGuard(f"{name}: {err}") from None
+    rep = Report(guard_splitting(family, n, m))
+    X, directions = splitting_base(family, n, m)
     right = poincare_assembly(
         (1, reduced_homology(normalized_chains(_slice(X, directions, frozenset(D)))))
         for k in range(n)
@@ -223,7 +236,6 @@ def verify_splitting(family: str, n: int, m: int = 2) -> Report:
     )
     chains = normalized_chains(X)
     del X, directions
-    rep = Report(name)
     _graded_rows(rep, right, reduced_homology(chains), tag="H~")
     return rep
 
@@ -243,13 +255,13 @@ def rank_one_catalog(group: str, n: int):
     """(description, reduced homology) of the n-th stable factor."""
     if group not in RANK_ONE_GROUPS or n < 1:
         raise Unsupported(group, n)
+    if group in ("SU2", "B_SU2_Z2") and n > catalog.MAX_SPHERE:
+        raise Unsupported(group, n)
     if group == "S1":
         return f"S^{n}", reduced_homology(catalog.sphere_chain(n))
     if group == "SU2":
         if n == 1:
             return "S^3", reduced_homology(catalog.sphere_chain(3))
-        if n > 4:
-            raise Unsupported(group, n)
         return (
             f"ΣS({n}λ)",
             reduced_homology(catalog.thom_zero_quotient(n)),
@@ -274,8 +286,6 @@ def rank_one_catalog(group: str, n: int):
     # B_SU2_Z2: SU(2) almost-commuting tuples with one marked -1.
     if n == 1:
         return "S^3", reduced_homology(catalog.sphere_chain(3))
-    if n > 4:
-        raise Unsupported(group, n)
     k = k_count(n)
     value = poincare_assembly(
         [

@@ -3,11 +3,12 @@
 Every routine is a direct transcription of a textbook definition,
 deliberately slow and dumb, so a disagreement with the fast
 implementation always means the fast side is wrong (or the oracle's
-definition was misread, which is easier to audit).  Only three sections
-use the package under test, each replaying the route a faster
-construction replaced: symmetric products as X^m and then its quotient,
-the SU(2) sweep tuples as UnitQuaternion products, and the sign-matrix
-tables as one type matrix, sign matrix and F2 rank per type.
+definition was misread, which is easier to audit).  Only four sections
+use the package under test, each replaying the route a smaller or faster
+construction replaced: spheres as cross-polytope boundaries, symmetric
+products as X^m and then its quotient, the SU(2) sweep tuples as
+UnitQuaternion products, and the sign-matrix tables as one type matrix,
+sign matrix and F2 rank per type.
 """
 
 import math
@@ -19,7 +20,13 @@ from math import comb, factorial, gcd, prod
 
 from repspace.abelian import IntMatrix, rank_mod_p
 from repspace.counting import enumerate_types
-from repspace.simplicial import SimplicialAction, product_list, quotient_by_action
+from repspace.simplicial import (
+    FormalSimplex,
+    SimplicialAction,
+    SimplicialSet,
+    product_list,
+    quotient_by_action,
+)
 from repspace.su2 import I, J, SignMatrix, UnitQuaternion
 
 
@@ -337,6 +344,37 @@ def reference_sym_product(X, m):
     """SP^m X = X^m / Σ_m as the quotient of the built product (m >= 2)."""
     P = product_list([X] * m)
     return quotient_by_action(P, permutation_action(P, m))
+
+
+# ---------------------------------------------------------------------------
+# Spheres as boundaries of cross-polytopes.
+#
+# Vertices ±e_0 .. ±e_k; a j-simplex picks j + 1 axes in increasing order
+# and a sign on each, so the antipodal flip keeps the vertex order and is
+# simplicial and free.  Every face is nondegenerate, where the two-cell
+# sphere's middle faces are all degenerate, so the two models share no
+# simplex and no face.
+
+
+def cross_polytope_sphere(k):
+    """(boundary of the (k+1)-cross-polytope, its antipodal action)."""
+    flip = str.maketrans("+-", "-+")
+    simplices, faces, swap = {}, {}, {}
+    for j in range(k + 1):
+        simplices[j] = []
+        for axes in combinations(range(k + 1), j + 1):
+            for signs in product("+-", repeat=j + 1):
+                verts = [f"x{a}{s}" for a, s in zip(axes, signs)]
+                sid = ".".join(verts)
+                simplices[j].append(sid)
+                swap[sid] = sid.translate(flip)
+                if j:
+                    faces[sid] = tuple(
+                        FormalSimplex((), ".".join(verts[:i] + verts[i + 1 :]))
+                        for i in range(j + 1)
+                    )
+    X = SimplicialSet(simplices, faces)
+    return X, SimplicialAction.involution(X, swap)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from repspace.abelian import AbelianGroup, GradedGroup
 from repspace.engine import (
     ChainComplex,
     homology,
+    reduced_homology,
     universal_coefficients_check,
 )
 from repspace.errors import ActionInvalid, ResourceGuard, UnknownSpace
@@ -22,6 +23,7 @@ from repspace.simplicial import (
     orbit_ids,
     product_list,
     product_simplex_id,
+    quotient_by_action,
 )
 
 Z = AbelianGroup.free
@@ -310,14 +312,53 @@ def test_generator_orbits_are_the_whole_groups_orbits(case):
 # -- spheres and projective spaces -------------------------------------------
 
 
-def test_cross_polytope_spheres():
-    X, A = catalog.sphere_simplicial(2)
+def _sphere_homology(k):
+    if k == 0:
+        return GradedGroup.of(Z(2))
+    return GradedGroup.of(Z(1), *[Z(0)] * (k - 1), Z(1))
+
+
+def test_cross_polytope_spheres(monkeypatch):
+    # the catalog's sphere has two simplices per dimension and is validated
+    for k in range(6):
+        X, A = catalog.sphere_simplicial(k)
+        assert X.f_vector() == [2] * (k + 1)
+        A.validate(X)
+        assert H(X) == _sphere_homology(k)
+
+    def refuse(self):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(SimplicialSet, "validate", refuse)
+    with pytest.raises(ValueError, match="planted"):
+        catalog.sphere_simplicial(2)
+
+
+def test_the_cross_polytope_oracle_is_a_sphere():
+    X, A = oracles.cross_polytope_sphere(2)
     assert X.f_vector() == [6, 12, 8]
     A.validate(X)
-    assert H(X) == GradedGroup.of(Z(1), Z(0), Z(1))
-    S0, A0 = catalog.sphere_simplicial(0)
+    assert H(X) == _sphere_homology(2)
+    S0, A0 = oracles.cross_polytope_sphere(0)
     assert S0.f_vector() == [2]
     assert all(A0.generators[0][s] != s for s in S0.dim_of)
+
+
+def _cross_polytope_bundle(n):
+    S2, A2 = oracles.cross_polytope_sphere(2)
+    Sn, An = oracles.cross_polytope_sphere(n - 1)
+    P = product_list([S2, Sn])
+    act = catalog._product_involution(P, [A2.generators[0], An.generators[0]])
+    return quotient_by_action(P, act)
+
+
+def test_the_two_cell_models_match_the_cross_polytope_route():
+    for k in range(5):
+        S, A = oracles.cross_polytope_sphere(k)
+        assert H(catalog.sphere_simplicial(k)[0]) == H(S)
+        assert H(catalog.rp_simplicial(k)) == H(quotient_by_action(S, A))
+    for n in (1, 2, 3):
+        assert H(catalog.sphere_bundle_quotient(n)) == H(_cross_polytope_bundle(n))
 
 
 def test_antipodal_action_is_free():
@@ -328,7 +369,7 @@ def test_antipodal_action_is_free():
 
 
 def test_projective_space_quotient_matches_cellular_model():
-    for k in (1, 2, 3, 4):
+    for k in range(1, catalog.MAX_SPHERE + 1):
         assert H(catalog.rp_simplicial(k)) == homology(catalog.rp_chain(k))
 
 
@@ -366,7 +407,7 @@ def test_thom_space_chain_models():
 
 
 def test_sphere_bundle_quotients():
-    # S(n λ) over RP^2 on cross-polytope models; frozen values checked
+    # S(n λ) over RP^2 on two-cell spheres; frozen values checked
     # against Euler characteristics and (non)orientability of the total
     # spaces: n = 1 gives S^2 back, n = 2 a nonorientable 3-manifold with
     # H_1 = Z, n = 3 an orientable 4-manifold.
@@ -393,6 +434,17 @@ def test_thom_zero_quotients_frozen():
     )
 
 
+@pytest.mark.parametrize("n", range(3, catalog.MAX_SPHERE + 1))
+def test_suspended_sphere_bundle_is_the_thom_space_plus_a_suspended_rp2(n):
+    # Th(nλ) = RP^{n+2}/RP^{n-1} is (n-1)-connected, so for n >= 3 the zero
+    # section RP^2 -> Th(nλ) is null and its cofibre ΣS(nλ) splits as
+    # Th(nλ) ∨ ΣRP^2, whose extra summand is Z/2 in degree 2
+    expected = reduced_homology(catalog.stunted_projective(n + 2, n)).direct_sum(
+        GradedGroup.of(Z(0), Z(0), T(0, 2))
+    )
+    assert reduced_homology(catalog.thom_zero_quotient(n)) == expected
+
+
 def test_lens_q8_fixed_data():
     # S^3/Q_8: H_1 is the abelianization (Z/2)^2 of Q_8, H_3 = Z (closed
     # orientable), H_2 = 0 by duality and universal coefficients
@@ -415,9 +467,9 @@ def test_resource_guards():
     with pytest.raises(ResourceGuard):
         catalog.sym_product(catalog.circle(), 4)
     with pytest.raises(ResourceGuard):
-        catalog.sphere_bundle_quotient(5)
+        catalog.sphere_bundle_quotient(9)
     with pytest.raises(ResourceGuard):
-        catalog.rp_simplicial(6)
+        catalog.rp_simplicial(9)
     with pytest.raises(ResourceGuard):
         catalog.smash_factor(6)
     with pytest.raises(ValueError, match="range"):

@@ -291,6 +291,17 @@ def test_a_refused_splitting_check_names_its_report(capsys):
     )
 
 
+def test_a_refused_splitting_check_builds_nothing_first(capsys, monkeypatch):
+    # the sp_circle refusal comes before hom_circle and rep_su2 are built
+    calls, chains = [], verifier.normalized_chains
+    monkeypatch.setattr(
+        verifier, "normalized_chains", lambda X: calls.append(X) or chains(X)
+    )
+    code, _, err = run(capsys, "verify", "splitting", "--n", "3", "--m", "3")
+    assert code == 3 and err.startswith("resource guard: splitting[sp_circle]")
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "m, code, prefix", [("4", 3, "resource guard"), ("0", 2, "error")]
 )
@@ -353,6 +364,15 @@ def test_catalog_json(capsys):
     assert doc["factor"] == "ΣS(4λ)"
     g = GradedGroup.from_json(doc["reduced_homology"])
     assert str(g) == "(0, 0, Z/2, 0, Z, Z/2)"
+
+
+@pytest.mark.parametrize("group", ["SU2", "B_SU2_Z2"])
+def test_catalog_stdout_is_the_benchmarks_frozen_answer(capsys, group):
+    key = f"catalog {group} --n 4"
+    frozen = json.loads((SRC.parent / "perfbench" / "expected.json").read_text("utf-8"))
+    code, out, _ = run(capsys, *key.split())
+    assert code == 0
+    assert out == frozen["answers"][key]["stdout"]
 
 
 def test_catalog_unsupported_is_usage_error(capsys):
@@ -619,8 +639,9 @@ def _fuzz_argv(rng, cache):
             argv += ["--seed", value()]
     elif command == "catalog":
         group = rng.choice(verifier.RANK_ONE_GROUPS + ("E8",))
-        # No 4: it takes seconds for SU2.
-        n = rng.choice(["-1", "0", "1", "2", "3", "5", "14", "1000000000", "x"])
+        n = rng.choice(
+            ["-1", "0", "1", "2", "3", "4", "5", "8", "14", "1000000000", "x"]
+        )
         argv = ["catalog", group, "--n", n]
     elif command == "su2":
         argv = ["su2", rng.choice(["verify-psi"] * 4 + ["verify-phi"])]

@@ -265,9 +265,11 @@ PRODUCT_CASES = {
     "minimal T^2 cubed": lambda: [minimal_torus(2)] * 3,
     "2-gon x circle x rose(2)": lambda: [two_gon()[0], minimal_circle(), rose(2)],
     "cross-polytope S^1 x 2-gon": lambda: [
-        catalog.sphere_simplicial(1)[0],
+        oracles.cross_polytope_sphere(1)[0],
         two_gon()[0],
     ],
+    # the sphere's middle face s_0(e0+) is degenerate
+    "two-cell S^2 x 2-gon": lambda: [catalog.sphere_simplicial(2)[0], two_gon()[0]],
     "torus_conj_quotient(2) squared": lambda: [catalog.torus_conj_quotient(2)] * 2,
     # faces s_1 s_0 * on both sides: two shared degeneracies to peel
     "3-sphere x circle": lambda: [smash([minimal_circle()] * 3), minimal_circle()],

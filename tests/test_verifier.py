@@ -245,7 +245,7 @@ def test_rank_one_su2_factors():
 
 
 def test_rank_one_su2_factors_are_simply_connected():
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, catalog.MAX_SPHERE):
         _, h = rank_one_catalog("SU2", n)
         assert h[0].is_trivial and h[1].is_trivial
 
@@ -280,7 +280,7 @@ def test_rank_one_binary_quotient_factors():
 
 
 def test_rank_one_unsupported_inputs():
-    for group, n in [("SO5", 2), ("S1", 0), ("SU2", 5), ("B_SU2_Z2", 9)]:
+    for group, n in [("SO5", 2), ("S1", 0), ("SU2", 9), ("B_SU2_Z2", 9)]:
         with pytest.raises(Unsupported) as err:
             rank_one_catalog(group, n)
         assert err.value.group == group and err.value.n == n
