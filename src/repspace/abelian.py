@@ -35,8 +35,9 @@ invariant-factor normal form, and full homology tables as
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from math import gcd
+
+from .values import Frozen, _set
 
 # ---------------------------------------------------------------------------
 # SECTION: integer matrices
@@ -462,8 +463,7 @@ def rank_mod_p(M: IntMatrix, p: int) -> int:
 # SECTION: abelian groups
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(Frozen):
     """A finitely generated abelian group Z^free_rank + Z/d1 + ... + Z/dt.
 
     Invariant-factor normal form: every di >= 2 and d1 | d2 | ... | dt,
@@ -475,19 +475,20 @@ class AbelianGroup:
     '0'
     """
 
-    free_rank: int
-    torsion: tuple = ()
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, torsion: tuple = ()):
+        torsion = tuple(int(d) for d in torsion)
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for d in self.torsion:
+        for d in torsion:
             if d < 2:
                 raise ValueError(f"invariant factor {d} < 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
-                raise ValueError(f"broken divisor chain {self.torsion}")
+                raise ValueError(f"broken divisor chain {torsion}")
+        _set(self, "free_rank", free_rank)
+        _set(self, "torsion", torsion)
 
     @classmethod
     def trivial(cls) -> "AbelianGroup":
@@ -546,8 +547,7 @@ class AbelianGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(Frozen):
     """A finite list of AbelianGroups indexed by homological degree.
 
     Trailing trivial degrees are trimmed on construction, so two tables
@@ -555,13 +555,13 @@ class GradedGroup:
     returns the trivial group.
     """
 
-    groups: tuple = ()
+    __slots__ = ("groups",)
 
-    def __post_init__(self):
-        gs = list(self.groups)
+    def __init__(self, groups: tuple = ()):
+        gs = list(groups)
         while gs and gs[-1].is_trivial:
             gs.pop()
-        object.__setattr__(self, "groups", tuple(gs))
+        _set(self, "groups", tuple(gs))
 
     def __getitem__(self, k: int) -> AbelianGroup:
         if 0 <= k < len(self.groups):

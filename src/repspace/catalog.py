@@ -451,10 +451,6 @@ def _lookup(key: str):
     return f"{name}({inner})", name, params
 
 
-def canonical_descriptor(key: str) -> str:
-    return _lookup(key)[0]
-
-
 def resolve(key: str):
     """(canonical descriptor, thunk) for a descriptor string.
 

@@ -17,7 +17,6 @@ or csv.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -44,6 +43,8 @@ COUNTS_MAX_N = 4000
 def _table(headers, rows, fmt, caption=None):
     """Render one table of pre-stringified rows to stdout."""
     if fmt == "csv":
+        import csv  # only the csv format needs it
+
         w = csv.writer(sys.stdout)
         w.writerow(headers)
         w.writerows(rows)
@@ -58,8 +59,8 @@ def _table(headers, rows, fmt, caption=None):
 
 
 def cmd_homology(args) -> int:
-    canonical = catalog.canonical_descriptor(args.descriptor)
-    g = cached_homology(args.descriptor, cache_dir=args.cache_dir)
+    canonical, build = catalog.resolve(args.descriptor)
+    g = cached_homology(canonical, build, cache_dir=args.cache_dir)
     if args.fmt == "json":
         print(
             json.dumps(
@@ -127,6 +128,8 @@ def cmd_verify(args) -> int:
     if args.fmt == "json":
         print(json.dumps([r.to_json() for r in reports], indent=2))
     elif args.fmt == "csv":
+        import csv  # only the csv format needs it
+
         w = csv.writer(sys.stdout)
         w.writerow(("report", "item", "expected", "got", "ok"))
         for r in reports:

@@ -1,8 +1,9 @@
 """Closed-form counts, recurrences, type-matrix enumeration, EM tables.
 
-All formulas are evaluated in exact rational arithmetic and asserted
-integral before returning, so a transcribed formula that does not
-actually divide fails loudly instead of silently truncating.
+All formulas are evaluated in exact integer arithmetic, and every
+division checks its remainder before returning, so a transcribed
+formula that does not actually divide fails loudly instead of silently
+truncating.
 
 Conventions.  An n-tuple in a group with central subgroup K has a *type*:
 the antisymmetric n×n matrix of commutators valued in K.  K is described
@@ -13,21 +14,24 @@ numerics lives in its own module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
-from math import comb, prod
+from math import comb, gcd, prod
 
 from .abelian import AbelianGroup, GradedGroup
 from .errors import NotPrime, ResourceGuard
+from .values import Frozen, _set
 
 ENUMERATION_GUARD = 10**6
 
 
-def _exact_int(q: Fraction, label: str) -> int:
-    if q.denominator != 1:
-        raise AssertionError(f"{label} evaluated to non-integer {q}")
-    return int(q)
+def _exact_quotient(num: int, den: int, label: str) -> int:
+    """num / den (den > 0), which must be an integer; a remainder raises
+    AssertionError naming the quotient in lowest terms."""
+    q, r = divmod(num, den)
+    if r:
+        g = gcd(num, den)
+        raise AssertionError(f"{label} evaluated to non-integer {num // g}/{den // g}")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +46,14 @@ def a_count(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _exact_int(Fraction((2**n - 1) * (2 ** (n - 1) - 1), 3), "a_count")
+    return _exact_quotient((2**n - 1) * (2 ** (n - 1) - 1), 3, "a_count")
 
 
 def c_count(n: int) -> int:
     """(3^{n-1} - 1)/2; the lens-space summand multiplicity."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _exact_int(Fraction(3 ** (n - 1) - 1, 2), "c_count")
+    return _exact_quotient(3 ** (n - 1) - 1, 2, "c_count")
 
 
 def c_via_recurrence(n: int) -> int:
@@ -77,11 +81,10 @@ def d_count(n: int) -> int:
 
 
 def k_count(n: int) -> int:
-    """7^n/24 - 3^n/8 + 1/12, exactly."""
+    """7^n/24 - 3^n/8 + 1/12 = (7^n - 3·3^n + 2)/24, exactly."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = Fraction(7**n, 24) - Fraction(3**n, 8) + Fraction(1, 12)
-    return _exact_int(q, "k_count")
+    return _exact_quotient(7**n - 3 * 3**n + 2, 24, "k_count")
 
 
 def k_via_recurrence(n: int) -> int:
@@ -114,19 +117,15 @@ def n_central_product(n: int, m: int, p: int) -> int:
         raise NotPrime(f"{p} is not prime")
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    q = Fraction(
-        p ** ((m - 1) * (n - 2)) * (p**n - 1) * (p ** (n - 1) - 1),
-        p**2 - 1,
-    )
-    return _exact_int(q, "n_central_product") + 1
+    num = p ** ((m - 1) * (n - 2)) * (p**n - 1) * (p ** (n - 1) - 1)
+    return _exact_quotient(num, p**2 - 1, "n_central_product") + 1
 
 
 # ---------------------------------------------------------------------------
 # SECTION: type matrices
 
 
-@dataclass(frozen=True)
-class TypeMatrix:
+class TypeMatrix(Frozen):
     """Antisymmetric n×n matrix over a finite abelian group K.
 
     ``modulus`` is K's invariant-factor tuple; entries are residue tuples
@@ -134,25 +133,24 @@ class TypeMatrix:
     diagonal and entries[j][i] = -entries[i][j] componentwise.
     """
 
-    n: int
-    modulus: tuple
-    entries: tuple
+    __slots__ = ("n", "modulus", "entries")
 
-    def __post_init__(self):
-        zero = (0,) * len(self.modulus)
-        if len(self.entries) != self.n:
+    def __init__(self, n: int, modulus: tuple, entries: tuple):
+        zero = (0,) * len(modulus)
+        if len(entries) != n:
             raise ValueError("row count disagrees with n")
-        for i in range(self.n):
-            if len(self.entries[i]) != self.n:
+        for i in range(n):
+            if len(entries[i]) != n:
                 raise ValueError("column count disagrees with n")
-            if self.entries[i][i] != zero:
+            if entries[i][i] != zero:
                 raise ValueError("diagonal entry is not the identity")
-            for j in range(self.n):
-                neg = tuple(
-                    (-a) % d for a, d in zip(self.entries[i][j], self.modulus)
-                )
-                if self.entries[j][i] != neg:
+            for j in range(n):
+                neg = tuple((-a) % d for a, d in zip(entries[i][j], modulus))
+                if entries[j][i] != neg:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) disagree")
+        _set(self, "n", n)
+        _set(self, "modulus", modulus)
+        _set(self, "entries", entries)
 
     def entry(self, i: int, j: int) -> tuple:
         return self.entries[i][j]

@@ -21,7 +21,6 @@ import hashlib
 import json
 import os
 import sys
-from pathlib import Path
 
 from .abelian import (
     AbelianGroup,
@@ -236,14 +235,15 @@ def _digest(graded_group_json) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _cache_path(root, canonical: str) -> Path:
+def _cache_path(root, canonical: str) -> str:
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    return Path(root) / f"{digest}.json"
+    return os.path.join(root, f"{digest}.json")
 
 
-def _cache_read(path: Path, canonical: str) -> GradedGroup:
+def _cache_read(path: str, canonical: str) -> GradedGroup:
     try:
-        doc = json.loads(path.read_text("utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
         if doc.get("key") != canonical:
             raise CacheCorrupt(f"key mismatch in {path}")
         if doc.get("engine_version") != ENGINE_VERSION:
@@ -257,36 +257,36 @@ def _cache_read(path: Path, canonical: str) -> GradedGroup:
         raise CacheCorrupt(f"unreadable cache entry {path}: {exc}") from exc
 
 
-def _cache_write(path: Path, canonical: str, value: GradedGroup):
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _cache_write(path: str, canonical: str, value: GradedGroup):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     doc = {
         "key": canonical,
         "graded_group": value.to_json(),
         "digest": _digest(value.to_json()),
         "engine_version": ENGINE_VERSION,
     }
-    tmp = path.with_suffix(f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(doc, indent=1), "utf-8")
+    tmp = f"{os.path.splitext(path)[0]}.tmp{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=1))
     os.replace(tmp, path)
 
 
-def cached_homology(space_key: str, cache_dir=None) -> GradedGroup:
-    """Homology of a catalog space by descriptor, through the cache.
+def cached_homology(canonical: str, build, cache_dir=None) -> GradedGroup:
+    """Homology of ``build()``, the space of the canonical descriptor
+    ``canonical``, through the cache.
 
-    The one path is descriptor -> chain complex (``catalog.resolve``) ->
-    ``homology``; this function adds only the cache.  Cache root:
-    explicit argument, else the REPSPACE_CACHE environment variable, else
-    no caching at all.  An unreadable entry, or one whose value does not
-    match its digest, is recomputed and overwritten; an entry that cannot
-    be written costs a one-line warning on stderr, not the answer.
+    The one path is descriptor -> chain complex (``catalog.resolve``, which
+    returns both arguments) -> ``homology``; this function adds only the
+    cache, and calls ``build`` only when no valid entry exists.  Cache
+    root: explicit argument, else the REPSPACE_CACHE environment variable,
+    else no caching at all.  An unreadable entry, or one whose value does
+    not match its digest, is recomputed and overwritten; an entry that
+    cannot be written costs a one-line warning on stderr, not the answer.
     """
-    from . import catalog  # deferred import; catalog builds on the engine
-
-    canonical, build = catalog.resolve(space_key)
     root = cache_dir if cache_dir is not None else os.environ.get("REPSPACE_CACHE")
     if root:
         path = _cache_path(root, canonical)
-        if path.exists():
+        if os.path.exists(path):
             try:
                 return _cache_read(path, canonical)
             except CacheCorrupt:

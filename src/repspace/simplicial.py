@@ -36,11 +36,11 @@ basepoint), so equal constructions produce identical ids across runs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cmp_to_key
 from itertools import combinations, combinations_with_replacement, groupby
 from itertools import product as iter_product
 from math import comb, prod
-from typing import NamedTuple
 
 from .abelian import IntMatrix
 from .engine import ChainComplex
@@ -50,11 +50,10 @@ BASEPOINT_ID = "*"
 CELL_BUDGET = 200_000
 
 
-class FormalSimplex(NamedTuple):
+class FormalSimplex(namedtuple("FormalSimplex", ("word", "base"))):
     """A degeneracy word applied to a nondegenerate simplex id."""
 
-    word: tuple
-    base: str
+    __slots__ = ()
 
     def render(self) -> str:
         if not self.word:
@@ -265,20 +264,12 @@ def guard_product(f_vectors) -> list:
     return f
 
 
-class _Degree(NamedTuple):
-    """A factor's formal k-simplices, in ``formal_simplices`` order.
-
-    Per pool position: the degeneracy set as a bitmask, the rendered id,
-    and the faces d_0..d_k as positions in the degree k - 1 pool.
-    ``runs`` are the (mask, start, stop) runs of one degeneracy set; the
-    pool keeps each set contiguous.
-    """
-
-    pool: list
-    masks: list
-    names: list
-    faces: list
-    runs: list
+# A factor's formal k-simplices, in ``formal_simplices`` order.  Per pool
+# position: the degeneracy set as a bitmask, the rendered id, and the
+# faces d_0..d_k as positions in the degree k - 1 pool.  ``runs`` are the
+# (mask, start, stop) runs of one degeneracy set; the pool keeps each set
+# contiguous.
+_Degree = namedtuple("_Degree", ("pool", "masks", "names", "faces", "runs"))
 
 
 def _factor_degrees(X: SimplicialSet, top: int) -> list:
@@ -439,10 +430,11 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
     occur in X^m.  An orbit is named "[" + its least member's product id
     + "]" and records that member's coordinates as ``parts``; the least
     member is the representative sorted by ``_least_id_ranks``.  Each
-    orbit is indexed once, under its sorted positions, and
-    ``_normalize_tuple`` resolves a face through ``_OrbitIndex``.  The
-    result is validated.  Refused (ResourceGuard) when X^m is over
-    ``CELL_BUDGET``.
+    orbit is indexed once, under its sorted positions.  A face whose
+    coordinates share no degeneracy is looked up under its sorted
+    positions; a degenerate face goes through ``_normalize_tuple``, whose
+    peeled positions ``_OrbitIndex`` sorts.  The result is validated.
+    Refused (ResourceGuard) when X^m is over ``CELL_BUDGET``.
     """
     guard_product([X.f_vector()] * m)
     degrees = _factor_degrees(X, m * X.dim)
@@ -471,6 +463,8 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
         ids.append(index)
         level = []
         rank = _least_id_ranks(t.names).__getitem__
+        if k:
+            below, masks = ids[k - 1], degrees[k - 1].masks
         for ps in found:
             least = sorted(ps, key=rank)
             oid = "[(" + "|".join([t.names[p] for p in least]) + ")]"
@@ -478,10 +472,16 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
             level.append(oid)
             parts[oid] = tuple([t.pool[p] for p in least])
             if k:
-                rows = [t.faces[p] for p in ps]
-                faces[oid] = tuple(
-                    [_normalize_tuple(tables, k - 1, qs, ids) for qs in zip(*rows)]
-                )
+                row = []
+                for qs in zip(*[t.faces[p] for p in ps]):
+                    common = -1
+                    for q in qs:
+                        common &= masks[q]
+                    if common:
+                        row.append(_normalize_tuple(tables, k - 1, qs, ids))
+                    else:
+                        row.append(below[tuple(sorted(qs))])
+                faces[oid] = tuple(row)
         if level:
             simplices[k] = level
     basepoint = None

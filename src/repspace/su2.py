@@ -11,18 +11,19 @@ constructor raises TypeMismatch on exactly the other matrices.
 
 Every product renormalizes, so drift over the tuple sizes used here
 (well under 10^2 products) stays far below the default 1e-9 tolerance.
-The arithmetic runs on plain float 4-tuples: ``_unit`` normalizes and
-``_product`` multiplies.  Random elements, conjugates, the psi
-constructor and commutators all have 4-tuple cores that perform the
-UnitQuaternion operations in the same order, so the public functions are
-thin wrappers over them and the construction sweep builds no objects.
+The arithmetic runs on plain float 4-tuples: ``_unit`` normalizes,
+``_product`` multiplies and ``_unit_product`` does both.  Random
+elements, conjugates, the psi constructor and commutators all have
+4-tuple cores that perform the UnitQuaternion operations in the same
+order, so the public functions are thin wrappers over them and the
+construction sweep builds no objects.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import FrozenInstanceError, dataclass
+from functools import lru_cache
 
 from .errors import (
     BadBasePair,
@@ -30,6 +31,7 @@ from .errors import (
     NotCommutingInSO3,
     TypeMismatch,
 )
+from .values import Frozen, _set, restore
 
 NORM_TOL = 1e-12
 DEFAULT_TOL = 1e-9
@@ -67,6 +69,19 @@ def _product(a: tuple, b: tuple) -> tuple:
     )
 
 
+def _unit_product(a: tuple, b: tuple) -> tuple:
+    """``_unit(*_product(a, b))``, with the same float operations in the
+    same order, without the intermediate tuple."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return _unit(
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
 def _inverse(a: tuple) -> tuple:
     w, x, y, z = a
     return _unit(w, -x, -y, -z)
@@ -80,12 +95,12 @@ def _neg(a: tuple) -> tuple:
 def _commutator(a: tuple, b: tuple, ai: tuple, bi: tuple) -> tuple:
     """a b a⁻¹ b⁻¹ on 4-tuples, given ai = a⁻¹ and bi = b⁻¹; every product
     but the last renormalized."""
-    return _product(_unit(*_product(_unit(*_product(a, b)), ai)), bi)
+    return _product(_unit_product(_unit_product(a, b), ai), bi)
 
 
 def _conjugate(g: tuple, x: tuple, gi: tuple) -> tuple:
     """g x g⁻¹ on 4-tuples, given gi = g⁻¹, renormalized as ``g * x * gi``."""
-    return _unit(*_product(_unit(*_product(g, x)), gi))
+    return _unit_product(_unit_product(g, x), gi)
 
 
 def _distance(a: tuple, bw: float) -> float:
@@ -95,10 +110,7 @@ def _distance(a: tuple, bw: float) -> float:
     return math.sqrt(w * w + x * x + y * y + z * z)
 
 
-_set = object.__setattr__
-
-
-class UnitQuaternion:
+class UnitQuaternion(Frozen):
     """A unit quaternion w + xi + yj + zk, renormalized on construction.
 
     Immutable, with value equality and hashing over the four components.
@@ -113,30 +125,8 @@ class UnitQuaternion:
         _set(self, "y", y)
         _set(self, "z", z)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (_restore, self.components())
-
     def components(self) -> tuple:
         return (self.w, self.x, self.y, self.z)
-
-    def __eq__(self, o):
-        if o.__class__ is not UnitQuaternion:
-            return NotImplemented
-        return self.components() == o.components()
-
-    def __hash__(self):
-        return hash(self.components())
-
-    def __repr__(self):
-        return (
-            f"UnitQuaternion(w={self.w!r}, x={self.x!r}, y={self.y!r}, z={self.z!r})"
-        )
 
     def __mul__(self, o: "UnitQuaternion") -> "UnitQuaternion":
         return UnitQuaternion(*_product(self.components(), o.components()))
@@ -161,11 +151,8 @@ class UnitQuaternion:
 
 
 def _restore(*components) -> UnitQuaternion:
-    """Rebuild a pickled or copied quaternion without renormalizing it."""
-    q = object.__new__(UnitQuaternion)
-    for name, v in zip(UnitQuaternion.__slots__, components):
-        _set(q, name, v)
-    return q
+    """A quaternion holding four components as they are, not renormalized."""
+    return restore(UnitQuaternion, components)
 
 
 ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
@@ -180,44 +167,44 @@ def commutator(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
     return UnitQuaternion(*_commutator(qa, qb, _inverse(qa), _inverse(qb)))
 
 
-@dataclass(frozen=True)
-class SU2Tuple:
+class SU2Tuple(Frozen):
     """A nonempty tuple of unit quaternions with a commutator tolerance."""
 
-    elements: tuple
-    tol: float = DEFAULT_TOL
+    __slots__ = ("elements", "tol")
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if not self.elements:
+    def __init__(self, elements: tuple, tol: float = DEFAULT_TOL):
+        elements = tuple(elements)
+        if not elements:
             raise ValueError("tuple must have length >= 1")
-        if self.tol <= 0:
+        if tol <= 0:
             raise ValueError("tolerance must be positive")
+        _set(self, "elements", elements)
+        _set(self, "tol", tol)
 
     def __len__(self):
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(Frozen):
     """Symmetric n×n matrix of commutator signs with +1 diagonal."""
 
-    n: int
-    entries: tuple
+    __slots__ = ("n", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.n:
+    def __init__(self, n: int, entries: tuple):
+        if len(entries) != n:
             raise ValueError("row count disagrees with n")
-        for i in range(self.n):
-            if len(self.entries[i]) != self.n:
+        for i in range(n):
+            if len(entries[i]) != n:
                 raise ValueError("column count disagrees with n")
-            if self.entries[i][i] != 1:
+            if entries[i][i] != 1:
                 raise ValueError("diagonal sign must be +1")
-            for j in range(self.n):
-                if self.entries[i][j] not in (1, -1):
+            for j in range(n):
+                if entries[i][j] not in (1, -1):
                     raise ValueError("entries must be ±1")
-                if self.entries[i][j] != self.entries[j][i]:
+                if entries[i][j] != entries[j][i]:
                     raise ValueError("sign matrix must be symmetric")
+        _set(self, "n", n)
+        _set(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> "SignMatrix":
@@ -338,32 +325,44 @@ def _psi_construct(x_i: tuple, x_j: tuple, w, C: SignMatrix, i: int, j: int):
         raise NotAlmostCommuting(i, j, dist)
     if sign == 1:
         raise BadBasePair("base pair commutes; its commutator generates nothing")
-    if C.entry(i, j) != -1:
-        raise TypeMismatch(
-            f"matrix entry ({i},{j}) is +1 but the base pair anticommutes"
-        )
-    others = [k for k in range(n) if k not in (i, j)]
-    # c^{b_k} = C[i][k], c^{a_k} = C[j][k] with c = -1
-    a = {k: (1 - C.entry(j, k)) // 2 for k in others}
-    b = {k: (1 - C.entry(i, k)) // 2 for k in others}
-    for s, k in enumerate(others):
-        for l in others[s + 1 :]:
-            forced = (-1) ** (a[k] * b[l] + a[l] * b[k])
-            if C.entry(k, l) != forced:
-                raise TypeMismatch(
-                    f"entry ({k},{l}) must be {forced:+d} for this base pair"
-                )
+    refusal, plan = _psi_plan(C.entries, i, j)
+    if refusal is not None:
+        raise TypeMismatch(refusal)
     elements = [None] * n
     elements[i] = x_i
     elements[j] = x_j
     # x.power(1) is ONE * x, renormalized; x.power(0) is ONE
     one = ONE.components()
-    powers_i = (one, _unit(*_product(one, x_i)))
-    powers_j = (one, _unit(*_product(one, x_j)))
-    for s, k in enumerate(others):
-        y = _unit(*_product(powers_i[a[k]], powers_j[b[k]]))
+    powers_i = (one, _unit_product(one, x_i))
+    powers_j = (one, _unit_product(one, x_j))
+    for s, (k, a, b) in enumerate(plan):
+        y = _unit_product(powers_i[a], powers_j[b])
         elements[k] = y if w[s] == 1 else _neg(y)
     return elements
+
+
+@lru_cache(maxsize=1 << 14)
+def _psi_plan(entries: tuple, i: int, j: int) -> tuple:
+    """(refusal, plan) of ``_psi_construct`` for the sign rows ``entries``
+    and the base pair (i, j), worked out once per matrix and pair.
+
+    ``refusal`` is the TypeMismatch message of the first entry the base
+    pair cannot produce, or None; ``plan`` holds (k, a_k, b_k) for every
+    other position k in increasing order.  The cache is bounded: a sweep
+    at the largest rank the sign tables allow touches fewer plans.
+    """
+    if entries[i][j] != -1:
+        return f"matrix entry ({i},{j}) is +1 but the base pair anticommutes", ()
+    others = [k for k in range(len(entries)) if k not in (i, j)]
+    # c^{b_k} = C[i][k], c^{a_k} = C[j][k] with c = -1
+    a = {k: (1 - entries[j][k]) // 2 for k in others}
+    b = {k: (1 - entries[i][k]) // 2 for k in others}
+    for s, k in enumerate(others):
+        for l in others[s + 1 :]:
+            forced = (-1) ** (a[k] * b[l] + a[l] * b[k])
+            if entries[k][l] != forced:
+                return f"entry ({k},{l}) must be {forced:+d} for this base pair", ()
+    return None, tuple((k, a[k], b[k]) for k in others)
 
 
 def classify_so3_tuple(rotations) -> SignMatrix:

@@ -17,8 +17,7 @@ fixed seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from itertools import combinations
 from math import comb
 
@@ -75,21 +74,24 @@ from .su2 import (
     classify_so3_tuple,
     psi_construct,
 )
+from .values import Record
 
 # ---------------------------------------------------------------------------
 # SECTION: reports
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Outcome of one verification: a name plus the evidence rows.
 
     Each row records one comparison as strings (so the whole report
     serializes without surprises); the verdict is the conjunction.
     """
 
-    name: str
-    rows: list = field(default_factory=list)
+    __slots__ = ("name", "rows")
+
+    def __init__(self, name: str, rows=None):
+        self.name = name
+        self.rows = [] if rows is None else rows
 
     @property
     def ok(self) -> bool:
@@ -404,6 +406,15 @@ def _sign_tables(n: int) -> tuple:
     return tuple(realizable), tuple(unrealizable)
 
 
+@lru_cache(maxsize=1 << 12)
+def _anticommuting_pairs(entries: tuple) -> tuple:
+    """The pairs i < j of a sign matrix's rows with sign -1, once per matrix;
+    none when every sign is +1."""
+    return tuple(
+        (i, j) for i, j in combinations(range(len(entries)), 2) if entries[i][j] == -1
+    )
+
+
 def _random_tuple(C: SignMatrix, rng: random.Random) -> list:
     """A random SU(2) tuple built to have the realizable sign matrix C, as
     a list of 4-tuples.
@@ -413,9 +424,9 @@ def _random_tuple(C: SignMatrix, rng: random.Random) -> list:
     companion signs.
     """
     n = C.n
-    if all(s == 1 for row in C.entries for s in row):
+    pairs = _anticommuting_pairs(C.entries)
+    if not pairs:
         return _random_torus(n, rng.randrange(2**63))
-    pairs = [(i, j) for i, j in combinations(range(n), 2) if C.entry(i, j) == -1]
     i, j = pairs[rng.randrange(len(pairs))]
     g = _random_unit(rng)
     gi = _inverse(g)

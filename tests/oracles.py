@@ -599,3 +599,30 @@ def reference_sign_tables(n):
         )
         tables[sign_f2_rank(C) > 2].append(C)
     return tuple(tables[0]), tuple(tables[1])
+
+
+# ---------------------------------------------------------------------------
+# Closed-form counts in rational arithmetic.
+#
+# The counting module divides integers and checks each remainder.  This
+# replays the route that replaced: each formula as a sum of Fractions,
+# transcribed from its docstring.
+
+
+def a_count_fraction(n):
+    return Fraction((2**n - 1) * (2 ** (n - 1) - 1), 3)
+
+
+def c_count_fraction(n):
+    return Fraction(3 ** (n - 1) - 1, 2)
+
+
+def k_count_fraction(n):
+    return Fraction(7**n, 24) - Fraction(3**n, 8) + Fraction(1, 12)
+
+
+def n_central_product_fraction(n, m, p):
+    return (
+        Fraction(p ** ((m - 1) * (n - 2)) * (p**n - 1) * (p ** (n - 1) - 1), p**2 - 1)
+        + 1
+    )

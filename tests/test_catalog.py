@@ -205,6 +205,40 @@ def test_the_orbit_index_holds_one_entry_per_orbit(monkeypatch):
             assert all(list(ps) == sorted(ps) for ps in index), case
 
 
+def test_nondegenerate_sym_product_faces_skip_the_orbit_index_fallback(monkeypatch):
+    # a face whose coordinates share no degeneracy is looked up under its
+    # sorted positions; only positions peeled from a degenerate face may
+    # reach _OrbitIndex.__missing__
+    peeling = []
+    direct = []
+    normalize = simplicial._normalize_tuple
+
+    def spy_normalize(tables, k, ps, ids):
+        common = -1
+        for t, p in zip(tables, ps):
+            common &= t[k].masks[p]
+        peeling.append(bool(common))
+        try:
+            return normalize(tables, k, ps, ids)
+        finally:
+            peeling.pop()
+
+    class Spy(simplicial._OrbitIndex):
+        __slots__ = ()
+
+        def __missing__(self, ps):
+            if not (peeling and peeling[-1]):
+                direct.append(ps)
+            return super().__missing__(ps)
+
+    monkeypatch.setattr(simplicial, "_normalize_tuple", spy_normalize)
+    monkeypatch.setattr(simplicial, "_OrbitIndex", Spy)
+    for case in ("sp3_circle", "sp_torus(2,3)", "rep_sp(2,2)", "sp3_wedge(b,b|a)"):
+        X, m = SYM_CASES[case]()
+        catalog.sym_product(X, m)
+        assert direct == [], case
+
+
 def test_sym_product_f_vectors_are_the_polya_counts():
     # built orbit counts against Burnside's average over Σ_m, which reads
     # only the base space's f-vector
@@ -512,11 +546,9 @@ def test_over_budget_products_are_refused_before_they_start(monkeypatch):
 
 
 def test_descriptor_parsing_and_canonical_form():
-    assert catalog.canonical_descriptor("torus( n = 3 )") == "torus(n=3)"
-    assert catalog.canonical_descriptor("lens_q8") == "lens_q8()"
-    assert (
-        catalog.canonical_descriptor("sp_torus(m=2,n=3)") == "sp_torus(n=3,m=2)"
-    )
+    assert catalog.resolve("torus( n = 3 )")[0] == "torus(n=3)"
+    assert catalog.resolve("lens_q8")[0] == "lens_q8()"
+    assert catalog.resolve("sp_torus(m=2,n=3)")[0] == "sp_torus(n=3,m=2)"
     for bad in (
         "torus",
         "torus()",
@@ -534,7 +566,7 @@ def test_descriptor_parsing_and_canonical_form():
         "torus(n=3.0)",
     ):
         with pytest.raises(UnknownSpace):
-            catalog.canonical_descriptor(bad)
+            catalog.resolve(bad)
 
 
 def test_resolve_builds_the_right_thing():

@@ -15,7 +15,7 @@ import pytest
 
 import repspace
 from repspace.abelian import GradedGroup
-from repspace import cli, verifier
+from repspace import catalog, cli, verifier
 from repspace.cli import main
 
 SRC = Path(repspace.__file__).resolve().parents[1]
@@ -557,6 +557,73 @@ def test_a_rebound_command_runs_after_the_parser_is_built(capsys, monkeypatch):
     monkeypatch.setattr(cli, "cmd_counts", stub)
     assert run(capsys, "counts", "--n", "3") == (0, "", "")
     assert seen == [(3, "markdown")]
+
+
+def test_a_homology_command_parses_its_descriptor_once(capsys, monkeypatch, tmp_path):
+    seen = []
+    lookup = catalog._lookup
+
+    def counting_lookup(key):
+        seen.append(key)
+        return lookup(key)
+
+    monkeypatch.setattr(catalog, "_lookup", counting_lookup)
+    for _ in range(2):  # computed, then served from the cache
+        seen.clear()
+        code, out, _ = run(
+            capsys, "homology", "rp( n = 3 )", "--cache-dir", str(tmp_path)
+        )
+        assert code == 0 and out.startswith("space: rp(n=3)\n")
+        assert seen == ["rp( n = 3 )"]
+
+
+# No command needs these; importing them costs every call start-up time
+# (dataclasses pulls in inspect, ast and dis; fractions pulls in decimal).
+UNNEEDED_MODULES = (
+    "dataclasses",
+    "inspect",
+    "fractions",
+    "decimal",
+    "csv",
+    "pathlib",
+    "typing",
+)
+IMPORT_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import repspace.cli
+loaded = set(sys.modules)
+import contextlib, io, json
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert repspace.cli.main(argv) == 0, argv
+print(json.dumps([sorted(loaded), sorted(set(sys.modules) - loaded)]))
+"""
+
+
+def test_the_cli_imports_only_what_its_commands_use(tmp_path):
+    # -S: no site hook runs, so no .pth file can import these modules first
+    commands = [
+        ["counts", "--n", "5"],
+        ["catalog", "SO3", "--n", "2"],
+        ["su2", "verify-psi", "--n", "3", "--runs", "20"],
+        ["verify", "counts"],
+        ["homology", "circle", "--cache-dir", str(tmp_path)],
+        ["homology", "circle", "--cache-dir", str(tmp_path)],
+        ["homology", "sphere(n=2)", "--format", "json"],
+    ]
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, str(SRC), json.dumps(commands)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    at_import, later = json.loads(child.stdout)
+    assert "repspace.cli" in at_import
+    assert [m for m in UNNEEDED_MODULES if m in at_import or m in later] == []
+    # every module of the package a command runs is loaded with the CLI
+    assert [m for m in later if m.split(".")[0] == "repspace"] == []
 
 
 # -- exit-code contract under random input ---------------------------------

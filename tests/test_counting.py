@@ -1,7 +1,9 @@
 """Count formulas, recurrences, type enumeration, closed-form tables."""
 
+from fractions import Fraction
 from math import comb
 
+import oracles
 import pytest
 
 from repspace import catalog, counting
@@ -69,6 +71,27 @@ def test_n_central_product():
         counting.n_central_product(1, 1, 2)
     with pytest.raises(ValueError):
         counting.n_central_product(2, 0, 2)
+
+
+def test_integer_closed_forms_match_the_rational_ones():
+    for n in range(1, 201):
+        assert counting.a_count(n) == oracles.a_count_fraction(n)
+        assert counting.c_count(n) == oracles.c_count_fraction(n)
+        assert counting.k_count(n) == oracles.k_count_fraction(n)
+    for n in range(2, 201):
+        for m, p in ((1, 2), (2, 2), (1, 3), (2, 3), (3, 5)):
+            got = counting.n_central_product(n, m, p)
+            assert got == oracles.n_central_product_fraction(n, m, p), (n, m, p)
+            assert type(got) is int
+
+
+@pytest.mark.parametrize("num, den", [(7, 3), (4, 6), (-4, 6), (2**70 + 1, 24)])
+def test_a_planted_non_integer_raises(num, den):
+    # the message names the quotient in lowest terms, as a Fraction prints it
+    message = f"planted evaluated to non-integer {Fraction(num, den)}"
+    with pytest.raises(AssertionError) as err:
+        counting._exact_quotient(num, den, "planted")
+    assert str(err.value) == message
 
 
 def test_counts_reject_bad_n():

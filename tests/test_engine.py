@@ -2,6 +2,7 @@
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -317,10 +318,19 @@ def test_suspend_rejects_non_augmentable():
 RP3_HOMOLOGY = GradedGroup.of(Z(1), T(0, 2), Z(0), Z(1))
 
 
+def cached(key, cache_dir=None):
+    """The cached homology of a catalog descriptor."""
+    return cached_homology(*catalog.resolve(key), cache_dir=cache_dir)
+
+
+def cache_file(root, canonical) -> Path:
+    return Path(_cache_path(root, canonical))
+
+
 def test_cached_homology_writes_and_reads(tmp_path):
-    h = cached_homology("rp(n=3)", cache_dir=tmp_path)
+    h = cached("rp(n=3)", cache_dir=tmp_path)
     assert h == RP3_HOMOLOGY
-    path = _cache_path(tmp_path, "rp(n=3)")
+    path = cache_file(tmp_path, "rp(n=3)")
     assert path.exists()
     doc = json.loads(path.read_text("utf-8"))
     assert doc["key"] == "rp(n=3)"
@@ -330,16 +340,16 @@ def test_cached_homology_writes_and_reads(tmp_path):
     doc["graded_group"] = GradedGroup.of(Z(7)).to_json()
     doc["digest"] = _digest(doc["graded_group"])
     path.write_text(json.dumps(doc), "utf-8")
-    assert cached_homology("rp(n=3)", cache_dir=tmp_path) == GradedGroup.of(Z(7))
+    assert cached("rp(n=3)", cache_dir=tmp_path) == GradedGroup.of(Z(7))
 
 
 def test_cached_homology_recomputes_a_value_that_fails_its_digest(tmp_path):
-    cached_homology("circle", cache_dir=tmp_path)
-    path = _cache_path(tmp_path, "circle()")
+    cached("circle", cache_dir=tmp_path)
+    path = cache_file(tmp_path, "circle()")
     doc = json.loads(path.read_text("utf-8"))
     doc["graded_group"][1]["free_rank"] = 7
     path.write_text(json.dumps(doc), "utf-8")
-    assert cached_homology("circle", cache_dir=tmp_path) == GradedGroup.of(
+    assert cached("circle", cache_dir=tmp_path) == GradedGroup.of(
         Z(1), Z(1)
     )
     assert json.loads(path.read_text("utf-8"))["graded_group"][1] == {
@@ -349,22 +359,22 @@ def test_cached_homology_recomputes_a_value_that_fails_its_digest(tmp_path):
 
 
 def test_cached_homology_recovers_from_corruption(tmp_path):
-    path = _cache_path(tmp_path, "rp(n=2)")
+    path = cache_file(tmp_path, "rp(n=2)")
     path.write_text("{ not json", "utf-8")
-    h = cached_homology("rp(n=2)", cache_dir=tmp_path)
+    h = cached("rp(n=2)", cache_dir=tmp_path)
     assert h == GradedGroup.of(Z(1), T(0, 2))
     assert json.loads(path.read_text("utf-8"))["key"] == "rp(n=2)"
 
 
 def test_cached_homology_rejects_stale_engine_version(tmp_path):
-    cached_homology("rp(n=3)", cache_dir=tmp_path)
-    path = _cache_path(tmp_path, "rp(n=3)")
+    cached("rp(n=3)", cache_dir=tmp_path)
+    path = cache_file(tmp_path, "rp(n=3)")
     doc = json.loads(path.read_text("utf-8"))
     doc["engine_version"] = "0"
     doc["graded_group"] = GradedGroup.of(Z(9)).to_json()
     path.write_text(json.dumps(doc), "utf-8")
     # stale version is ignored and overwritten with a fresh computation
-    assert cached_homology("rp(n=3)", cache_dir=tmp_path) == RP3_HOMOLOGY
+    assert cached("rp(n=3)", cache_dir=tmp_path) == RP3_HOMOLOGY
     assert (
         json.loads(path.read_text("utf-8"))["engine_version"] == ENGINE_VERSION
     )
@@ -374,13 +384,13 @@ def test_cached_homology_env_var_and_flag_priority(tmp_path, monkeypatch):
     env_dir = tmp_path / "env"
     flag_dir = tmp_path / "flag"
     monkeypatch.setenv("REPSPACE_CACHE", str(env_dir))
-    cached_homology("sphere(n=2)")
-    assert _cache_path(env_dir, "sphere(n=2)").exists()
-    cached_homology("sphere(n=3)", cache_dir=flag_dir)
-    assert _cache_path(flag_dir, "sphere(n=3)").exists()
-    assert not _cache_path(env_dir, "sphere(n=3)").exists()
+    cached("sphere(n=2)")
+    assert cache_file(env_dir, "sphere(n=2)").exists()
+    cached("sphere(n=3)", cache_dir=flag_dir)
+    assert cache_file(flag_dir, "sphere(n=3)").exists()
+    assert not cache_file(env_dir, "sphere(n=3)").exists()
 
 
 def test_cached_homology_without_cache(monkeypatch):
     monkeypatch.delenv("REPSPACE_CACHE", raising=False)
-    assert cached_homology("sphere(n=0)") == GradedGroup.of(Z(2))
+    assert cached("sphere(n=0)") == GradedGroup.of(Z(2))
