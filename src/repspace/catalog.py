@@ -143,7 +143,7 @@ def torus(n: int):
     torus_f_vector(n)
     C, A = circle_conj()
     P = product_list([C] * n)
-    return P, _product_involution(P, [A.generators[0]] * n)
+    return P, _product_involution(P, [A.swap] * n)
 
 
 def minimal_torus(n: int) -> SimplicialSet:
@@ -341,7 +341,7 @@ def sphere_bundle_quotient(n: int) -> SimplicialSet:
     S2, A2 = sphere_simplicial(2)
     Sn, An = sphere_simplicial(n - 1)
     P = product_list([S2, Sn])
-    act = _product_involution(P, [A2.generators[0], An.generators[0]])
+    act = _product_involution(P, [A2.swap, An.swap])
     return quotient_by_action(P, act)
 
 

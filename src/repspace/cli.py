@@ -128,15 +128,12 @@ def cmd_verify(args) -> int:
     if args.fmt == "json":
         print(json.dumps([r.to_json() for r in reports], indent=2))
     elif args.fmt == "csv":
-        import csv  # only the csv format needs it
-
-        w = csv.writer(sys.stdout)
-        w.writerow(("report", "item", "expected", "got", "ok"))
-        for r in reports:
-            for row in r.rows:
-                w.writerow(
-                    (r.name, row["item"], row["expected"], row["got"], row["ok"])
-                )
+        rows = [
+            (r.name, row["item"], row["expected"], row["got"], row["ok"])
+            for r in reports
+            for row in r.rows
+        ]
+        _table(("report", "item", "expected", "got", "ok"), rows, "csv")
     else:
         for r in reports:
             print(r.render())

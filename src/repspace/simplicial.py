@@ -21,13 +21,13 @@ each factor's formal simplices, their ids and their faces are computed
 once per degree, not once per product simplex.  A symmetric product
 SP^m X = X^m / Σ_m is built from the same tables without X^m: each
 Σ_m orbit of product simplices has exactly one member whose coordinates
-are sorted by table position, and only those are enumerated.  A finite
-group action is stored as its generators, permutations of the
-nondegenerate simplices that commute with the face maps; a quotient
-takes the orbits under them.  Geometric realization preserves both
-colimits, so the realizations are the honest product and quotient
-spaces.  A collapse of everything outside a locally closed set of
-simplices completes the constructions.
+are sorted by table position, and only those are enumerated.  A Z/2
+action is stored as one involution, a self-inverse permutation of the
+nondegenerate simplices that commutes with the face maps; a quotient
+takes its orbits, the pairs {s, swap(s)}.  Geometric realization
+preserves both colimits, so the realizations are the honest product and
+quotient spaces.  A collapse of everything outside a locally closed set
+of simplices completes the constructions.
 
 Identifiers are canonical strings derived from construction history
 ("(a|s0(v))" for product tuples, "[x]" for orbits, "*" for a collapse
@@ -498,83 +498,68 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
 
 
 class SimplicialAction:
-    """A finite group acting on nondegenerate simplices, by its generators.
+    """Z/2 acting on nondegenerate simplices by one involution.
 
-    Each generator is a permutation of simplex ids ({id: image id}).
-    Permutations that keep dimensions and commute with every face map
-    generate a group acting simplicially, so the generators are all a
-    quotient needs: an orbit is the closure of one simplex under them.
-    The action extends to formal simplices by acting on the base.
+    ``swap`` maps every simplex id to its image ({id: image id}).  A
+    self-inverse map that keeps dimensions and commutes with every face
+    map is a simplicial action of Z/2, whose orbits are the pairs
+    {s, swap[s]}.  The action extends to formal simplices by acting on
+    the base.
     """
 
-    __slots__ = ("generators",)
+    __slots__ = ("swap",)
 
-    def __init__(self, generators):
-        self.generators = [dict(g) for g in generators]
+    def __init__(self, swap):
+        self.swap = dict(swap)
 
     @classmethod
     def involution(cls, X: SimplicialSet, swap) -> "SimplicialAction":
         """Z/2 action from a self-inverse map; ids not in ``swap`` are fixed."""
         full = {sid: swap.get(sid, sid) for sid in X.dim_of}
         for sid, target in full.items():
-            if full.get(target) != sid:
+            if target not in full:
+                raise ActionInvalid(f"swap maps {sid!r} outside the space")
+            if full[target] != sid:
                 raise ActionInvalid(f"swap is not its own inverse at {sid!r}")
-        return cls([full])
+        return cls(full)
 
     def validate(self, X: SimplicialSet):
-        """Check that every generator is a simplicial automorphism of X."""
-        all_ids = set(X.dim_of)
-        for n, m in enumerate(self.generators):
-            if set(m) != all_ids or set(m.values()) != all_ids:
-                raise ActionInvalid(f"generator {n} is not a bijection on simplices")
-            for sid, target in m.items():
-                if X.dim_of[sid] != X.dim_of[target]:
-                    raise ActionInvalid(f"generator {n} changes dimension")
-            for sid, k in X.dim_of.items():
-                if k == 0:
-                    continue
-                for i, f in enumerate(X.faces[sid]):
-                    moved = X.faces[m[sid]][i]
-                    if moved.word != f.word or moved.base != m[f.base]:
-                        raise ActionInvalid(
-                            f"generator {n} does not commute with d_{i} on {sid!r}"
-                        )
+        """Check that swap is a self-inverse simplicial automorphism of X.
 
-
-def orbit_ids(X: SimplicialSet, A: SimplicialAction) -> dict:
-    """{simplex id: orbit id}; an orbit's id is "[its least member]".
-
-    Each orbit is the closure of one simplex under the generators.
-    """
-    orbit_of = {}
-    for sid in X.dim_of:
-        if sid in orbit_of:
-            continue
-        members = {sid}
-        frontier = [sid]
-        while frontier:
-            s = frontier.pop()
-            for g in A.generators:
-                if g[s] not in members:
-                    members.add(g[s])
-                    frontier.append(g[s])
-        oid = "[" + min(members) + "]"
-        for m in members:
-            orbit_of[m] = oid
-    return orbit_of
+        Each pair {s, t = swap[s]} is checked once, at its lesser id: for
+        a self-inverse map, d_i t = swap(d_i s) is d_i s = swap(d_i t).
+        """
+        swap, dim_of, faces = self.swap, X.dim_of, X.faces
+        if swap.keys() != dim_of.keys():
+            raise ActionInvalid("swap is not defined on exactly the simplices")
+        for sid, k in dim_of.items():
+            target = swap[sid]
+            if swap.get(target) != sid:
+                raise ActionInvalid(f"swap is not a self-inverse bijection at {sid!r}")
+            if target < sid:
+                continue
+            if dim_of[target] != k:
+                raise ActionInvalid(f"swap changes dimension at {sid!r}")
+            if k == 0:
+                continue
+            for i, (f, moved) in enumerate(zip(faces[sid], faces[target])):
+                if moved.word != f.word or moved.base != swap[f.base]:
+                    raise ActionInvalid(f"swap does not commute with d_{i} on {sid!r}")
 
 
 def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
-    """Orbit simplicial set X/G, with the action and the result validated.
+    """Orbit simplicial set X/(Z/2), with the action and the result validated.
 
-    The generators permute nondegenerate simplices, so the orbits under
-    them (``orbit_ids``) are exactly the nondegenerate simplices of the
-    quotient.  Faces are induced on each orbit's least member, whose id
-    in brackets is the orbit's id.  When X records ``parts``, so does
-    the quotient: each orbit's representative's coordinates.
+    The involution permutes nondegenerate simplices, so its orbits, the
+    pairs {s, swap[s]}, are exactly the nondegenerate simplices of the
+    quotient, in the order in which they first occur in X.  An orbit's
+    id is its lesser member in brackets, and its faces are induced on
+    that member.  When X records ``parts``, so does the quotient: each
+    orbit's representative's coordinates.
     """
     A.validate(X)
-    orbit_of = orbit_ids(X, A)
+    swap = A.swap
+    orbit_of = {sid: "[" + min(sid, swap[sid]) + "]" for sid in X.dim_of}
     simplices = {
         k: list(dict.fromkeys(orbit_of[sid] for sid in ids))
         for k, ids in X.simplices.items()

@@ -5,10 +5,10 @@ deliberately slow and dumb, so a disagreement with the fast
 implementation always means the fast side is wrong (or the oracle's
 definition was misread, which is easier to audit).  Only four sections
 use the package under test, each replaying the route a smaller or faster
-construction replaced: spheres as cross-polytope boundaries, symmetric
-products as X^m and then its quotient, the SU(2) sweep tuples as
-UnitQuaternion products, and the sign-matrix tables as one type matrix,
-sign matrix and F2 rank per type.
+construction replaced: spheres as cross-polytope boundaries, quotients
+by generator closure (symmetric products as X^m and then its quotient),
+the SU(2) sweep tuples as UnitQuaternion products, and the sign-matrix
+tables as one type matrix, sign matrix and F2 rank per type.
 """
 
 import math
@@ -25,7 +25,6 @@ from repspace.simplicial import (
     SimplicialAction,
     SimplicialSet,
     product_list,
-    quotient_by_action,
 )
 from repspace.su2 import I, J, SignMatrix, UnitQuaternion
 
@@ -317,33 +316,87 @@ def reference_product(factors):
 
 
 # ---------------------------------------------------------------------------
-# Symmetric products the old way: X^m, then its quotient by Σ_m.
+# Quotients by generator closure, and symmetric products the old way.
 #
-# Σ_m acts by its m - 1 adjacent transpositions; each swaps two
-# coordinates and is looked up by its image's coordinates.  This route
-# enumerates every tuple and names each orbit through ``orbit_ids``, so
-# it shares no enumeration or naming with the sorted-tuple construction.
+# A group generated by involutions is validated one involution at a time;
+# an orbit is the closure of one simplex under all of them, named "[its
+# least member]", with its faces induced on that member.  SP^m X is X^m,
+# then its quotient by Σ_m through the m - 1 adjacent transpositions, each
+# looked up by its image's coordinates.  This route enumerates every tuple
+# and closes orbits under generators, so it shares no enumeration or
+# naming with the sorted-tuple construction, and no orbit naming with
+# ``quotient_by_action``'s pairs {s, swap(s)}.
 
 
-def permutation_action(P, m):
-    """Σ_m on the m coordinates of an m-fold product, by its generators.
+def adjacent_transpositions(P, m):
+    """The m - 1 adjacent transpositions of an m-fold product's coordinates.
 
     An image outside P maps to None, which action validation refuses.
     """
     sid_of = {fs: sid for sid, fs in P.parts.items()}
-    return SimplicialAction(
+    return [
         {
             sid: sid_of.get(fs[:i] + (fs[i + 1], fs[i]) + fs[i + 2 :])
             for sid, fs in P.parts.items()
         }
         for i in range(m - 1)
-    )
+    ]
+
+
+def orbit_ids(X, generators):
+    """{simplex id: "[least member of its orbit]"}, orbits closed under
+    ``generators``."""
+    orbit_of = {}
+    for sid in X.dim_of:
+        if sid in orbit_of:
+            continue
+        members = {sid}
+        frontier = [sid]
+        while frontier:
+            s = frontier.pop()
+            for g in generators:
+                if g[s] not in members:
+                    members.add(g[s])
+                    frontier.append(g[s])
+        oid = "[" + min(members) + "]"
+        for m in members:
+            orbit_of[m] = oid
+    return orbit_of
+
+
+def orbit_quotient(X, generators):
+    """X / G for G generated by the involutions ``generators``.
+
+    Each generator is validated as a Z/2 action.  The orbits are listed in
+    the order in which they first occur in X; parts are kept as the
+    representatives' when X records them.
+    """
+    for g in generators:
+        SimplicialAction(g).validate(X)
+    orbit_of = orbit_ids(X, generators)
+    simplices = {
+        k: list(dict.fromkeys(orbit_of[sid] for sid in ids))
+        for k, ids in X.simplices.items()
+    }
+    faces = {
+        oid: tuple(
+            FormalSimplex(f.word, orbit_of[f.base]) for f in X.faces[oid[1:-1]]
+        )
+        for k, level in simplices.items()
+        if k > 0
+        for oid in level
+    }
+    basepoint = orbit_of[X.basepoint] if X.basepoint is not None else None
+    out = SimplicialSet(simplices, faces, basepoint=basepoint)
+    if X.parts is not None:
+        out.parts = {oid: X.parts[oid[1:-1]] for oid in out.dim_of}
+    return out
 
 
 def reference_sym_product(X, m):
     """SP^m X = X^m / Σ_m as the quotient of the built product (m >= 2)."""
     P = product_list([X] * m)
-    return quotient_by_action(P, permutation_action(P, m))
+    return orbit_quotient(P, adjacent_transpositions(P, m))
 
 
 # ---------------------------------------------------------------------------

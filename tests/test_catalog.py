@@ -1,5 +1,6 @@
 """Space catalog: models, frozen homology fixtures, descriptors, guards."""
 
+import functools
 from itertools import permutations
 from math import comb
 
@@ -20,7 +21,6 @@ from repspace.simplicial import (
     SimplicialAction,
     SimplicialSet,
     normalized_chains,
-    orbit_ids,
     product_list,
     product_simplex_id,
     quotient_by_action,
@@ -259,10 +259,10 @@ def test_an_image_outside_the_product_is_an_invalid_action():
     # reach action validation, not end in a KeyError
     C, A = catalog.circle_conj()
     P = product_list([C, catalog.circle()])
-    with pytest.raises(ActionInvalid):
-        catalog.quotient_by_action(P, oracles.permutation_action(P, 2))
-    with pytest.raises(ActionInvalid):
-        catalog._product_involution(P, [A.generators[0], {"e": "f"}])
+    with pytest.raises(ActionInvalid, match="outside the space"):
+        SimplicialAction.involution(P, oracles.adjacent_transpositions(P, 2)[0])
+    with pytest.raises(ActionInvalid, match="outside the space"):
+        catalog._product_involution(P, [A.swap, {"e": "f"}])
 
 
 def test_sp2_circle_is_a_mobius_band():
@@ -300,7 +300,12 @@ def _sym_case(X, m, Q):
         for p in permutations(range(m))
     ]
     orbits = {frozenset(g[s] for g in every) for s in P.dim_of}
-    return P, oracles.permutation_action(P, m), orbits, Q
+    gens = oracles.adjacent_transpositions(P, m)
+    closed = {}
+    for sid, oid in oracles.orbit_ids(P, gens).items():
+        closed.setdefault(oid, set()).add(sid)
+    closed = {frozenset(o) for o in closed.values()}
+    return closed, [oracles.orbit_quotient(P, gens), Q], orbits
 
 
 def _conj_case(n):
@@ -313,7 +318,8 @@ def _conj_case(n):
             FormalSimplex(f.word, arcs.get(f.base, f.base)) for f in fs
         )
         orbits.add(frozenset({sid, t}))
-    return P, A, orbits, catalog.torus_conj_quotient(n)
+    pairs = {frozenset({s, A.swap[s]}) for s in P.dim_of}
+    return pairs, [quotient_by_action(P, A), catalog.torus_conj_quotient(n)], orbits
 
 
 ORBIT_CASES = {
@@ -335,12 +341,62 @@ ORBIT_CASES = {
 
 @pytest.mark.parametrize("case", list(ORBIT_CASES))
 def test_generator_orbits_are_the_whole_groups_orbits(case):
-    P, A, expected, Q = ORBIT_CASES[case]()
-    got = {}
-    for sid, oid in orbit_ids(P, A).items():
-        got.setdefault(oid, set()).add(sid)
-    assert {frozenset(o) for o in got.values()} == expected
-    assert set(Q.dim_of) == {"[" + min(o) + "]" for o in expected}
+    # the orbits a route finds, and the ids of the quotients it and the
+    # catalog build, against the orbits under every group element
+    found, quotients, expected = ORBIT_CASES[case]()
+    assert found == expected
+    for Q in quotients:
+        assert set(Q.dim_of) == {"[" + min(o) + "]" for o in expected}
+
+
+def _sphere_bundle_product(n):
+    S2, A2 = catalog.sphere_simplicial(2)
+    Sn, An = catalog.sphere_simplicial(n - 1)
+    P = product_list([S2, Sn])
+    return P, catalog._product_involution(P, [A2.swap, An.swap])
+
+
+# name -> (the catalog's quotient, the space and involution it divides)
+Z2_QUOTIENTS = {
+    "circle_conj_quotient": (
+        lambda: quotient_by_action(*catalog.circle_conj()),
+        catalog.circle_conj,
+    ),
+    **{
+        f"torus_conj_quotient({n})": (
+            functools.partial(catalog.torus_conj_quotient, n),
+            functools.partial(catalog.torus, n),
+        )
+        for n in range(1, 5)
+    },
+    **{
+        f"rp_simplicial({k})": (
+            functools.partial(catalog.rp_simplicial, k),
+            functools.partial(catalog.sphere_simplicial, k),
+        )
+        for k in range(9)
+    },
+    **{
+        f"sphere_bundle_quotient({n})": (
+            functools.partial(catalog.sphere_bundle_quotient, n),
+            functools.partial(_sphere_bundle_product, n),
+        )
+        for n in range(1, 5)
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(Z2_QUOTIENTS))
+def test_z2_quotients_match_the_generator_closure_route(name):
+    # ids and their order, faces, parts and basepoint, against the closure
+    # of each simplex under the one generator
+    build, space = Z2_QUOTIENTS[name]
+    X, A = space()
+    got, want = build(), oracles.orbit_quotient(X, [A.swap])
+    assert got.simplices == want.simplices
+    assert got.faces == want.faces
+    assert got.parts == want.parts
+    assert got.basepoint == want.basepoint
 
 
 # -- spheres and projective spaces -------------------------------------------
@@ -375,14 +431,14 @@ def test_the_cross_polytope_oracle_is_a_sphere():
     assert H(X) == _sphere_homology(2)
     S0, A0 = oracles.cross_polytope_sphere(0)
     assert S0.f_vector() == [2]
-    assert all(A0.generators[0][s] != s for s in S0.dim_of)
+    assert all(A0.swap[s] != s for s in S0.dim_of)
 
 
 def _cross_polytope_bundle(n):
     S2, A2 = oracles.cross_polytope_sphere(2)
     Sn, An = oracles.cross_polytope_sphere(n - 1)
     P = product_list([S2, Sn])
-    act = catalog._product_involution(P, [A2.generators[0], An.generators[0]])
+    act = catalog._product_involution(P, [A2.swap, An.swap])
     return quotient_by_action(P, act)
 
 
@@ -398,7 +454,7 @@ def test_the_two_cell_models_match_the_cross_polytope_route():
 def test_antipodal_action_is_free():
     for k in (0, 1, 2, 3):
         X, A = catalog.sphere_simplicial(k)
-        t = A.generators[0]
+        t = A.swap
         assert all(t[s] != s for s in X.dim_of)
 
 

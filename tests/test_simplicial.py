@@ -355,17 +355,20 @@ def test_action_validation_catches_breakage():
     vertex_swap = SimplicialAction.involution(X, {"b": "q", "q": "b"})
     with pytest.raises(ActionInvalid, match="commute"):
         vertex_swap.validate(X)
-    not_bijective = SimplicialAction([{**A.generators[0], "a": "c", "c": "c"}])
+    partial = SimplicialAction({"a": "c", "c": "a"})
+    with pytest.raises(ActionInvalid, match="exactly the simplices"):
+        partial.validate(X)
+    not_bijective = SimplicialAction({**A.swap, "a": "c", "c": "c"})
     with pytest.raises(ActionInvalid, match="bijection"):
         not_bijective.validate(X)
-    dimension_change = SimplicialAction([{"b": "a", "a": "b", "q": "q", "c": "c"}])
+    dimension_change = SimplicialAction({"b": "a", "a": "b", "q": "q", "c": "c"})
     with pytest.raises(ActionInvalid, match="dimension"):
         dimension_change.validate(X)
 
 
 def test_action_composition_law_checked():
-    # an involution must square to the identity: a 3-cycle of circles is a
-    # valid generator, but as a Z/2 action it would generate Z/3
+    # an involution must square to the identity: a 3-cycle of circles
+    # commutes with the faces, but it would generate Z/3
     U = SimplicialSet(
         {0: [f"{i}:v" for i in range(3)], 1: [f"{i}:e" for i in range(3)]},
         {f"{i}:e": (F((), f"{i}:v"), F((), f"{i}:v")) for i in range(3)},
@@ -373,9 +376,31 @@ def test_action_composition_law_checked():
     cycle = {f"{i}:{x}": f"{(i + 1) % 3}:{x}" for i in range(3) for x in "ve"}
     with pytest.raises(ActionInvalid, match="inverse"):
         SimplicialAction.involution(U, cycle)
-    Q = quotient_by_action(U, SimplicialAction([cycle]))
-    assert Q.f_vector() == [1, 1]
-    assert homology(normalized_chains(Q)) == GradedGroup.of(Z(1), Z(1))
+    with pytest.raises(ActionInvalid, match="self-inverse"):
+        SimplicialAction(cycle).validate(U)
+
+
+def test_a_wrong_face_on_the_pair_member_validate_skips_is_refused():
+    # validate checks each pair {s, swap[s]} once, at its lesser id; a face
+    # table broken only on the greater member must still be refused
+    for X, A in (two_gon(), catalog.sphere_simplicial(3), catalog.torus(2)):
+        A.validate(X)
+        planted = 0
+        for sid, target in A.swap.items():
+            if not sid < target or X.dim_of[sid] == 0:
+                continue
+            row = X.faces[target]
+            for i, f in enumerate(row):
+                level = X.ids(X.dim_of[f.base])
+                if len(level) < 2:
+                    continue
+                wrong = F(f.word, level[level[0] == f.base])  # another base
+                faces = {**X.faces, target: row[:i] + (wrong,) + row[i + 1 :]}
+                Y = SimplicialSet(X.simplices, faces, check=False)
+                with pytest.raises(ActionInvalid, match="commute"):
+                    A.validate(Y)
+                planted += 1
+        assert planted
 
 
 # -- collapse, fat wedge, smash, suspension ---------------------------------
