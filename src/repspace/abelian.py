@@ -12,14 +12,16 @@ d1 | d2 | ... .  It keeps dense working copies and is meant for small
 matrices (tests, spot checks, anything a human wants to look at).
 
 ``invariant_factors(M)`` returns only the nonzero diagonal of D.  It
-works on a sparse dict-of-rows layout, takes every pivot with one step
-(column, then row, reduced to remainders: a rank-one update for a unit
-pivot), and never touches the transform matrices.  Among the pivots of
-least absolute value it takes one of least Markowitz cost, the fill-in
-its step can cause, so the boundary matrices of the symmetric products
-stay sparse.  It is the one elimination of integral homology: the
-engine's clearing pass hands it each boundary matrix whole, with the
-columns to leave out, and gets back the rows of its first unit pivots.
+works on a sparse dict-of-rows layout and never touches the transform
+matrices.  A unit pass takes every ±1 pivot first, shortest column
+first, each by a rank-one update.  What is left goes to a heap that
+takes an entry of least absolute value, and among those one of least
+Markowitz cost, the fill-in its step can cause; each such pivot takes
+one step (column, then row, reduced to remainders).  The boundary
+matrices of the symmetric products so stay sparse.  It is the one
+elimination of integral homology: the engine's clearing pass hands it
+each boundary matrix whole, with the columns to leave out, and gets back
+the rows of the unit pass's pivots.
 
 ``lead_columns_mod_p(entries, p)``, a sparse row reduction over F_p
 taking the shortest rows first, and ``rank_mod_p(M, p)``, the number of
@@ -305,23 +307,27 @@ def invariant_factors(M: IntMatrix, skip=frozenset(), unit_rows=None) -> list:
     """Nonzero diagonal of the Smith form of M without the columns ``skip``.
 
     The result is a divisibility chain, 1s included, so its len() is the
-    rank; entries > 1 present the torsion of the cokernel.  Elimination
-    order: always an entry of smallest absolute value, and among those the
-    one of least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1),
-    the fill-in its unit step can cause at most (Markowitz, 1957).  A lazy
-    heap keys each entry by the cost at its push; a popped entry whose
-    cost has since grown goes back with its current cost.  A unit pivot's
-    step is the rank-one update that eliminates its row and column.  Any
-    other pivot v takes one step: row operations reduce its column to
+    rank; entries > 1 present the torsion of the cokernel.
+
+    A unit pass goes first.  It keeps a heap of (column length, column),
+    pops the shortest live column, and pivots on the ±1 of that column
+    whose row is shortest (ties: lowest row).  The pivot's step is the
+    rank-one Schur update that eliminates its row and column; every column
+    of the pivot row then goes back on the heap with its new length.  A
+    column with no ±1 waits until a step changes it, so the pass ends with
+    no ±1 left.  What is left goes to a heap of entries keyed by (|v|,
+    Markowitz cost), the cost (row nonzeros - 1) * (column nonzeros - 1)
+    bounding the fill-in of a step (Markowitz, 1957).  The heap is lazy: a
+    popped entry whose cost has since grown goes back with its current
+    cost.  Its pivot v takes one step: row operations reduce its column to
     remainders mod v, then, once the column is clear, column operations
     reduce its row; a remainder is smaller than |v| and is pivoted on
     before v is taken again.
 
-    ``unit_rows``, if given, gains the row of each unit pivot taken before
-    the first non-unit pivot.  Those steps are unit Schur steps on the
-    original rows and columns, so the rows and columns of those pivots
-    form a minor of determinant ±1, which clearing needs; a unit made by a
-    non-unit step's operations is not recorded.
+    ``unit_rows``, if given, gains the row of each pivot of the unit pass.
+    Those steps are unit Schur steps on the original rows and columns,
+    taken before any other step, so the rows and columns of those pivots
+    form a minor of determinant ±1, which clearing needs.
     """
     rows = {}
     cols = {}
@@ -329,16 +335,55 @@ def invariant_factors(M: IntMatrix, skip=frozenset(), unit_rows=None) -> list:
         if c not in skip:
             rows.setdefault(r, {})[c] = v
             cols.setdefault(c, set()).add(r)
+    push, pop = heapq.heappush, heapq.heappop
+    out = []
+    queue = [(len(col), c) for c, col in cols.items()]
+    heapq.heapify(queue)
+    while queue:
+        n, c = pop(queue)
+        col = cols.get(c)
+        if col is None or len(col) != n:
+            continue  # stale queue entry
+        best = min(
+            ((len(rows[i]), i) for i in col if rows[i][c] in (1, -1)), default=None
+        )
+        if best is None:
+            continue  # no ±1 here until a step changes this column
+        # Unit Schur step: row i -= (row i's entry at c * v) * row r for every
+        # other row of column c, then row r and column c go.
+        r = best[1]
+        row = rows.pop(r)
+        v = row.pop(c)
+        del cols[c]
+        col.discard(r)
+        for j in row:
+            cols[j].discard(r)
+        for i in col:
+            ri = rows[i]
+            q = ri.pop(c) * v
+            for j, w in row.items():
+                nv = ri.get(j, 0) - q * w
+                if nv:
+                    ri[j] = nv
+                    cols[j].add(i)
+                else:
+                    del ri[j]
+                    cols[j].discard(i)
+            if not ri:
+                del rows[i]
+        for j in row:
+            push(queue, (len(cols[j]), j))
+        out.append(1)
+        if unit_rows is not None:
+            unit_rows.add(r)
     heap = [
         (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
         for r, row in rows.items()
         for c, v in row.items()
     ]
     heapq.heapify(heap)
-    push = heapq.heappush
-    out = []
-    while heap:
-        a, pushed, r, c = heapq.heappop(heap)
+    while rows:  # every live entry is on the heap with its current value
+        a, pushed, r, c = pop(heap)
         row = rows.get(r)
         v = row.get(c) if row else None
         if v is None or abs(v) != a:
@@ -349,33 +394,6 @@ def invariant_factors(M: IntMatrix, skip=frozenset(), unit_rows=None) -> list:
             # |v| stays first in the key, so this cannot skip a smaller value
             push(heap, (a, cost, r, c))
             continue
-        if a == 1:
-            # Unit Schur step: row i -= (row i's entry at c * v) * row r for
-            # every other row of column c, then row r and column c go.
-            del rows[r], cols[c], row[c]
-            col.discard(r)
-            for j in row:
-                cols[j].discard(r)
-            for i in col:
-                ri = rows[i]
-                q = ri.pop(c) * v
-                for j, w in row.items():
-                    nv = ri.get(j, 0) - q * w
-                    if nv:
-                        ri[j] = nv
-                        cj = cols[j]
-                        cj.add(i)
-                        push(heap, (abs(nv), (len(ri) - 1) * (len(cj) - 1), i, j))
-                    else:
-                        del ri[j]
-                        cols[j].discard(i)
-                if not ri:
-                    del rows[i]
-            out.append(1)
-            if unit_rows is not None:
-                unit_rows.add(r)
-            continue
-        unit_rows = None  # from here on a unit is no clearing pivot
         rest = [(j, w) for j, w in row.items() if j != c]
         remainder = False
         # Column pass: row i -= q * row r.  |v| is the least live value, so

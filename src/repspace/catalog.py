@@ -437,6 +437,12 @@ def parse_descriptor(key: str):
     return name, params
 
 
+def _names(keys) -> str:
+    """Parameter names in the order given, as "{'n', 'm'}": unlike a set's
+    repr, the text does not change with the string hash seed."""
+    return "{" + ", ".join(map(repr, keys)) + "}"
+
+
 def _lookup(key: str):
     """(canonical descriptor, name, params) of a catalog descriptor."""
     name, params = parse_descriptor(key)
@@ -445,7 +451,7 @@ def _lookup(key: str):
     wanted, _ = _REGISTRY[name]
     if set(params) != set(wanted):
         raise UnknownSpace(
-            f"{name} takes parameters {set(wanted) or '{}'}, got {set(params) or '{}'}"
+            f"{name} takes parameters {_names(wanted)}, got {_names(params)}"
         )
     inner = ",".join(f"{k}={params[k]}" for k in wanted)
     return f"{name}({inner})", name, params

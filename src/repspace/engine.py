@@ -8,7 +8,7 @@ which is valid because ker d_k is a pure subgroup of C_k, hence a direct
 summand containing im d_{k+1}.  The ranks and torsion come from one
 top-down clearing pass per complex, one ``abelian.invariant_factors``
 call per boundary map: d_k is eliminated without the columns of the
-rows of d_{k+1}'s first unit pivots.  Mod-p dimensions come from one
+rows of the pivots of d_{k+1}'s unit pass.  Mod-p dimensions come from one
 bottom-up pass of F_p row reductions (``abelian.lead_columns_mod_p``),
 each d_{k+1} without the rows of d_k's lead columns.  The two passes
 run in opposite directions on opposite operations and share no code, so
@@ -121,7 +121,7 @@ def homology(C: ChainComplex) -> GradedGroup:
     One top-down clearing pass (Chen and Kerber, "Persistent homology
     computation with a twist", 2011), one ``invariant_factors`` call per
     boundary map.  For k = top .. 1, d_k is eliminated without the columns
-    of the rows of d_{k+1}'s first unit pivots.  Those pivots sit on a
+    of the rows of the pivots of d_{k+1}'s unit pass.  Those pivots sit on a
     minor d_{k+1}[A, B] of determinant ±1, so d_k d_{k+1} = 0 writes each
     column of d_k in A as a Z-combination of its other columns: im d_k,
     hence its invariant factors, survive the deletion.

@@ -100,17 +100,18 @@ def test_invariant_factors_nonunit_pivots():
         ), rows
 
 
-def test_skip_gives_the_factors_of_the_column_deleted_matrix():
-    rng = random.Random(5150)
-    values = (0, 0, 1, -1, 2, -3, 4)
-    for _ in range(300):
-        r, c = rng.randint(0, 6), rng.randint(0, 6)
+def _check_skip_and_unit_rows(seed, values, size, runs):
+    """invariant_factors(M, skip) against the Smith form of M without the
+    columns skip, and the recorded unit rows against a ±1 minor."""
+    rng = random.Random(seed)
+    for _ in range(runs):
+        r, c = rng.randint(0, size), rng.randint(0, size)
         rows = [[rng.choice(values) for _ in range(c)] for _ in range(r)]
         skip = {j for j in range(c) if rng.random() < 0.3}
         kept = [j for j in range(c) if j not in skip]
 
-        def submatrix(rs):
-            return IntMatrix(
+        def diagonal(rs):
+            sub = IntMatrix(
                 len(rs),
                 len(kept),
                 {
@@ -119,17 +120,20 @@ def test_skip_gives_the_factors_of_the_column_deleted_matrix():
                     for b, j in enumerate(kept)
                 },
             )
+            _, D, _ = smith_normal_form(sub)
+            return [D.entry(i, i) for i in range(min(D.shape)) if D.entry(i, i)]
 
         M = IntMatrix(
             r, c, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
         )
-        _, D, _ = smith_normal_form(submatrix(range(r)))
-        diag = [D.entry(i, i) for i in range(min(D.shape)) if D.entry(i, i)]
         unit_rows = set()
-        assert invariant_factors(M, skip, unit_rows) == diag, (rows, skip)
+        assert invariant_factors(M, skip, unit_rows) == diagonal(range(r)), (rows, skip)
         # the recorded rows carry a ±1 minor, so their own factors are all 1
-        picked = invariant_factors(submatrix(sorted(unit_rows)))
-        assert picked == [1] * len(unit_rows), (rows, skip)
+        assert diagonal(sorted(unit_rows)) == [1] * len(unit_rows), (rows, skip)
+
+
+def test_skip_gives_the_factors_of_the_column_deleted_matrix():
+    _check_skip_and_unit_rows(5150, (0, 0, 1, -1, 2, -3, 4), size=6, runs=300)
 
 
 def test_unit_rows_stop_at_the_first_nonunit_pivot():
@@ -143,6 +147,30 @@ def test_unit_rows_stop_at_the_first_nonunit_pivot():
         2,
     ]
     assert s == {0}
+
+
+def test_unit_pass_requeues_a_column_its_step_changed():
+    # column 1 holds no ±1 until column 0's step turns its 3 into 1
+    s = set()
+    assert invariant_factors(IntMatrix.from_rows([[1, 2], [1, 3]]), unit_rows=s) == [
+        1,
+        1,
+    ]
+    assert s == {0, 1}
+
+
+def test_unit_pass_leaves_a_nonunit_to_the_heap():
+    s = set()
+    assert invariant_factors(IntMatrix.from_rows([[1, 1], [1, -1]]), unit_rows=s) == [
+        1,
+        2,
+    ]
+    assert s == {0}
+
+
+def test_unit_pass_on_unit_heavy_matrices():
+    values = (0, 0, 0, 1, -1, 1, -1, 2, -3)
+    _check_skip_and_unit_rows(2121, values, size=8, runs=400)
 
 
 @pytest.mark.parametrize("space", ["sp_torus(n=2,m=3)", "torus_conj_quotient(n=4)"])

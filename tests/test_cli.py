@@ -240,6 +240,22 @@ def test_homology_unwritable_cache_warns_and_answers(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("warning:")
 
 
+def test_parameter_refusal_is_the_same_under_every_hash_seed():
+    def stderr(seed):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        child = subprocess.run(
+            [sys.executable, "-m", "repspace.cli", "homology", "sp_torus(n=2)"],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert child.returncode == 2
+        return child.stderr
+
+    assert stderr("1") == stderr("2")
+    assert stderr("1") == b"error: sp_torus takes parameters {'n', 'm'}, got {'n'}\n"
+
+
 # -- verify -----------------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repspace import catalog, engine
-from repspace.abelian import AbelianGroup, GradedGroup, IntMatrix
+from repspace.abelian import AbelianGroup, GradedGroup, IntMatrix, invariant_factors
 from repspace.engine import (
     ENGINE_VERSION,
     ChainComplex,
@@ -280,6 +280,25 @@ def test_mod_p_dimensions_see_torsion_twice():
     assert homology_mod_p(C, 2) == [1, 1, 1]
     h = homology(C)
     assert homology_mod_p(C, 2)[2] == h[1].torsion_rank(2)
+
+
+@pytest.mark.parametrize(
+    "space", ["sp_torus(n=2,m=3)", "torus_conj_quotient(n=4)", "smash_factor(n=4)"]
+)
+def test_clearing_agrees_with_eliminating_every_column(space):
+    # the cleared pass drops the columns of the unit pass's rows one degree
+    # up; eliminating each boundary whole must give the same groups
+    C = catalog.resolve(space)[1]()
+    factors = [[]] + [invariant_factors(d) for d in C.diffs] + [[]]
+    whole = GradedGroup(
+        tuple(
+            AbelianGroup.from_factors(
+                C.ranks[k] - len(factors[k]) - len(factors[k + 1]), factors[k + 1]
+            )
+            for k in range(len(C.ranks))
+        )
+    )
+    assert homology(C) == whole
 
 
 def test_symmetric_square_of_the_three_torus():
