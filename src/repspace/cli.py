@@ -38,6 +38,9 @@ FORMATS = ("markdown", "json", "csv")
 # K(n) ~ 7^n/24 has 3,611 digits at n = 4000, inside Python's default
 # 4,300-digit limit on int -> str conversion.
 COUNTS_MAX_N = 4000
+# A verify-psi run at --n 6 takes about 140 µs on a 2-vCPU Xeon, so the
+# largest sweep allowed takes about 14 s.
+PSI_MAX_RUNS = 10**5
 
 
 def _table(headers, rows, fmt, caption=None):
@@ -170,6 +173,8 @@ def cmd_su2(args) -> int:
     # Always JSON: this subcommand is a machine-readable probe.
     if args.n < 1 or args.runs < 1:
         raise ValueError("su2 verify-psi needs --n >= 1 and --runs >= 1")
+    if args.runs > PSI_MAX_RUNS:
+        raise ResourceGuard(f"su2 verify-psi takes --runs <= {PSI_MAX_RUNS}")
     out = verifier.psi_sweep(args.n, args.runs, args.seed)
     print(json.dumps(out, indent=2))
     return 0 if out["failures"] == 0 else 1

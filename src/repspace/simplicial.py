@@ -249,11 +249,6 @@ def product_f_vector(f_vectors) -> list:
     ]
 
 
-def product_size(f_vectors) -> int:
-    """Number of nondegenerate simplices of a product, from f-vectors alone."""
-    return sum(product_f_vector(f_vectors))
-
-
 def guard_product(f_vectors) -> list:
     """The product's f-vector, refused (ResourceGuard) over ``CELL_BUDGET``."""
     f = product_f_vector(f_vectors)

@@ -9,14 +9,12 @@ executable content of the component-counting lower bound: a sign matrix
 is realizable iff its F2 alternating form has rank at most two, and the
 constructor raises TypeMismatch on exactly the other matrices.
 
-Every product renormalizes, so drift over the tuple sizes used here
-(well under 10^2 products) stays far below the default 1e-9 tolerance.
-The arithmetic runs on plain float 4-tuples: ``_unit`` normalizes,
-``_product`` multiplies and ``_unit_product`` does both.  Random
-elements, conjugates, the psi constructor and commutators all have
-4-tuple cores that perform the UnitQuaternion operations in the same
-order, so the public functions are thin wrappers over them and the
-construction sweep builds no objects.
+A quaternion w + xi + yj + zk is the plain float 4-tuple (w, x, y, z),
+and a tuple of elements is a sequence of them.  ``_unit`` normalizes,
+``_product`` multiplies and ``_unit_product`` does both.  Every product,
+inverse, negation and conjugate renormalizes, so drift over the tuple
+sizes used here (well under 10^2 products) stays far below the default
+1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from .errors import (
     NotCommutingInSO3,
     TypeMismatch,
 )
-from .values import Frozen, _set, restore
+from .values import Frozen, _set
 
 NORM_TOL = 1e-12
 DEFAULT_TOL = 1e-9
@@ -110,79 +108,9 @@ def _distance(a: tuple, bw: float) -> float:
     return math.sqrt(w * w + x * x + y * y + z * z)
 
 
-class UnitQuaternion(Frozen):
-    """A unit quaternion w + xi + yj + zk, renormalized on construction.
-
-    Immutable, with value equality and hashing over the four components.
-    """
-
-    __slots__ = ("w", "x", "y", "z")
-
-    def __init__(self, w: float, x: float, y: float, z: float):
-        w, x, y, z = _unit(w, x, y, z)
-        _set(self, "w", w)
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
-
-    def components(self) -> tuple:
-        return (self.w, self.x, self.y, self.z)
-
-    def __mul__(self, o: "UnitQuaternion") -> "UnitQuaternion":
-        return UnitQuaternion(*_product(self.components(), o.components()))
-
-    def inverse(self) -> "UnitQuaternion":
-        return UnitQuaternion(self.w, -self.x, -self.y, -self.z)
-
-    def neg(self) -> "UnitQuaternion":
-        return UnitQuaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def power(self, k: int) -> "UnitQuaternion":
-        base = self if k >= 0 else self.inverse()
-        out = ONE
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
-    def distance(self, o: "UnitQuaternion") -> float:
-        return _distance(
-            (self.w - o.w, self.x - o.x, self.y - o.y, self.z - o.z), 0.0
-        )
-
-
-def _restore(*components) -> UnitQuaternion:
-    """A quaternion holding four components as they are, not renormalized."""
-    return restore(UnitQuaternion, components)
-
-
-ONE = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
-MINUS_ONE = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
-I = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
-J = UnitQuaternion(0.0, 0.0, 1.0, 0.0)
-K = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
-
-
-def commutator(a: UnitQuaternion, b: UnitQuaternion) -> UnitQuaternion:
-    qa, qb = a.components(), b.components()
-    return UnitQuaternion(*_commutator(qa, qb, _inverse(qa), _inverse(qb)))
-
-
-class SU2Tuple(Frozen):
-    """A nonempty tuple of unit quaternions with a commutator tolerance."""
-
-    __slots__ = ("elements", "tol")
-
-    def __init__(self, elements: tuple, tol: float = DEFAULT_TOL):
-        elements = tuple(elements)
-        if not elements:
-            raise ValueError("tuple must have length >= 1")
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
-        _set(self, "elements", elements)
-        _set(self, "tol", tol)
-
-    def __len__(self):
-        return len(self.elements)
+ONE = (1.0, 0.0, 0.0, 0.0)
+I = (0.0, 1.0, 0.0, 0.0)
+J = (0.0, 0.0, 1.0, 0.0)
 
 
 class SignMatrix(Frozen):
@@ -246,12 +174,12 @@ def _nearest_central_sign(q: tuple):
     return (1, d_plus) if d_plus <= d_minus else (-1, d_minus)
 
 
-def _pairwise_commutators(quads, tol=DEFAULT_TOL, refuse=None):
+def _pairwise_commutators(quads, refuse=None):
     """(sign rows as tuples, largest defect) over every pairwise commutator
     of a sequence of 4-tuples.
 
     Each commutator is matched to the nearer of ±1.  With ``refuse``
-    given, the first pair (i, j) farther than ``tol`` raises
+    given, the first pair (i, j) farther than DEFAULT_TOL raises
     ``refuse(i, j, distance)``.  Each element is inverted once.
     """
     n = len(quads)
@@ -263,39 +191,32 @@ def _pairwise_commutators(quads, tol=DEFAULT_TOL, refuse=None):
             sign, dist = _nearest_central_sign(
                 _unit(*_commutator(quads[i], quads[j], inverses[i], inverses[j]))
             )
-            if refuse is not None and dist > tol:
+            if refuse is not None and dist > DEFAULT_TOL:
                 raise refuse(i, j, dist)
             rows[i][j] = rows[j][i] = sign
             worst = max(worst, dist)
     return tuple(map(tuple, rows)), worst
 
 
-def _components(t: SU2Tuple) -> list:
-    return [x.components() for x in t.elements]
+def commutator_type(quads) -> SignMatrix:
+    """Sign matrix of all pairwise commutators of a sequence of unit 4-tuples.
 
-
-def _su2_tuple(quads, tol=DEFAULT_TOL) -> SU2Tuple:
-    """An SU2Tuple holding the 4-tuples as they are, not renormalized."""
-    return SU2Tuple(tuple(_restore(*q) for q in quads), tol=tol)
-
-
-def commutator_type(t: SU2Tuple) -> SignMatrix:
-    """Sign matrix of all pairwise commutators.
-
-    Raises NotAlmostCommuting when any commutator is farther than the
-    tuple's tolerance from both central elements.
+    Raises NotAlmostCommuting when any commutator is farther than
+    DEFAULT_TOL from both central elements.
     """
-    rows, _ = _pairwise_commutators(_components(t), t.tol, NotAlmostCommuting)
+    rows, _ = _pairwise_commutators(quads, NotAlmostCommuting)
     return SignMatrix(len(rows), rows)
 
 
-def max_commutator_defect(t: SU2Tuple) -> float:
-    """Largest distance of any pairwise commutator from {±1}."""
-    return _pairwise_commutators(_components(t))[1]
+def max_commutator_defect(quads) -> float:
+    """Largest distance of any pairwise commutator of a sequence of unit
+    4-tuples from {±1}."""
+    return _pairwise_commutators(quads)[1]
 
 
-def psi_construct(x_i, x_j, w, C: SignMatrix, i: int, j: int) -> SU2Tuple:
-    """Fill a tuple of the requested sign matrix from one anticommuting pair.
+def psi_construct(x_i: tuple, x_j: tuple, w, C: SignMatrix, i: int, j: int) -> list:
+    """Fill a tuple of the requested sign matrix from one anticommuting pair,
+    returned as the list of its unit 4-tuples.
 
     Positions i and j receive the base pair; every other position k gets
     w_k · x_i^{a_k} · x_j^{b_k}, with exponents read off the matrix:
@@ -304,13 +225,6 @@ def psi_construct(x_i, x_j, w, C: SignMatrix, i: int, j: int) -> SU2Tuple:
     a matrix violating that (equivalently, of F2 rank > 2) raises
     TypeMismatch, and no almost-commuting SU(2) tuple realizes it at all.
     """
-    return _su2_tuple(
-        _psi_construct(x_i.components(), x_j.components(), w, C, i, j)
-    )
-
-
-def _psi_construct(x_i: tuple, x_j: tuple, w, C: SignMatrix, i: int, j: int):
-    """``psi_construct`` on 4-tuples: the list of the tuple's elements."""
     n = C.n
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValueError("base indices out of range")
@@ -331,10 +245,9 @@ def _psi_construct(x_i: tuple, x_j: tuple, w, C: SignMatrix, i: int, j: int):
     elements = [None] * n
     elements[i] = x_i
     elements[j] = x_j
-    # x.power(1) is ONE * x, renormalized; x.power(0) is ONE
-    one = ONE.components()
-    powers_i = (one, _unit_product(one, x_i))
-    powers_j = (one, _unit_product(one, x_j))
+    # x^1 is ONE · x, renormalized; x^0 is ONE
+    powers_i = (ONE, _unit_product(ONE, x_i))
+    powers_j = (ONE, _unit_product(ONE, x_j))
     for s, (k, a, b) in enumerate(plan):
         y = _unit_product(powers_i[a], powers_j[b])
         elements[k] = y if w[s] == 1 else _neg(y)
@@ -343,7 +256,7 @@ def _psi_construct(x_i: tuple, x_j: tuple, w, C: SignMatrix, i: int, j: int):
 
 @lru_cache(maxsize=1 << 14)
 def _psi_plan(entries: tuple, i: int, j: int) -> tuple:
-    """(refusal, plan) of ``_psi_construct`` for the sign rows ``entries``
+    """(refusal, plan) of ``psi_construct`` for the sign rows ``entries``
     and the base pair (i, j), worked out once per matrix and pair.
 
     ``refusal`` is the TypeMismatch message of the first entry the base
@@ -366,7 +279,8 @@ def _psi_plan(entries: tuple, i: int, j: int) -> tuple:
 
 
 def classify_so3_tuple(rotations) -> SignMatrix:
-    """Sign matrix of a commuting SO(3) tuple given by quaternion lifts.
+    """Sign matrix of a commuting SO(3) tuple given by a sequence of unit
+    4-tuple lifts.
 
     Well-defined: changing a lift by the central sign flips both factors
     of each commutator once, which cancels.  Raises NotCommutingInSO3
@@ -379,13 +293,8 @@ def classify_so3_tuple(rotations) -> SignMatrix:
             f"(lifted commutator {dist:.3e} from ±1)"
         )
 
-    t = SU2Tuple(tuple(rotations))
-    rows, _ = _pairwise_commutators(_components(t), t.tol, refuse)
+    rows, _ = _pairwise_commutators(rotations, refuse)
     return SignMatrix(len(rows), rows)
-
-
-def random_unit_quaternion(rng: random.Random) -> UnitQuaternion:
-    return _restore(*_random_unit(rng))
 
 
 def _random_unit(rng: random.Random) -> tuple:
@@ -400,17 +309,13 @@ def _random_unit(rng: random.Random) -> tuple:
             return _unit(*q)
 
 
-def random_torus_tuple(n: int, seed) -> SU2Tuple:
-    """n rotations about one common random axis: a commuting tuple.
+def random_torus_tuple(n: int, seed) -> list:
+    """n rotations about one common random axis: a commuting tuple, as the
+    list of its unit 4-tuples.
 
     Built as g · diag(θ_k) · g^{-1} for one random g, so the sign matrix
     is all +1 for every seed.
     """
-    return _su2_tuple(_random_torus(n, seed))
-
-
-def _random_torus(n: int, seed) -> list:
-    """``random_torus_tuple`` on 4-tuples: the list of its elements."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
@@ -422,10 +327,3 @@ def _random_torus(n: int, seed) -> list:
         diag = _unit(math.cos(theta), math.sin(theta), 0.0, 0.0)
         elements.append(_conjugate(g, diag, gi))
     return elements
-
-
-def conjugate_tuple(g: UnitQuaternion, t: SU2Tuple) -> SU2Tuple:
-    """Simultaneous conjugation; commutator signs are unchanged."""
-    qg = g.components()
-    gi = _inverse(qg)
-    return _su2_tuple((_conjugate(qg, x, gi) for x in _components(t)), tol=t.tol)

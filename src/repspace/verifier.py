@@ -67,12 +67,10 @@ from .su2 import (
     _inverse,
     _neg,
     _pairwise_commutators,
-    _psi_construct,
-    _random_torus,
     _random_unit,
-    _restore,
     classify_so3_tuple,
     psi_construct,
+    random_torus_tuple,
 )
 from .values import Record
 
@@ -426,14 +424,14 @@ def _random_tuple(C: SignMatrix, rng: random.Random) -> list:
     n = C.n
     pairs = _anticommuting_pairs(C.entries)
     if not pairs:
-        return _random_torus(n, rng.randrange(2**63))
+        return random_torus_tuple(n, rng.randrange(2**63))
     i, j = pairs[rng.randrange(len(pairs))]
     g = _random_unit(rng)
     gi = _inverse(g)
-    x_i = _conjugate(g, I.components(), gi)
-    x_j = _conjugate(g, J.components(), gi)
+    x_i = _conjugate(g, I, gi)
+    x_j = _conjugate(g, J, gi)
     w = tuple(rng.choice((1, -1)) for _ in range(n - 2))
-    return _psi_construct(x_i, x_j, w, C, i, j)
+    return psi_construct(x_i, x_j, w, C, i, j)
 
 
 def psi_sweep(n: int, runs: int, seed) -> dict:
@@ -501,13 +499,11 @@ def so3_invariance(cases: int, seed) -> dict:
         n = rng.choice((2, 3, 4))
         try:
             t = _random_tuple(rng.choice(_sign_tables(n)[0]), rng)
-            before = classify_so3_tuple([_restore(*x) for x in t])
+            before = classify_so3_tuple(t)
             flipped = [x if rng.random() < 0.5 else _neg(x) for x in t]
             g = _random_unit(rng)
             gi = _inverse(g)
-            after = classify_so3_tuple(
-                [_restore(*_conjugate(g, x, gi)) for x in flipped]
-            )
+            after = classify_so3_tuple([_conjugate(g, x, gi) for x in flipped])
         except RepspaceError:
             failures += 1
             continue
@@ -631,10 +627,10 @@ SUITES = (
 )
 
 
-def suite_builders(name: str, seed: int = 0, runs: int = 1200) -> list:
+def suite_builders(name: str, seed: int = 0) -> list:
     """Zero-argument report builders for one named suite."""
     if name == "snf":
-        return [partial(check_snf, runs=max(runs // 6, 50), seed=seed + 11)]
+        return [partial(check_snf, seed=seed + 11)]
     if name == "simplicial":
         return [check_simplicial]
     if name == "homology-prop":
@@ -652,10 +648,10 @@ def suite_builders(name: str, seed: int = 0, runs: int = 1200) -> list:
     if name == "counts":
         return [check_counts]
     if name == "su2":
-        return [partial(check_su2, runs=runs, seed=seed + 97)]
+        return [partial(check_su2, seed=seed + 97)]
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
 
 
-def run_suite(name: str, seed: int = 0, runs: int = 1200) -> list:
+def run_suite(name: str, seed: int = 0) -> list:
     """All reports of one suite, in order."""
-    return [b() for b in suite_builders(name, seed=seed, runs=runs)]
+    return [b() for b in suite_builders(name, seed=seed)]

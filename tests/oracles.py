@@ -7,8 +7,9 @@ definition was misread, which is easier to audit).  Only four sections
 use the package under test, each replaying the route a smaller or faster
 construction replaced: spheres as cross-polytope boundaries, quotients
 by generator closure (symmetric products as X^m and then its quotient),
-the SU(2) sweep tuples as UnitQuaternion products, and the sign-matrix
-tables as one type matrix, sign matrix and F2 rank per type.
+the SU(2) sweep tuples on a float quaternion class of their own (QFloat,
+renormalized after every operation), and the sign-matrix tables as one
+type matrix, sign matrix and F2 rank per type.
 """
 
 import math
@@ -26,7 +27,7 @@ from repspace.simplicial import (
     SimplicialSet,
     product_list,
 )
-from repspace.su2 import I, J, SignMatrix, UnitQuaternion
+from repspace.su2 import SignMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -588,21 +589,57 @@ Q_K = QFrac(0, 0, 0, 1)
 # ---------------------------------------------------------------------------
 # SU(2) sweep tuples the object way.
 #
-# The sweeps build their tuples on float 4-tuples.  This replays the
-# route they replaced, with the same random draws: one UnitQuaternion per
-# product, power, inverse and negation, each renormalized on
+# The sweeps build their tuples on float 4-tuples.  This replays them
+# with the same random draws on a quaternion class of its own: one
+# QFloat per product, power, inverse and negation, each renormalized on
 # construction, and the psi fill written out from its definition.
+
+
+class QFloat:
+    """A float quaternion w + xi + yj + zk, renormalized on construction."""
+
+    __slots__ = ("w", "x", "y", "z")
+
+    def __init__(self, w, x, y, z):
+        n = math.sqrt(w * w + x * x + y * y + z * z)
+        self.w, self.x, self.y, self.z = w / n, x / n, y / n, z / n
+
+    def __mul__(self, o):
+        a, b, c, d = self.w, self.x, self.y, self.z
+        e, f, g, h = o.w, o.x, o.y, o.z
+        return QFloat(
+            a * e - b * f - c * g - d * h,
+            a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f,
+            a * h + b * g - c * f + d * e,
+        )
+
+    def inverse(self):
+        return QFloat(self.w, -self.x, -self.y, -self.z)
+
+    def neg(self):
+        return QFloat(-self.w, -self.x, -self.y, -self.z)
+
+    def power(self, k):
+        """self^k for k >= 0, one renormalized product per factor."""
+        out = QFloat(1.0, 0.0, 0.0, 0.0)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def tuple(self):
+        return (self.w, self.x, self.y, self.z)
 
 
 def _reference_unit(rng):
     while True:
         q = [rng.gauss(0, 1) for _ in range(4)]
         if sum(v * v for v in q) > 1e-6:
-            return UnitQuaternion(*q)
+            return QFloat(*q)
 
 
 def reference_random_tuple(C, rng):
-    """The UnitQuaternions of a sweep tuple for the realizable matrix C."""
+    """The 4-tuples of a sweep tuple for the realizable matrix C."""
     n = C.n
     if all(s == 1 for row in C.entries for s in row):
         torus_rng = random.Random(rng.randrange(2**63))
@@ -610,13 +647,14 @@ def reference_random_tuple(C, rng):
         out = []
         for _ in range(n):
             theta = torus_rng.uniform(0, 2 * math.pi)
-            diag = UnitQuaternion(math.cos(theta), math.sin(theta), 0.0, 0.0)
+            diag = QFloat(math.cos(theta), math.sin(theta), 0.0, 0.0)
             out.append(g * diag * g.inverse())
-        return out
+        return [q.tuple() for q in out]
     pairs = [(i, j) for i, j in combinations(range(n), 2) if C.entry(i, j) == -1]
     i, j = pairs[rng.randrange(len(pairs))]
     g = _reference_unit(rng)
-    x_i, x_j = g * I * g.inverse(), g * J * g.inverse()
+    x_i = g * QFloat(0.0, 1.0, 0.0, 0.0) * g.inverse()
+    x_j = g * QFloat(0.0, 0.0, 1.0, 0.0) * g.inverse()
     w = [rng.choice((1, -1)) for _ in range(n - 2)]
     out = [None] * n
     out[i], out[j] = x_i, x_j
@@ -624,7 +662,7 @@ def reference_random_tuple(C, rng):
     for s, k in zip(w, [k for k in range(n) if k not in (i, j)]):
         y = x_i.power((1 - C.entry(j, k)) // 2) * x_j.power((1 - C.entry(i, k)) // 2)
         out[k] = y if s == 1 else y.neg()
-    return out
+    return [q.tuple() for q in out]
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,7 @@ def test_values_below_the_valid_range_are_bad_input(capsys, argv):
         ["counts", "--n", "6000"],
         ["su2", "verify-psi", "--n", "100"],
         ["su2", "verify-psi", "--n", "200"],
+        ["su2", "verify-psi", "--runs", "1000000000"],
     ],
     ids=" ".join,
 )

@@ -24,7 +24,6 @@ from repspace.simplicial import (
     product_list,
     product_f_vector,
     product_simplex_id,
-    product_size,
     quotient_by_action,
 )
 
@@ -291,7 +290,7 @@ def test_product_matches_the_reference_product(case):
 
 def test_product_budget_guard():
     C, _ = two_gon()
-    assert product_size([C.f_vector()] * 6) > CELL_BUDGET
+    assert sum(product_f_vector([C.f_vector()] * 6)) > CELL_BUDGET
     with pytest.raises(ResourceGuard, match="budget"):
         product_list([C] * 6)
 
@@ -305,11 +304,13 @@ def test_product_size_matches_the_shuffle_oracle():
         ]
         top = sum(len(f) - 1 for f in fvs)
         assert product_f_vector(fvs) == oracles.product_f_vector(fvs, top), fvs
-        assert product_size(fvs) == sum(oracles.product_f_vector(fvs, top)), fvs
     for n in range(1, 7):
         for v in (1, 2):
-            assert product_size([[v, v]] * n) == sum(oracles.torus_f_vector(n, v))
-    assert product_size([[1, 3, 2]] * 3) == product_size([[1, 1]] * 6) == 9366
+            assert sum(product_f_vector([[v, v]] * n)) == sum(
+                oracles.torus_f_vector(n, v)
+            )
+    assert sum(product_f_vector([[1, 3, 2]] * 3)) == 9366
+    assert sum(product_f_vector([[1, 1]] * 6)) == 9366
 
 
 # -- actions and quotients ---------------------------------------------------

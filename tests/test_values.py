@@ -13,7 +13,7 @@ import pytest
 
 from repspace.abelian import AbelianGroup, GradedGroup
 from repspace.counting import TypeMatrix
-from repspace.su2 import DEFAULT_TOL, I, J, SignMatrix, SU2Tuple, UnitQuaternion
+from repspace.su2 import SignMatrix
 from repspace.values import FrozenInstanceError
 from repspace.verifier import Report
 
@@ -21,9 +21,7 @@ FROZEN_CASES = {
     "AbelianGroup": (AbelianGroup, (2, (2, 4))),
     "GradedGroup": (GradedGroup, ((AbelianGroup(1), AbelianGroup(0, (3,))),)),
     "TypeMatrix": (TypeMatrix, (2, (3,), (((0,), (1,)), ((2,), (0,))))),
-    "SU2Tuple": (SU2Tuple, ((I, J), 1e-6)),
     "SignMatrix": (SignMatrix, (2, ((1, -1), (-1, 1)))),
-    "UnitQuaternion": (UnitQuaternion, (0.6, 0.8, 0.0, 0.0)),
 }
 
 
@@ -81,21 +79,17 @@ def test_a_frozen_value_survives_pickling_and_copying(case):
 def test_frozen_defaults_are_the_dataclass_defaults():
     assert AbelianGroup(3) == AbelianGroup(3, ())
     assert GradedGroup() == GradedGroup(()) == GradedGroup.of()
-    assert SU2Tuple((I,)).tol == DEFAULT_TOL
 
 
 def test_construction_still_normalizes_and_validates():
     assert AbelianGroup(1, [2.0]).torsion == (2,)
     assert GradedGroup((AbelianGroup(1), AbelianGroup(0))).groups == (AbelianGroup(1),)
-    assert SU2Tuple([I, J]).elements == (I, J)
     with pytest.raises(ValueError, match="broken divisor chain"):
         AbelianGroup(0, (2, 3))
     with pytest.raises(ValueError, match="disagree"):
         TypeMatrix(2, (3,), (((0,), (1,)), ((1,), (0,))))
     with pytest.raises(ValueError, match="symmetric"):
         SignMatrix(2, ((1, -1), (1, 1)))
-    with pytest.raises(ValueError, match="positive"):
-        SU2Tuple((I,), 0.0)
 
 
 def test_report_behaves_as_its_mutable_dataclass_twin():

@@ -430,7 +430,7 @@ def test_sweep_tuples_match_the_quaternion_route_bit_for_bit(n):
             got = verifier._random_tuple(C, got_rng)
             want = oracles.reference_random_tuple(C, want_rng)
             assert [tuple(map(float.hex, q)) for q in got] == [
-                tuple(map(float.hex, q.components())) for q in want
+                tuple(map(float.hex, q)) for q in want
             ]
         assert got_rng.getstate() == want_rng.getstate()
 
@@ -486,7 +486,7 @@ def test_sweeps_fail_on_a_perturbed_element(monkeypatch):
     for n in (2, 3, 4):
         seen.clear()
         out = psi_sweep(n, 40, seed=3)
-        defects = [max_commutator_defect(su2._su2_tuple(t)) for t in seen]
+        defects = [max_commutator_defect(t) for t in seen]
         assert out["max_commutator_defect"] == max(defects) > 1e-9
         assert out["failures"] == sum(d > 1e-9 for d in defects) > 0
     rep = check_su2(runs=120, seed=2024)
