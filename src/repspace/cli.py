@@ -97,37 +97,8 @@ def cmd_counts(args) -> int:
     return 0
 
 
-def _verify_reports(args) -> list:
-    """Suite reports, narrowed by --n / --m; a flag the suite ignores is refused.
-
-    --n narrows splitting and homology-prop; --m narrows rep-u, rep-sp and,
-    together with --n, splitting.
-    """
-    if args.n is not None and args.suite not in ("splitting", "homology-prop"):
-        raise ValueError(f"verify {args.suite} takes no --n")
-    if args.m is not None and args.suite not in ("rep-u", "rep-sp", "splitting"):
-        raise ValueError(f"verify {args.suite} takes no --m")
-    if args.m is not None and args.suite == "splitting" and args.n is None:
-        raise ValueError("verify splitting takes --m only with --n")
-    if args.suite == "splitting" and args.n is not None:
-        m = args.m if args.m is not None else 2
-        families = [f for f, top in verifier.FAMILY_LIMITS.items() if args.n <= top]
-        if not families:
-            raise ResourceGuard(f"no family supports n={args.n}")
-        for family in families:  # every family is refused before any is built
-            verifier.guard_splitting(family, args.n, m)
-        return [verifier.verify_splitting(f, args.n, m) for f in families]
-    if args.suite == "homology-prop" and args.n is not None:
-        return [verifier.check_homology_prop(args.n)]
-    if args.suite == "rep-u" and args.m is not None:
-        return [verifier.check_rep_u_cohomology(args.m)]
-    if args.suite == "rep-sp" and args.m is not None:
-        return [verifier.check_rep_sp(2, args.m)]
-    return verifier.run_suite(args.suite, seed=args.seed)
-
-
 def cmd_verify(args) -> int:
-    reports = _verify_reports(args)
+    reports = verifier.run_suite(args.suite, seed=args.seed, n=args.n, m=args.m)
     if args.fmt == "json":
         print(json.dumps([r.to_json() for r in reports], indent=2))
     elif args.fmt == "csv":

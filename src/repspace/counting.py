@@ -164,15 +164,6 @@ class TypeMatrix(Frozen):
         ]
 
 
-def group_order(K) -> int:
-    return prod(K)
-
-
-def count_types(n: int, K) -> int:
-    """|K|^binom(n,2): an antisymmetric matrix is its upper triangle."""
-    return group_order(K) ** comb(n, 2)
-
-
 def power_exceeds(base: int, exponent: int, bound: int) -> bool:
     """Whether base**exponent > bound, without building a power above it."""
     value = 1
@@ -186,7 +177,7 @@ def power_exceeds(base: int, exponent: int, bound: int) -> bool:
 def guard_types(n: int, K):
     """Refuse (ResourceGuard) when the n×n types over K exceed
     ``ENUMERATION_GUARD``, before any is built."""
-    order, slots = group_order(K), comb(n, 2)
+    order, slots = prod(K), comb(n, 2)
     if power_exceeds(order, slots, ENUMERATION_GUARD):
         raise ResourceGuard(
             f"{order}^{slots} type matrices exceed the enumeration guard "

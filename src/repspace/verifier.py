@@ -9,9 +9,9 @@ independent routes:
   per wedge factor, or is a closed formula.
 
 A Report keeps one row per comparison, so a failure names the degree at
-fault instead of just returning False.  The suite runner at the bottom
-is what the command line calls; every suite is deterministic for a
-fixed seed.
+fault instead of just returning False.  ``SUITE_TABLE`` at the bottom
+names every suite with the flags that narrow it; ``run_suite`` is what
+the command line calls.  Every suite is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -300,43 +300,35 @@ def rank_one_catalog(group: str, n: int):
 # SECTION: closed formulas against the engine
 
 
+def _against_table(name: str, space: SimplicialSet, expected: GradedGroup) -> Report:
+    """Engine homology of a catalog space against its closed-form table."""
+    rep = Report(name)
+    _graded_rows(rep, expected, homology(normalized_chains(space)))
+    return rep
+
+
 def check_homology_prop(n: int) -> Report:
     """Engine homology of (S^1)^n/Z2 against the closed-form table."""
-    rep = Report(f"homology-prop(n={n})")
-    got = homology(normalized_chains(catalog.torus_conj_quotient(n)))
-    _graded_rows(rep, conj_quotient_homology(n), got)
-    return rep
+    X = catalog.torus_conj_quotient(n)
+    return _against_table(f"homology-prop(n={n})", X, conj_quotient_homology(n))
 
 
 def check_rep_u_cohomology(m: int = 2) -> Report:
     """SP^m((S^1)^2) against the torsion-free rank pattern 1, 2, ..., 2, 1."""
-    rep = Report(f"rep-u(m={m})")
-    got = homology(normalized_chains(catalog.sp_torus(2, m)))
-    if m == 0:
-        expected = GradedGroup.of(AbelianGroup.free(1))
-    else:
-        middle = [AbelianGroup.free(2) for _ in range(2 * m - 1)]
-        expected = GradedGroup.of(
-            AbelianGroup.free(1), *middle, AbelianGroup.free(1)
-        )
-    _graded_rows(rep, expected, got)
-    return rep
+    X = catalog.sp_torus(2, m)
+    ranks = [min(k + 1, 2 * m + 1 - k, 2) for k in range(2 * m + 1)]
+    expected = GradedGroup.of(*map(AbelianGroup.free, ranks))
+    return _against_table(f"rep-u(m={m})", X, expected)
 
 
 def check_rep_sp(n: int = 2, m: int = 2) -> Report:
     """SP^m((S^1)^2/Z2) against complex projective m-space."""
     if n != 2:
         raise ResourceGuard("the projective-space comparison is for n=2")
-    rep = Report(f"rep-sp(n={n},m={m})")
-    got = homology(normalized_chains(catalog.rep_sp(n, m)))
-    expected = GradedGroup.of(
-        *[
-            AbelianGroup.free(1) if k % 2 == 0 else AbelianGroup.trivial()
-            for k in range(2 * m + 1)
-        ]
-    )
-    _graded_rows(rep, expected, got)
-    return rep
+    X = catalog.rep_sp(n, m)
+    ranks = [1 - k % 2 for k in range(2 * m + 1)]
+    expected = GradedGroup.of(*map(AbelianGroup.free, ranks))
+    return _against_table(f"rep-sp(n={n},m={m})", X, expected)
 
 
 def check_counts() -> Report:
@@ -614,44 +606,69 @@ def check_simplicial() -> Report:
 
 # ---------------------------------------------------------------------------
 # SECTION: suite runner
-
-SUITES = (
-    "snf",
-    "simplicial",
-    "homology-prop",
-    "rep-u",
-    "rep-sp",
-    "splitting",
-    "counts",
-    "su2",
-)
+#
+# SUITE_TABLE names every suite with the flags that narrow it and its
+# builders, given the seed and the flag values (None when not given).  A
+# builder looks its check up when called, so a rebound check is the one run.
 
 
-def suite_builders(name: str, seed: int = 0) -> list:
-    """Zero-argument report builders for one named suite."""
-    if name == "snf":
-        return [partial(check_snf, seed=seed + 11)]
-    if name == "simplicial":
-        return [check_simplicial]
-    if name == "homology-prop":
-        return [partial(check_homology_prop, n) for n in (1, 2, 3, 4)]
-    if name == "rep-u":
-        return [partial(check_rep_u_cohomology, m) for m in (1, 2, 3)]
-    if name == "rep-sp":
-        return [partial(check_rep_sp, 2, m) for m in (0, 1, 2, 3)]
-    if name == "splitting":
-        return [
-            partial(verify_splitting, family, n)
-            for family, limit in FAMILY_LIMITS.items()
-            for n in range(1, limit + 1)
-        ] + [partial(verify_splitting, "sp_circle", n, 3) for n in (1, 2)]
-    if name == "counts":
-        return [check_counts]
-    if name == "su2":
-        return [partial(check_su2, seed=seed + 97)]
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+def _each(check, value, *default) -> list:
+    """One builder per default argument, or one for the value narrowed to."""
+    return [partial(check, k) for k in (default if value is None else (value,))]
 
 
-def run_suite(name: str, seed: int = 0) -> list:
+def _splitting(n, m) -> list:
+    """Builders of the splitting checks: every verified rank, or every family
+    whose range reaches rank n, with power m for sp_circle alone.  Every
+    check is refused, if at all, before any is built."""
+    limit = FAMILY_LIMITS["sp_circle"]
+    if m is not None and n is None:
+        raise ValueError("verify splitting takes --m only with --n")
+    if m is not None and n > limit:
+        raise ValueError(f"verify splitting takes --m only with --n <= {limit}")
+    if n is None:
+        runs = [(f, k) for f, top in FAMILY_LIMITS.items() for k in range(1, top + 1)]
+        runs += [("sp_circle", 1, 3), ("sp_circle", 2, 3)]
+    else:
+        runs = [
+            (f, n) if m is None or f != "sp_circle" else (f, n, m)
+            for f, top in FAMILY_LIMITS.items()
+            if n <= top
+        ]
+        if not runs:
+            raise ResourceGuard(f"no family supports n={n}")
+    for run in runs:
+        guard_splitting(*run)
+    return [partial(verify_splitting, *run) for run in runs]
+
+
+SUITE_TABLE = {
+    "snf": ("", lambda seed, n, m: [partial(check_snf, seed=seed + 11)]),
+    "simplicial": ("", lambda seed, n, m: [check_simplicial]),
+    "homology-prop": (
+        "n", lambda seed, n, m: _each(check_homology_prop, n, 1, 2, 3, 4)
+    ),
+    "rep-u": ("m", lambda seed, n, m: _each(check_rep_u_cohomology, m, 1, 2, 3)),
+    "rep-sp": ("m", lambda seed, n, m: _each(partial(check_rep_sp, 2), m, 0, 1, 2, 3)),
+    "splitting": ("nm", lambda seed, n, m: _splitting(n, m)),
+    "counts": ("", lambda seed, n, m: [check_counts]),
+    "su2": ("", lambda seed, n, m: [partial(check_su2, seed=seed + 97)]),
+}
+SUITES = tuple(SUITE_TABLE)
+
+
+def suite_builders(name: str, seed: int = 0, n=None, m=None) -> list:
+    """Zero-argument report builders for one named suite, narrowed by n or m;
+    a flag the suite does not take is refused rather than ignored."""
+    if name not in SUITE_TABLE:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    flags, builders = SUITE_TABLE[name]
+    for flag, value in (("n", n), ("m", m)):
+        if value is not None and flag not in flags:
+            raise ValueError(f"verify {name} takes no --{flag}")
+    return builders(seed, n, m)
+
+
+def run_suite(name: str, seed: int = 0, n=None, m=None) -> list:
     """All reports of one suite, in order."""
-    return [b() for b in suite_builders(name, seed=seed)]
+    return [b() for b in suite_builders(name, seed=seed, n=n, m=m)]

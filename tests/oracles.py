@@ -697,7 +697,13 @@ def reference_sign_tables(n):
 #
 # The counting module divides integers and checks each remainder.  This
 # replays the route that replaced: each formula as a sum of Fractions,
-# transcribed from its docstring.
+# transcribed from its docstring.  The number of type matrices, which no
+# command needs, lives here too.
+
+
+def count_types(n, K):
+    """|K|^binom(n,2): an antisymmetric matrix is its upper triangle."""
+    return prod(K) ** comb(n, 2)
 
 
 def a_count_fraction(n):

@@ -8,6 +8,7 @@ grain by the per-module test files; this file exists so a single
 
 import time
 
+from oracles import count_types
 from repspace import catalog, verifier
 from repspace.abelian import AbelianGroup, GradedGroup
 from repspace.counting import (
@@ -15,7 +16,6 @@ from repspace.counting import (
     c_count,
     c_via_recurrence,
     conj_quotient_homology,
-    count_types,
     d_count,
     em_decomposition,
     k_count,

@@ -342,10 +342,20 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "rep-u", "--n", "7"],
-        ["verify", "homology-prop", "--m", "5"],
         ["verify", "snf", "--n", "3"],
+        ["verify", "simplicial", "--n", "2"],
+        ["verify", "rep-u", "--n", "7"],
+        ["verify", "rep-sp", "--n", "2"],
+        ["verify", "counts", "--n", "4"],
+        ["verify", "su2", "--n", "3"],
+        ["verify", "snf", "--m", "2"],
+        ["verify", "simplicial", "--m", "2"],
+        ["verify", "homology-prop", "--m", "5"],
+        ["verify", "counts", "--m", "2"],
+        ["verify", "su2", "--m", "2"],
         ["verify", "splitting", "--m", "3"],
+        ["verify", "splitting", "--n", "4", "--m", "2"],
+        ["verify", "splitting", "--n", "5", "--m", "-3"],
     ],
     ids=" ".join,
 )
@@ -480,6 +490,12 @@ def test_readme_has_every_command_example():
         "catalog",
         "su2",
     ]
+
+
+def test_readme_documents_every_suite():
+    text = README.read_text(encoding="utf-8")
+    suites = text[text.index("\nSuites: ") :].split("\n\n")[0]
+    assert [s for s in verifier.SUITES if f"`{s}`" not in suites] == []
 
 
 class ClosedPipe(io.StringIO):

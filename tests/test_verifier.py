@@ -521,6 +521,27 @@ def test_run_suite_names_and_verdicts():
     assert all(r.ok for r in reports)
 
 
+def test_narrowing_selects_a_report_and_never_changes_one():
+    def runs(name, **flags):
+        return [b.args for b in verifier.suite_builders(name, **flags)]
+
+    for name, flag, values in [
+        ("homology-prop", "n", (1, 2, 3, 4)),
+        ("rep-u", "m", (1, 2, 3)),
+        ("rep-sp", "m", (0, 1, 2, 3)),
+    ]:
+        full = runs(name)
+        for k in values:
+            assert runs(name, **{flag: k}) == [a for a in full if a[-1] == k]
+    full = runs("splitting")
+    for k in range(1, 6):
+        assert runs("splitting", n=k) == [a for a in full if a[1:] == (k,)]
+    for k in (1, 2):  # sp_circle alone takes m; m = 3 is the suite's other power
+        assert runs("splitting", n=k, m=3) == [
+            a for a in full if a[1] == k and (a[0] != "sp_circle" or a[2:] == (3,))
+        ]
+
+
 def test_run_suite_rejects_unknown_names():
     with pytest.raises(ValueError):
         run_suite("cohomotopy")
