@@ -2,7 +2,8 @@
 
 Everything here is arbitrary-precision: matrices hold Python ints, so no
 overflow is possible no matter how badly intermediate entries blow up
-during elimination.
+during elimination.  An :class:`IntMatrix` keeps one {row: value} dict per
+column; no other module reads or builds its {(r, c): v} keys.
 
 Two Smith-normal-form routines are provided.
 
@@ -12,22 +13,21 @@ d1 | d2 | ... .  It keeps dense working copies and is meant for small
 matrices (tests, spot checks, anything a human wants to look at).
 
 ``invariant_factors(M)`` returns only the nonzero diagonal of D.  It
-works on a sparse dict-of-rows layout and never touches the transform
-matrices.  A unit pass takes every ±1 pivot first, shortest column
-first, each by a rank-one update.  What is left goes to a heap that
-takes an entry of least absolute value, and among those one of least
-Markowitz cost, the fill-in its step can cause; each such pivot takes
-one step (column, then row, reduced to remainders).  The boundary
-matrices of the symmetric products so stay sparse.  It is the one
-elimination of integral homology: the engine's clearing pass hands it
-each boundary matrix whole, with the columns to leave out, and gets back
-the rows of the unit pass's pivots.
+builds its row dicts and column row-sets straight from M's columns and
+never touches the transform matrices.  A unit pass takes every ±1 pivot
+first, shortest column first, each by a rank-one update.  What is left
+goes to a heap that takes an entry of least absolute value, and among
+those one of least Markowitz cost, the fill-in its step can cause; each
+such pivot takes one step (column, then row, reduced to remainders).
+The boundary matrices of the symmetric products so stay sparse.  It is
+the one elimination of integral homology: the engine's clearing pass
+hands it each boundary matrix whole, with the columns to leave out, and
+gets back the rows of the unit pass's pivots.
 
-``lead_columns_mod_p(entries, p)``, a sparse row reduction over F_p
-taking the shortest rows first, and ``rank_mod_p(M, p)``, the number of
-its lead columns, share no code with either, so mod-p homology, one
-cleared pass of such reductions, checks the integral answer
-independently.
+``lead_columns_mod_p(M, p, drop)``, a sparse row reduction over F_p
+taking the shortest rows first, shares no code with either, so mod-p
+homology, one cleared pass of such reductions, checks the integral
+answer independently.
 
 The group of a diagonal is packaged as :class:`AbelianGroup` in
 invariant-factor normal form, and full homology tables as
@@ -48,25 +48,41 @@ from .values import Frozen, _set
 class IntMatrix:
     """An immutable rows x cols matrix of arbitrary-precision integers.
 
-    Entries are stored sparsely as {(r, c): nonzero int}; dense row input
-    is accepted by :meth:`from_rows`.  The public contract is value-level:
-    two matrices are equal iff shapes and entries agree.
+    Stored only as ``columns``, one {row: nonzero int} per column; the
+    constructor takes {(r, c): int}, and ``entries`` is that view, built on
+    each read.  Two matrices are equal iff shapes and entries agree.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
     def __init__(self, rows: int, cols: int, entries=None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
-        clean = {}
+        self.rows, self.cols = rows, cols
+        self.columns = [{} for _ in range(cols)]
         for (r, c), v in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
             if v:
-                clean[(r, c)] = int(v)
-        self.entries = clean
+                self.columns[c][r] = int(v)
+
+    @classmethod
+    def from_columns(cls, rows: int, columns) -> "IntMatrix":
+        """Build from one {row: int} dict per column; zero values drop out.
+
+        >>> IntMatrix.from_columns(2, [{0: 1, 1: 0}, {1: 2}]).to_rows()
+        [[1, 0], [0, 2]]
+        """
+        if rows < 0:
+            raise ValueError("negative matrix dimensions")
+        M = cls.__new__(cls)
+        M.rows, M.cols = rows, len(columns)
+        M.columns = [{r: int(v) for r, v in col.items() if v} for col in columns]
+        for col in M.columns:
+            for r in col:
+                if not 0 <= r < rows:
+                    raise ValueError(f"row {r} outside 0..{rows - 1}")
+        return M
 
     @classmethod
     def from_rows(cls, data) -> "IntMatrix":
@@ -76,14 +92,10 @@ class IntMatrix:
         {(0, 0): 1, (1, 1): 2}
         """
         data = [list(row) for row in data]
-        rows = len(data)
         cols = len(data[0]) if data else 0
         if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
-        entries = {
-            (r, c): v for r, row in enumerate(data) for c, v in enumerate(row) if v
-        }
-        return cls(rows, cols, entries)
+        return cls.from_columns(len(data), [dict(enumerate(c)) for c in zip(*data)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
@@ -91,33 +103,35 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls.from_columns(n, [{i: 1} for i in range(n)])
+
+    @property
+    def entries(self) -> dict:
+        return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
 
     def entry(self, r: int, c: int) -> int:
-        return self.entries.get((r, c), 0)
+        return self.columns[c].get(r, 0) if 0 <= c < self.cols else 0
 
     def to_rows(self) -> list:
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
+        for c, col in enumerate(self.columns):
+            for r, v in col.items():
+                out[r][c] = v
         return out
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         """Sparse matrix product self * other."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        by_row = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        acc = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = acc.get(key, 0) + a * b
-        return IntMatrix(self.rows, other.cols, acc)
+        out = [{} for _ in other.columns]
+        for acc, col in zip(out, other.columns):
+            for k, b in col.items():
+                for i, a in self.columns[k].items():
+                    acc[i] = acc.get(i, 0) + a * b
+        return IntMatrix.from_columns(self.rows, out)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.columns)
 
     @property
     def shape(self):
@@ -127,7 +141,7 @@ class IntMatrix:
         return (
             isinstance(other, IntMatrix)
             and self.shape == other.shape
-            and self.entries == other.entries
+            and self.columns == other.columns
         )
 
     def __hash__(self):
@@ -202,8 +216,8 @@ def smith_normal_form(M: IntMatrix):
     """
     rows, cols = M.rows, M.cols
     A = M.to_rows()
-    U = IntMatrix.identity(rows).to_rows()
-    V = IntMatrix.identity(cols).to_rows()
+    U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    V = [[int(i == j) for j in range(cols)] for i in range(cols)]
     t = 0
     limit = min(rows, cols)
 
@@ -271,12 +285,11 @@ def smith_normal_form(M: IntMatrix):
             for j in range(rows):
                 U[t][j] = -U[t][j]
         t += 1
-    def pack(data, r, c):
-        return IntMatrix(
-            r, c, {(i, j): v for i, row in enumerate(data) for j, v in enumerate(row)}
-        )
+    def pack(data, c):
+        columns = [{i: row[j] for i, row in enumerate(data)} for j in range(c)]
+        return IntMatrix.from_columns(len(data), columns)
 
-    return pack(U, rows, rows), pack(A, rows, cols), pack(V, cols, cols)
+    return pack(U, rows), pack(A, cols), pack(V, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +344,11 @@ def invariant_factors(M: IntMatrix, skip=frozenset(), unit_rows=None) -> list:
     """
     rows = {}
     cols = {}
-    for (r, c), v in M.entries.items():
-        if c not in skip:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
+    for c, col in enumerate(M.columns):
+        if col and c not in skip:
+            cols[c] = set(col)
+            for r, v in col.items():
+                rows.setdefault(r, {})[c] = v
     push, pop = heapq.heappush, heapq.heappop
     out = []
     queue = [(len(col), c) for c, col in cols.items()]
@@ -439,8 +453,8 @@ def invariant_factors(M: IntMatrix, skip=frozenset(), unit_rows=None) -> list:
     return _divisor_chain(out)
 
 
-def lead_columns_mod_p(entries, p: int) -> set:
-    """Lead columns of a row echelon form over F_p (p prime) of {(r, c): v}.
+def lead_columns_mod_p(M: IntMatrix, p: int, drop=()) -> set:
+    """Lead columns of an F_p row echelon form (p prime) of M less the rows drop.
 
     Each row is reduced by the pivot rows found so far, keyed by their
     leading column; a row that does not vanish becomes a pivot row.  Rows
@@ -450,9 +464,10 @@ def lead_columns_mod_p(entries, p: int) -> set:
     by its coordinates outside the returned columns.
     """
     rows = {}
-    for (r, c), v in entries.items():
-        if v % p:
-            rows.setdefault(r, {})[c] = v % p
+    for c, col in enumerate(M.columns):
+        for r, v in col.items():
+            if v % p and r not in drop:
+                rows.setdefault(r, {})[c] = v % p
     pivots = {}
     for row in sorted(rows.values(), key=len):
         while row:
@@ -470,11 +485,6 @@ def lead_columns_mod_p(entries, p: int) -> set:
                 else:
                     row.pop(c, None)
     return set(pivots)
-
-
-def rank_mod_p(M: IntMatrix, p: int) -> int:
-    """Rank of M over F_p (p prime) by sparse row reduction, without the SNF."""
-    return len(lead_columns_mod_p(M.entries, p))
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", parents=[fmt], help="run a verification suite")
     v.add_argument("suite", choices=verifier.SUITES)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=int, default=None, help="reseed snf or su2")
     v.add_argument("--n", type=int, default=None, help="narrow to one rank")
     v.add_argument("--m", type=int, default=None, help="narrow to one power")
 

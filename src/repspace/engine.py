@@ -35,14 +35,6 @@ from .errors import CacheCorrupt, CompositionNotZero, NotPrime
 ENGINE_VERSION = "1"
 
 
-def _by_column(d: IntMatrix) -> list:
-    """d's entries as one list of (row, value) pairs per column."""
-    by_col = [[] for _ in range(d.cols)]
-    for (r, c), v in d.entries.items():
-        by_col[c].append((r, v))
-    return by_col
-
-
 class ChainComplex:
     """Free Z-modules ranks[0..top] with boundaries d_k : C_k -> C_{k-1}.
 
@@ -89,27 +81,20 @@ class ChainComplex:
     def validate(self):
         """d_k ∘ d_{k+1} = 0 for k = 1 .. top - 1, column by column.
 
-        Each boundary's entries are grouped once into per-column (row,
-        value) lists, shared by the two compositions the boundary is part
-        of; only the two boundaries of the composition being checked are
-        held at a time.  Column c of d_k d_{k+1} is summed in a dict keyed
-        by the rows of d_k, and the first nonzero column raises.  No
-        product matrix is built, and every column of every composition is
-        checked.
+        Column c of d_k d_{k+1} sums the columns of d_k that column c of
+        d_{k+1} names, each scaled by its entry there, in one dict keyed by
+        row; the first nonzero column raises.  No product matrix is built.
         """
-        columns = map(_by_column, self.diffs)
-        lower = next(columns, None)
         acc = {}
         get = acc.get
-        for k, upper in enumerate(columns, start=1):
-            for column in upper:
-                for mid, v in column:
-                    for r, w in lower[mid]:
+        for k, (lower, upper) in enumerate(zip(self.diffs, self.diffs[1:]), 1):
+            for column in upper.columns:
+                for mid, v in column.items():
+                    for r, w in lower.columns[mid].items():
                         acc[r] = get(r, 0) + v * w
                 if any(acc.values()):
                     raise CompositionNotZero(f"d_{k} ∘ d_{k + 1} ≠ 0")
                 acc.clear()
-            lower = upper
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * r for k, r in enumerate(self.ranks))
@@ -169,10 +154,7 @@ def homology_mod_p(C: ChainComplex, p: int) -> list:
     rank = [0] * (len(C.ranks) + 1)
     leads = ()
     for k in range(1, len(C.ranks)):
-        leads = lead_columns_mod_p(
-            {rc: v for rc, v in C.diffs[k - 1].entries.items() if rc[0] not in leads},
-            p,
-        )
+        leads = lead_columns_mod_p(C.diffs[k - 1], p, leads)
         rank[k] = len(leads)
     return [C.ranks[k] - rank[k] - rank[k + 1] for k in range(len(C.ranks))]
 
@@ -210,13 +192,9 @@ def suspend(C: ChainComplex) -> ChainComplex:
     """
     if not C.ranks:
         raise ValueError("cannot suspend an empty complex")
-    for c in range(C.d(1).cols):
-        if sum(C.d(1).entry(r, c) for r in range(C.d(1).rows)) != 0:
-            raise ValueError("complex is not augmentable")
-    n0 = C.ranks[0]
-    d1 = IntMatrix(
-        2, n0, {(0, c): 1 for c in range(n0)} | {(1, c): -1 for c in range(n0)}
-    )
+    if any(sum(col.values()) for col in C.d(1).columns):
+        raise ValueError("complex is not augmentable")
+    d1 = IntMatrix.from_columns(2, [{0: 1, 1: -1}] * C.ranks[0])
     return ChainComplex([2] + C.ranks, [d1] + C.diffs, check=False)
 
 

@@ -645,8 +645,8 @@ def collapse(X: SimplicialSet, keep) -> SimplicialSet:
 def normalized_chains(X: SimplicialSet) -> ChainComplex:
     """One generator per nondegenerate simplex; degenerate faces drop out.
 
-    Column order follows the stored id order per dimension, so the
-    boundary matrices are reproducible across runs.
+    Each simplex's boundary is its column, in the stored id order per
+    dimension, so the boundary matrices are reproducible across runs.
     """
     if X.dim < 0:
         return ChainComplex([], [])
@@ -657,17 +657,17 @@ def normalized_chains(X: SimplicialSet) -> ChainComplex:
     ranks = [len(X.ids(k)) for k in range(X.dim + 1)]
     diffs = []
     for k in range(1, X.dim + 1):
-        entries = {}
+        columns = []
         below = index[k - 1]
-        for col, sid in enumerate(X.ids(k)):
+        for sid in X.ids(k):
+            column = {}
             sign = -1
             for f in X.faces[sid]:
                 sign = -sign  # (-1)^i for d_i
                 if f.word:
                     continue
-                key = (below[f.base], col)
-                entries[key] = entries.get(key, 0) + sign
-        diffs.append(
-            IntMatrix(ranks[k - 1], ranks[k], entries)
-        )
+                r = below[f.base]
+                column[r] = column.get(r, 0) + sign
+            columns.append(column)
+        diffs.append(IntMatrix.from_columns(ranks[k - 1], columns))
     return ChainComplex(ranks, diffs, check=True)

@@ -10,7 +10,7 @@ independent routes:
 
 A Report keeps one row per comparison, so a failure names the degree at
 fault instead of just returning False.  ``SUITE_TABLE`` at the bottom
-names every suite with the flags that narrow it; ``run_suite`` is what
+names every suite with the flags it takes; ``run_suite`` is what
 the command line calls.  Every suite is deterministic for a fixed seed.
 """
 
@@ -300,35 +300,36 @@ def rank_one_catalog(group: str, n: int):
 # SECTION: closed formulas against the engine
 
 
-def _against_table(name: str, space: SimplicialSet, expected: GradedGroup) -> Report:
-    """Engine homology of a catalog space against its closed-form table."""
+def _against_table(name: str, C, expected: GradedGroup) -> Report:
+    """Engine homology of chains C against a closed-form table.  Callers build
+    C through ``catalog.resolve``, so a refusal names the descriptor."""
     rep = Report(name)
-    _graded_rows(rep, expected, homology(normalized_chains(space)))
+    _graded_rows(rep, expected, homology(C))
     return rep
 
 
 def check_homology_prop(n: int) -> Report:
     """Engine homology of (S^1)^n/Z2 against the closed-form table."""
-    X = catalog.torus_conj_quotient(n)
-    return _against_table(f"homology-prop(n={n})", X, conj_quotient_homology(n))
+    C = catalog.resolve(f"torus_conj_quotient(n={n})")[1]()
+    return _against_table(f"homology-prop(n={n})", C, conj_quotient_homology(n))
 
 
 def check_rep_u_cohomology(m: int = 2) -> Report:
     """SP^m((S^1)^2) against the torsion-free rank pattern 1, 2, ..., 2, 1."""
-    X = catalog.sp_torus(2, m)
+    C = catalog.resolve(f"sp_torus(n=2,m={m})")[1]()
     ranks = [min(k + 1, 2 * m + 1 - k, 2) for k in range(2 * m + 1)]
     expected = GradedGroup.of(*map(AbelianGroup.free, ranks))
-    return _against_table(f"rep-u(m={m})", X, expected)
+    return _against_table(f"rep-u(m={m})", C, expected)
 
 
 def check_rep_sp(n: int = 2, m: int = 2) -> Report:
     """SP^m((S^1)^2/Z2) against complex projective m-space."""
     if n != 2:
         raise ResourceGuard("the projective-space comparison is for n=2")
-    X = catalog.rep_sp(n, m)
+    C = catalog.resolve(f"rep_sp(n={n},m={m})")[1]()
     ranks = [1 - k % 2 for k in range(2 * m + 1)]
     expected = GradedGroup.of(*map(AbelianGroup.free, ranks))
-    return _against_table(f"rep-sp(n={n},m={m})", X, expected)
+    return _against_table(f"rep-sp(n={n},m={m})", C, expected)
 
 
 def check_counts() -> Report:
@@ -607,9 +608,10 @@ def check_simplicial() -> Report:
 # ---------------------------------------------------------------------------
 # SECTION: suite runner
 #
-# SUITE_TABLE names every suite with the flags that narrow it and its
-# builders, given the seed and the flag values (None when not given).  A
-# builder looks its check up when called, so a rebound check is the one run.
+# SUITE_TABLE names every suite with the flags it takes (``seed`` reseeds,
+# ``n`` and ``m`` narrow) and its builders, given the seed (0 when not given)
+# and the flag values (None when not given).  A builder looks its check up
+# when called, so a rebound check is the one run.
 
 
 def _each(check, value, *default) -> list:
@@ -643,32 +645,35 @@ def _splitting(n, m) -> list:
 
 
 SUITE_TABLE = {
-    "snf": ("", lambda seed, n, m: [partial(check_snf, seed=seed + 11)]),
-    "simplicial": ("", lambda seed, n, m: [check_simplicial]),
+    "snf": (("seed",), lambda seed, n, m: [partial(check_snf, seed=seed + 11)]),
+    "simplicial": ((), lambda seed, n, m: [check_simplicial]),
     "homology-prop": (
-        "n", lambda seed, n, m: _each(check_homology_prop, n, 1, 2, 3, 4)
+        ("n",), lambda seed, n, m: _each(check_homology_prop, n, 1, 2, 3, 4)
     ),
-    "rep-u": ("m", lambda seed, n, m: _each(check_rep_u_cohomology, m, 1, 2, 3)),
-    "rep-sp": ("m", lambda seed, n, m: _each(partial(check_rep_sp, 2), m, 0, 1, 2, 3)),
-    "splitting": ("nm", lambda seed, n, m: _splitting(n, m)),
-    "counts": ("", lambda seed, n, m: [check_counts]),
-    "su2": ("", lambda seed, n, m: [partial(check_su2, seed=seed + 97)]),
+    "rep-u": (("m",), lambda seed, n, m: _each(check_rep_u_cohomology, m, 1, 2, 3)),
+    "rep-sp": (
+        ("m",), lambda seed, n, m: _each(partial(check_rep_sp, 2), m, 0, 1, 2, 3)
+    ),
+    "splitting": (("n", "m"), lambda seed, n, m: _splitting(n, m)),
+    "counts": ((), lambda seed, n, m: [check_counts]),
+    "su2": (("seed",), lambda seed, n, m: [partial(check_su2, seed=seed + 97)]),
 }
 SUITES = tuple(SUITE_TABLE)
 
 
-def suite_builders(name: str, seed: int = 0, n=None, m=None) -> list:
-    """Zero-argument report builders for one named suite, narrowed by n or m;
-    a flag the suite does not take is refused rather than ignored."""
+def suite_builders(name: str, seed=None, n=None, m=None) -> list:
+    """Zero-argument report builders for one named suite, narrowed by n or m
+    and reseeded by seed (0 when None); a flag the suite does not take is
+    refused rather than ignored."""
     if name not in SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     flags, builders = SUITE_TABLE[name]
-    for flag, value in (("n", n), ("m", m)):
+    for flag, value in (("seed", seed), ("n", n), ("m", m)):
         if value is not None and flag not in flags:
             raise ValueError(f"verify {name} takes no --{flag}")
-    return builders(seed, n, m)
+    return builders(seed or 0, n, m)
 
 
-def run_suite(name: str, seed: int = 0, n=None, m=None) -> list:
+def run_suite(name: str, seed=None, n=None, m=None) -> list:
     """All reports of one suite, in order."""
     return [b() for b in suite_builders(name, seed=seed, n=n, m=m)]

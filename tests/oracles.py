@@ -3,11 +3,12 @@
 Every routine is a direct transcription of a textbook definition,
 deliberately slow and dumb, so a disagreement with the fast
 implementation always means the fast side is wrong (or the oracle's
-definition was misread, which is easier to audit).  Only four sections
+definition was misread, which is easier to audit).  Only five sections
 use the package under test, each replaying the route a smaller or faster
 construction replaced: spheres as cross-polytope boundaries, quotients
 by generator closure (symmetric products as X^m and then its quotient),
-the SU(2) sweep tuples on a float quaternion class of their own (QFloat,
+normalized chains as one {(r, c): v} dict per boundary matrix, the SU(2)
+sweep tuples on a float quaternion class of their own (QFloat,
 renormalized after every operation), and the sign-matrix tables as one
 type matrix, sign matrix and F2 rank per type.
 """
@@ -19,8 +20,9 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial, gcd, prod
 
-from repspace.abelian import IntMatrix, rank_mod_p
+from repspace.abelian import IntMatrix, lead_columns_mod_p
 from repspace.counting import enumerate_types
+from repspace.engine import ChainComplex
 from repspace.simplicial import (
     FormalSimplex,
     SimplicialAction,
@@ -529,6 +531,38 @@ def planted_dims_mod_p(top, pieces, p):
             dims[k] += 1
             dims[k - 1] += 1
     return dims
+
+
+# ---------------------------------------------------------------------------
+# Sparse matrices keyed by (row, column).
+#
+# Boundary matrices are built one column per simplex.  This replays the
+# route that replaced: every entry of a boundary matrix summed into one
+# {(r, c): v} dict, handed whole to the IntMatrix constructor.
+
+
+def keyed_normalized_chains(X):
+    """Normalized chains of X, each boundary built as one {(r, c): v} dict."""
+    if X.dim < 0:
+        return ChainComplex([], [])
+    index = {k: {sid: i for i, sid in enumerate(X.ids(k))} for k in range(X.dim + 1)}
+    ranks = [len(X.ids(k)) for k in range(X.dim + 1)]
+    diffs = []
+    for k in range(1, X.dim + 1):
+        entries = {}
+        for col, sid in enumerate(X.ids(k)):
+            for i, f in enumerate(X.faces[sid]):
+                if not f.word:
+                    key = (index[k - 1][f.base], col)
+                    entries[key] = entries.get(key, 0) + (-1) ** i
+        diffs.append(IntMatrix(ranks[k - 1], ranks[k], entries))
+    return ChainComplex(ranks, diffs)
+
+
+def rank_mod_p(M, p):
+    """Rank of M over F_p (p prime): the number of lead columns of its
+    sparse row reduction, without the SNF."""
+    return len(lead_columns_mod_p(M, p))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@ import time
 
 import pytest
 
-from oracles import homology_by_minors, invariant_factor_chain, snf_diagonal_by_minors
+from oracles import (
+    homology_by_minors,
+    invariant_factor_chain,
+    rank_mod_p,
+    snf_diagonal_by_minors,
+)
 from repspace.abelian import (
     AbelianGroup,
     GradedGroup,
     IntMatrix,
     determinant,
     invariant_factors,
-    rank_mod_p,
     smith_normal_form,
 )
 from repspace import catalog
@@ -35,6 +39,17 @@ def snf_props(M):
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
     return diag
+
+
+def test_the_three_constructors_agree_and_refuse_what_lies_outside():
+    M = IntMatrix.from_rows([[1, 0], [0, -2]])
+    assert M == IntMatrix.from_columns(2, [{0: 1, 1: 0}, {1: -2}])
+    assert M == IntMatrix(2, 2, {(0, 0): 1, (1, 0): 0, (1, 1): -2})
+    assert M.columns == [{0: 1}, {1: -2}]
+    assert [M.entry(1, c) for c in (-1, 1, 2)] == [0, -2, 0]
+    for rows, columns in [(2, [{2: 1}]), (2, [{}, {-1: 1}]), (-1, [])]:
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns(rows, columns)
 
 
 def test_snf_identity():

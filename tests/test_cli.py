@@ -356,6 +356,12 @@ def test_verify_unknown_suite_is_usage_error(capsys):
         ["verify", "splitting", "--m", "3"],
         ["verify", "splitting", "--n", "4", "--m", "2"],
         ["verify", "splitting", "--n", "5", "--m", "-3"],
+        ["verify", "simplicial", "--seed", "5"],
+        ["verify", "homology-prop", "--seed", "5"],
+        ["verify", "rep-u", "--seed", "5"],
+        ["verify", "rep-sp", "--seed", "0"],
+        ["verify", "splitting", "--seed", "5"],
+        ["verify", "counts", "--seed", "5"],
     ],
     ids=" ".join,
 )
@@ -363,6 +369,23 @@ def test_verify_refuses_a_flag_its_suite_ignores(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_only_the_randomized_suites_take_a_seed(capsys):
+    assert run(capsys, "verify", "counts", "--seed", "5") == (
+        2, "", "error: verify counts takes no --seed\n"
+    )
+    # an absent --seed reads as 0
+    assert run(capsys, "verify", "su2") == run(capsys, "verify", "su2", "--seed", "0")
+
+
+def test_a_verify_refusal_names_its_space_as_homology_does(capsys):
+    want = (
+        "resource guard: torus_conj_quotient(n=6): product needs 599424 "
+        "nondegenerate simplices (budget 200000)\n"
+    )
+    assert run(capsys, "verify", "homology-prop", "--n", "6") == (3, "", want)
+    assert run(capsys, "homology", "torus_conj_quotient(n=6)") == (3, "", want)
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

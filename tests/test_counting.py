@@ -7,7 +7,7 @@ import oracles
 import pytest
 
 from repspace import catalog, counting
-from repspace.abelian import AbelianGroup, GradedGroup, IntMatrix, rank_mod_p
+from repspace.abelian import AbelianGroup, GradedGroup, IntMatrix
 from repspace.engine import homology
 from repspace.errors import NotPrime, ResourceGuard
 from repspace.simplicial import normalized_chains
@@ -165,7 +165,7 @@ def test_type_matrix_validation():
 
 
 def f2_rank(rows):
-    return rank_mod_p(IntMatrix.from_rows(rows), 2)
+    return oracles.rank_mod_p(IntMatrix.from_rows(rows), 2)
 
 
 def test_f2_rank():

@@ -510,3 +510,26 @@ def test_euler_characteristic_matches_betti_alternation():
     h = homology(normalized_chains(X))
     alt = sum((-1) ** k * h[k].free_rank for k in range(X.dim + 1))
     assert X.euler_characteristic() == alt == 0
+
+
+def test_column_chains_match_the_keyed_reference(monkeypatch):
+    # every catalog space whose chains come from simplices, built once with
+    # its boundaries as columns and once as one (r, c)-keyed dict each
+    pairs = []
+
+    def both(X):
+        pairs.append((normalized_chains(X), oracles.keyed_normalized_chains(X)))
+        return pairs[-1][0]
+
+    monkeypatch.setattr(catalog, "normalized_chains", both)
+    chain_only = set()
+    for key in catalog.catalog_samples() + ["sp_torus(n=2,m=3)", "rep_sp(n=2,m=2)"]:
+        built = len(pairs)
+        catalog.resolve(key)[1]()
+        if len(pairs) == built:
+            chain_only.add(catalog.parse_descriptor(key)[0])
+    assert chain_only == {"stunted_projective", "rp", "sphere", "thom_su2"}
+    for got, want in pairs:
+        assert got.ranks == want.ranks
+        for d, e in zip(got.diffs, want.diffs, strict=True):
+            assert d.shape == e.shape and d.entries == e.entries
