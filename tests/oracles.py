@@ -538,7 +538,8 @@ def planted_dims_mod_p(top, pieces, p):
 #
 # Boundary matrices are built one column per simplex.  This replays the
 # route that replaced: every entry of a boundary matrix summed into one
-# {(r, c): v} dict, handed whole to the IntMatrix constructor.
+# {(r, c): v} dict, handed whole to the IntMatrix constructor.  The rank
+# over F_p, which no command needs, is the number of lead columns.
 
 
 def keyed_normalized_chains(X):
