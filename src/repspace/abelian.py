@@ -14,15 +14,14 @@ matrices (tests, spot checks, anything a human wants to look at).
 
 ``invariant_factors(M)`` returns only the nonzero diagonal of D.  It
 builds its row dicts and column row-sets straight from M's columns and
-never touches the transform matrices.  A unit pass takes every ±1 pivot
-first, shortest column first, each by a rank-one update.  What is left
-goes to a heap that takes an entry of least absolute value, and among
-those one of least Markowitz cost, the fill-in its step can cause; each
-such pivot takes one step (column, then row, reduced to remainders).
-The boundary matrices of the symmetric products so stay sparse.  It is
-the one elimination of integral homology: the engine's clearing pass
-hands it each boundary matrix whole, with the columns to leave out, and
-gets back the rows of the unit pass's pivots.
+never touches the transform matrices.  One loop pops the shortest live
+column from a heap and pivots on its entry of least absolute value, every
+±1 pivot before any other; each pivot takes one Euclid step (column, then
+row, reduced to remainders), which for a ±1 is a rank-one update.  The
+boundary matrices of the symmetric products so stay sparse.  It is the
+one elimination of integral homology: the engine's clearing pass hands
+it each boundary matrix whole, with the columns to leave out, and gets
+back the rows of the ±1 pivots taken first.
 
 ``lead_columns_mod_p(M, p, drop)``, a sparse row reduction over F_p
 taking the shortest rows first, shares no code with either, so mod-p
@@ -322,25 +321,23 @@ def invariant_factors(M: IntMatrix, skip=frozenset(), unit_rows=None) -> list:
     The result is a divisibility chain, 1s included, so its len() is the
     rank; entries > 1 present the torsion of the cokernel.
 
-    A unit pass goes first.  It keeps a heap of (column length, column),
-    pops the shortest live column, and pivots on the ±1 of that column
-    whose row is shortest (ties: lowest row).  The pivot's step is the
-    rank-one Schur update that eliminates its row and column; every column
-    of the pivot row then goes back on the heap with its new length.  A
-    column with no ±1 waits until a step changes it, so the pass ends with
-    no ±1 left.  What is left goes to a heap of entries keyed by (|v|,
-    Markowitz cost), the cost (row nonzeros - 1) * (column nonzeros - 1)
-    bounding the fill-in of a step (Markowitz, 1957).  The heap is lazy: a
-    popped entry whose cost has since grown goes back with its current
-    cost.  Its pivot v takes one step: row operations reduce its column to
-    remainders mod v, then, once the column is clear, column operations
-    reduce its row; a remainder is smaller than |v| and is pivoted on
-    before v is taken again.
+    One loop keeps a heap of (column length, column).  It pops the shortest
+    live column and pivots on its entry v of least |v| (ties: shortest row,
+    then lowest row).  While any ±1 is left only ±1 pivots are taken: a
+    column without one waits until a step changes it, and when the heap
+    runs dry every live column goes back on it for any pivot.  Each pivot
+    takes one Euclid step.  Row operations reduce its column mod v, then,
+    once the column is clear, column operations reduce its row.  A
+    remainder left in the column becomes the pivot; one left in the row
+    hands the pivot to the least entry of the column of the least such
+    remainder.  |v| drops at each hand-over and v stays least in its
+    column, so every quotient of the row operations is nonzero.  For a ±1
+    the step is the rank-one Schur update that clears its row and column.
 
-    ``unit_rows``, if given, gains the row of each pivot of the unit pass.
-    Those steps are unit Schur steps on the original rows and columns,
-    taken before any other step, so the rows and columns of those pivots
-    form a minor of determinant ±1, which clearing needs.
+    ``unit_rows``, if given, gains the row of each ±1 pivot taken before
+    any other pivot.  Those steps are unit Schur steps on the original
+    rows and columns, so the rows and columns of those pivots form a minor
+    of determinant ±1, which clearing needs.
     """
     rows = {}
     cols = {}
@@ -351,105 +348,78 @@ def invariant_factors(M: IntMatrix, skip=frozenset(), unit_rows=None) -> list:
                 rows.setdefault(r, {})[c] = v
     push, pop = heapq.heappush, heapq.heappop
     out = []
-    queue = [(len(col), c) for c, col in cols.items()]
-    heapq.heapify(queue)
-    while queue:
-        n, c = pop(queue)
-        col = cols.get(c)
-        if col is None or len(col) != n:
-            continue  # stale queue entry
-        best = min(
-            ((len(rows[i]), i) for i in col if rows[i][c] in (1, -1)), default=None
-        )
-        if best is None:
-            continue  # no ±1 here until a step changes this column
-        # Unit Schur step: row i -= (row i's entry at c * v) * row r for every
-        # other row of column c, then row r and column c go.
-        r = best[1]
-        row = rows.pop(r)
-        v = row.pop(c)
-        del cols[c]
-        col.discard(r)
-        for j in row:
-            cols[j].discard(r)
-        for i in col:
-            ri = rows[i]
-            q = ri.pop(c) * v
-            for j, w in row.items():
-                nv = ri.get(j, 0) - q * w
-                if nv:
-                    ri[j] = nv
-                    cols[j].add(i)
-                else:
-                    del ri[j]
-                    cols[j].discard(i)
-            if not ri:
-                del rows[i]
-        for j in row:
-            push(queue, (len(cols[j]), j))
-        out.append(1)
-        if unit_rows is not None:
-            unit_rows.add(r)
-    heap = [
-        (abs(v), (len(row) - 1) * (len(cols[c]) - 1), r, c)
-        for r, row in rows.items()
-        for c, v in row.items()
-    ]
+    heap = [(len(col), c) for c, col in cols.items()]
     heapq.heapify(heap)
-    while rows:  # every live entry is on the heap with its current value
-        a, pushed, r, c = pop(heap)
-        row = rows.get(r)
-        v = row.get(c) if row else None
-        if v is None or abs(v) != a:
+    units = True
+    while rows:
+        if not heap:  # no ±1 is left
+            units = False
+            heap = [(len(col), c) for c, col in cols.items() if col]
+            heapq.heapify(heap)
+        n, c = pop(heap)
+        col = cols.get(c)
+        if not col or len(col) != n:
             continue  # stale heap entry
-        col = cols[c]
-        cost = (len(row) - 1) * (len(col) - 1)
-        if cost > pushed:
-            # |v| stays first in the key, so this cannot skip a smaller value
-            push(heap, (a, cost, r, c))
-            continue
-        rest = [(j, w) for j, w in row.items() if j != c]
-        remainder = False
-        # Column pass: row i -= q * row r.  |v| is the least live value, so
-        # q != 0; r stays in cols[j] for each j of row r, so none empties.
-        for i in [i for i in col if i != r]:
-            ri = rows[i]
-            q, rem = divmod(ri[c], v)
-            for j, w in rest:
-                nv = ri.get(j, 0) - q * w
-                if nv:
-                    ri[j] = nv
-                    cj = cols[j]
-                    cj.add(i)
-                    push(heap, (abs(nv), (len(ri) - 1) * (len(cj) - 1), i, j))
-                elif j in ri:
-                    del ri[j]
-                    cols[j].discard(i)
-            if rem:
-                ri[c] = rem
-                push(heap, (abs(rem), (len(ri) - 1) * (len(col) - 1), i, c))
-                remainder = True
-            else:
-                del ri[c]
-                col.discard(i)
-                if not ri:
+        while True:
+            a, _, r = min((abs(rows[i][c]), len(rows[i]), i) for i in col)
+            if units and a != 1:
+                break  # no ±1 here until a step changes this column
+            row = rows[r]
+            v = row.pop(c)
+            del cols[c]
+            col.discard(r)
+            left = None  # rows of column c that keep a remainder
+            # Row operations: row i -= q * row r.  |v| is least in column c,
+            # so q != 0, and a zero update means row i held that entry.
+            for i in col:
+                ri = rows[i]
+                x = ri.pop(c)
+                q = x // v
+                for j, w in row.items():
+                    nv = ri.get(j, 0) - q * w
+                    if nv:
+                        ri[j] = nv
+                        cols[j].add(i)
+                    else:
+                        del ri[j]
+                        cols[j].discard(i)
+                x -= q * v
+                if x:
+                    ri[c] = x
+                    if left is None:
+                        left = {r}
+                    left.add(i)
+                elif not ri:
                     del rows[i]
-        if not remainder:
-            # column c is {r}, so column operations touch only row r
-            for j, w in rest:
-                w %= v
-                if w:
-                    row[j] = w
-                    push(heap, (abs(w), (len(row) - 1) * (len(cols[j]) - 1), r, j))
-                else:
-                    del row[j]
-                    cols[j].discard(r)
-            remainder = len(row) > 1
-        if remainder:
-            push(heap, (a, (len(row) - 1) * (len(col) - 1), r, c))
-            continue
-        out.append(a)
-        del rows[r], cols[c]
+            rest = None  # row r's remainders once column c is clear
+            if left is None:
+                # column c is {r}, so column operations touch only row r
+                for j, w in row.items():
+                    w %= v
+                    if w:
+                        if rest is None:
+                            rest = {}
+                        rest[j] = w
+                    else:
+                        cols[j].discard(r)
+            for j in row:
+                push(heap, (len(cols[j]), j))
+            if left is not None:
+                row[c] = v
+                cols[c] = col = left
+            elif rest is not None:
+                rest[c] = v
+                rows[r] = rest
+                cols[c] = {r}
+                push(heap, (1, c))
+                c = min(rest, key=lambda j: (abs(rest[j]), j))
+                col = cols[c]
+            else:
+                del rows[r]
+                out.append(a)
+                if units and unit_rows is not None:
+                    unit_rows.add(r)
+                break
     return _divisor_chain(out)
 
 

@@ -8,11 +8,12 @@ which is valid because ker d_k is a pure subgroup of C_k, hence a direct
 summand containing im d_{k+1}.  The ranks and torsion come from one
 top-down clearing pass per complex, one ``abelian.invariant_factors``
 call per boundary map: d_k is eliminated without the columns of the
-rows of the pivots of d_{k+1}'s unit pass.  Mod-p dimensions come from one
-bottom-up pass of F_p row reductions (``abelian.lead_columns_mod_p``),
-each d_{k+1} without the rows of d_k's lead columns.  The two passes
-run in opposite directions on opposite operations and share no code, so
-the universal coefficient check compares two independent routes.
+rows of the ±1 pivots that d_{k+1} took first.  Mod-p dimensions come
+from one bottom-up pass of F_p row reductions
+(``abelian.lead_columns_mod_p``), each d_{k+1} without the rows of d_k's
+lead columns.  The two passes run in opposite directions on opposite
+operations and share no code, so the universal coefficient check
+compares two independent routes.
 """
 
 from __future__ import annotations
@@ -106,8 +107,8 @@ def homology(C: ChainComplex) -> GradedGroup:
     One top-down clearing pass (Chen and Kerber, "Persistent homology
     computation with a twist", 2011), one ``invariant_factors`` call per
     boundary map.  For k = top .. 1, d_k is eliminated without the columns
-    of the rows of the pivots of d_{k+1}'s unit pass.  Those pivots sit on a
-    minor d_{k+1}[A, B] of determinant ±1, so d_k d_{k+1} = 0 writes each
+    of the rows of the ±1 pivots that d_{k+1} took first.  Those pivots sit
+    on a minor d_{k+1}[A, B] of determinant ±1, so d_k d_{k+1} = 0 writes each
     column of d_k in A as a Z-combination of its other columns: im d_k,
     hence its invariant factors, survive the deletion.
     """

@@ -174,7 +174,7 @@ def test_unit_pass_requeues_a_column_its_step_changed():
     assert s == {0, 1}
 
 
-def test_unit_pass_leaves_a_nonunit_to_the_heap():
+def test_unit_pass_leaves_a_nonunit_pivot_for_last():
     s = set()
     assert invariant_factors(IntMatrix.from_rows([[1, 1], [1, -1]]), unit_rows=s) == [
         1,
@@ -194,6 +194,19 @@ def test_invariant_factor_count_is_the_large_prime_rank(space):
     C = catalog.resolve(space)[1]()
     for k in range(1, C.top + 1):
         assert len(invariant_factors(C.d(k))) == rank_mod_p(C.d(k), 2**31 - 1), k
+
+
+def test_scaled_boundaries_take_only_nonunit_steps():
+    # every pivot of k*d is a non-unit, so each d runs hundreds of Euclid
+    # steps; the Smith form of k*d is k times that of d
+    for space in ("sp_torus(n=2,m=3)", "torus_conj_quotient(n=4)"):
+        for d in catalog.resolve(space)[1]().diffs:
+            factors = invariant_factors(d)
+            for k in (2, 3):
+                kd = IntMatrix.from_columns(
+                    d.rows, [{r: k * v for r, v in col.items()} for col in d.columns]
+                )
+                assert invariant_factors(kd) == [k * f for f in factors], (space, k)
 
 
 def cokernel(M):

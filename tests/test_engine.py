@@ -286,8 +286,9 @@ def test_mod_p_dimensions_see_torsion_twice():
     "space", ["sp_torus(n=2,m=3)", "torus_conj_quotient(n=4)", "smash_factor(n=4)"]
 )
 def test_clearing_agrees_with_eliminating_every_column(space):
-    # the cleared pass drops the columns of the unit pass's rows one degree
-    # up; eliminating each boundary whole must give the same groups
+    # the cleared pass drops the columns of the rows of the ±1 pivots that
+    # d_{k+1} took first; eliminating each boundary whole must give the same
+    # groups
     C = catalog.resolve(space)[1]()
     factors = [[]] + [invariant_factors(d) for d in C.diffs] + [[]]
     whole = GradedGroup(
@@ -299,6 +300,20 @@ def test_clearing_agrees_with_eliminating_every_column(space):
         )
     )
     assert homology(C) == whole
+
+
+def test_clearing_keeps_a_unit_row_for_every_1():
+    # in homology's top-down order, every 1 among d_k's factors comes from
+    # a ±1 pivot taken first, so clearing drops all the columns it can
+    extra = ["sp_torus(n=2,m=3)", "torus_conj_quotient(n=4)"]
+    for space in catalog.catalog_samples() + extra:
+        C = catalog.resolve(space)[1]()
+        cleared = frozenset()
+        for k in range(C.top, 0, -1):
+            pivots = set()
+            factors = invariant_factors(C.diffs[k - 1], cleared, pivots)
+            assert len(pivots) == factors.count(1), (space, k)
+            cleared = pivots
 
 
 def test_symmetric_square_of_the_three_torus():
