@@ -36,9 +36,8 @@ invariant-factor normal form, and full homology tables as
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from math import gcd
-
-from .values import Frozen, _set
 
 # ---------------------------------------------------------------------------
 # SECTION: integer matrices
@@ -461,7 +460,7 @@ def lead_columns_mod_p(M: IntMatrix, p: int, drop=()) -> set:
 # SECTION: abelian groups
 
 
-class AbelianGroup(Frozen):
+class AbelianGroup(namedtuple("AbelianGroup", ("free_rank", "torsion"))):
     """A finitely generated abelian group Z^free_rank + Z/d1 + ... + Z/dt.
 
     Invariant-factor normal form: every di >= 2 and d1 | d2 | ... | dt,
@@ -473,9 +472,9 @@ class AbelianGroup(Frozen):
     '0'
     """
 
-    __slots__ = ("free_rank", "torsion")
+    __slots__ = ()
 
-    def __init__(self, free_rank: int, torsion: tuple = ()):
+    def __new__(cls, free_rank: int, torsion: tuple = ()):
         torsion = tuple(int(d) for d in torsion)
         if free_rank < 0:
             raise ValueError("negative free rank")
@@ -485,8 +484,7 @@ class AbelianGroup(Frozen):
         for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError(f"broken divisor chain {torsion}")
-        _set(self, "free_rank", free_rank)
-        _set(self, "torsion", torsion)
+        return tuple.__new__(cls, (free_rank, torsion))
 
     @classmethod
     def trivial(cls) -> "AbelianGroup":
@@ -545,7 +543,7 @@ class AbelianGroup(Frozen):
         return " ⊕ ".join(parts) if parts else "0"
 
 
-class GradedGroup(Frozen):
+class GradedGroup(namedtuple("GradedGroup", ("groups",))):
     """A finite list of AbelianGroups indexed by homological degree.
 
     Trailing trivial degrees are trimmed on construction, so two tables
@@ -553,14 +551,15 @@ class GradedGroup(Frozen):
     returns the trivial group.
     """
 
-    __slots__ = ("groups",)
+    __slots__ = ()
 
-    def __init__(self, groups: tuple = ()):
+    def __new__(cls, groups: tuple = ()):
         gs = list(groups)
         while gs and gs[-1].is_trivial:
             gs.pop()
-        _set(self, "groups", tuple(gs))
+        return tuple.__new__(cls, (tuple(gs),))
 
+    # indexing and len run over the degrees, not over the one field
     def __getitem__(self, k: int) -> AbelianGroup:
         if 0 <= k < len(self.groups):
             return self.groups[k]

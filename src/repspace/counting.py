@@ -14,12 +14,12 @@ numerics lives in its own module.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product as iter_product
 from math import comb, gcd, prod
 
 from .abelian import AbelianGroup, GradedGroup
 from .errors import NotPrime, ResourceGuard
-from .values import Frozen, _set
 
 ENUMERATION_GUARD = 10**6
 
@@ -125,7 +125,7 @@ def n_central_product(n: int, m: int, p: int) -> int:
 # SECTION: type matrices
 
 
-class TypeMatrix(Frozen):
+class TypeMatrix(namedtuple("TypeMatrix", ("n", "modulus", "entries"))):
     """Antisymmetric n×n matrix over a finite abelian group K.
 
     ``modulus`` is K's invariant-factor tuple; entries are residue tuples
@@ -133,9 +133,9 @@ class TypeMatrix(Frozen):
     diagonal and entries[j][i] = -entries[i][j] componentwise.
     """
 
-    __slots__ = ("n", "modulus", "entries")
+    __slots__ = ()
 
-    def __init__(self, n: int, modulus: tuple, entries: tuple):
+    def __new__(cls, n: int, modulus: tuple, entries: tuple):
         zero = (0,) * len(modulus)
         if len(entries) != n:
             raise ValueError("row count disagrees with n")
@@ -148,9 +148,7 @@ class TypeMatrix(Frozen):
                 neg = tuple((-a) % d for a, d in zip(entries[i][j], modulus))
                 if entries[j][i] != neg:
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) disagree")
-        _set(self, "n", n)
-        _set(self, "modulus", modulus)
-        _set(self, "entries", entries)
+        return tuple.__new__(cls, (n, modulus, entries))
 
     def entry(self, i: int, j: int) -> tuple:
         return self.entries[i][j]

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import (
@@ -29,7 +30,6 @@ from .errors import (
     NotCommutingInSO3,
     TypeMismatch,
 )
-from .values import Frozen, _set
 
 NORM_TOL = 1e-12
 DEFAULT_TOL = 1e-9
@@ -113,12 +113,12 @@ I = (0.0, 1.0, 0.0, 0.0)
 J = (0.0, 0.0, 1.0, 0.0)
 
 
-class SignMatrix(Frozen):
+class SignMatrix(namedtuple("SignMatrix", ("n", "entries"))):
     """Symmetric n×n matrix of commutator signs with +1 diagonal."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ()
 
-    def __init__(self, n: int, entries: tuple):
+    def __new__(cls, n: int, entries: tuple):
         if len(entries) != n:
             raise ValueError("row count disagrees with n")
         for i in range(n):
@@ -131,8 +131,7 @@ class SignMatrix(Frozen):
                     raise ValueError("entries must be ±1")
                 if entries[i][j] != entries[j][i]:
                     raise ValueError("sign matrix must be symmetric")
-        _set(self, "n", n)
-        _set(self, "entries", entries)
+        return tuple.__new__(cls, (n, entries))
 
     @classmethod
     def from_rows(cls, rows) -> "SignMatrix":

@@ -17,6 +17,7 @@ the command line calls.  Every suite is deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from functools import cache, lru_cache, partial
 from itertools import combinations
 from math import comb
@@ -72,24 +73,22 @@ from .su2 import (
     psi_construct,
     random_torus_tuple,
 )
-from .values import Record
 
 # ---------------------------------------------------------------------------
 # SECTION: reports
 
 
-class Report(Record):
+class Report(namedtuple("Report", ("name", "rows"))):
     """Outcome of one verification: a name plus the evidence rows.
 
     Each row records one comparison as strings (so the whole report
     serializes without surprises); the verdict is the conjunction.
     """
 
-    __slots__ = ("name", "rows")
+    __slots__ = ()
 
-    def __init__(self, name: str, rows=None):
-        self.name = name
-        self.rows = [] if rows is None else rows
+    def __new__(cls, name: str, rows=None):
+        return tuple.__new__(cls, (name, [] if rows is None else rows))
 
     @property
     def ok(self) -> bool:
@@ -258,6 +257,10 @@ def rank_one_catalog(group: str, n: int):
     if group in ("SU2", "B_SU2_Z2") and n > catalog.MAX_SPHERE:
         raise Unsupported(group, n)
     if group == "S1":
+        if n > catalog.CELL_BUDGET:
+            raise ResourceGuard(
+                f"S1 at n={n}: n outside the range 1..{catalog.CELL_BUDGET}"
+            )
         return f"S^{n}", reduced_homology(catalog.sphere_chain(n))
     if group == "SU2":
         if n == 1:

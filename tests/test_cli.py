@@ -425,6 +425,11 @@ def test_catalog_stdout_is_the_benchmarks_frozen_answer(capsys, group):
     assert out == frozen["answers"][key]["stdout"]
 
 
+def test_a_catalog_refusal_names_the_request(capsys):
+    want = "resource guard: S1 at n=200001: n outside the range 1..200000\n"
+    assert run(capsys, "catalog", "S1", "--n", "200001") == (3, "", want)
+
+
 def test_catalog_unsupported_is_usage_error(capsys):
     assert run(capsys, "catalog", "SU2", "--n", "9")[0] == 2
     assert run(capsys, "catalog", "E8", "--n", "2")[0] == 2
