@@ -2,15 +2,15 @@
 
 Everything here is arbitrary-precision: matrices hold Python ints, so no
 overflow is possible no matter how badly intermediate entries blow up
-during elimination.  An :class:`IntMatrix` keeps one {row: value} dict per
-column; no other module reads or builds its {(r, c): v} keys.
+during elimination.  Sparse work runs on :class:`IntMatrix`, built from
+one {row: value} dict per column; small dense work runs on lists of rows.
 
 Two Smith-normal-form routines are provided.
 
 ``smith_normal_form(M)`` returns the full factorization U*M*V = D with
 unimodular U, V and diagonal D satisfying the divisibility chain
-d1 | d2 | ... .  It keeps dense working copies and is meant for small
-matrices (tests, spot checks, anything a human wants to look at).
+d1 | d2 | ... , all three as lists of rows.  It is meant for small
+matrices (the ``snf`` check, anything a human wants to look at).
 
 ``invariant_factors(M)`` returns only the nonzero diagonal of D.  It
 builds its row dicts and column row-sets straight from M's columns and
@@ -46,41 +46,25 @@ from math import gcd
 class IntMatrix:
     """An immutable rows x cols matrix of arbitrary-precision integers.
 
-    Stored only as ``columns``, one {row: nonzero int} per column; the
-    constructor takes {(r, c): int}, and ``entries`` is that view, built on
-    each read.  Two matrices are equal iff shapes and entries agree.
+    Stored only as ``columns``, one {row: nonzero int} per column, as the
+    constructor takes them; zeros drop out and a row outside 0..rows-1 is
+    refused.  ``entries`` is the {(r, c): v} view, built on each read.
+
+    >>> IntMatrix(2, [{0: 1, 1: 0}, {1: 2}]).to_rows()
+    [[1, 0], [0, 2]]
     """
 
     __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, entries=None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        self.rows, self.cols = rows, cols
-        self.columns = [{} for _ in range(cols)]
-        for (r, c), v in (entries or {}).items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) outside {rows}x{cols}")
-            if v:
-                self.columns[c][r] = int(v)
-
-    @classmethod
-    def from_columns(cls, rows: int, columns) -> "IntMatrix":
-        """Build from one {row: int} dict per column; zero values drop out.
-
-        >>> IntMatrix.from_columns(2, [{0: 1, 1: 0}, {1: 2}]).to_rows()
-        [[1, 0], [0, 2]]
-        """
+    def __init__(self, rows: int, columns):
         if rows < 0:
             raise ValueError("negative matrix dimensions")
-        M = cls.__new__(cls)
-        M.rows, M.cols = rows, len(columns)
-        M.columns = [{r: int(v) for r, v in col.items() if v} for col in columns]
-        for col in M.columns:
+        self.rows, self.cols = rows, len(columns)
+        self.columns = [{r: int(v) for r, v in col.items() if v} for col in columns]
+        for col in self.columns:
             for r in col:
                 if not 0 <= r < rows:
                     raise ValueError(f"row {r} outside 0..{rows - 1}")
-        return M
 
     @classmethod
     def from_rows(cls, data) -> "IntMatrix":
@@ -93,22 +77,15 @@ class IntMatrix:
         cols = len(data[0]) if data else 0
         if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
-        return cls.from_columns(len(data), [dict(enumerate(c)) for c in zip(*data)])
+        return cls(len(data), [dict(enumerate(c)) for c in zip(*data)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls.from_columns(n, [{i: 1} for i in range(n)])
+        return cls(rows, [{}] * cols)
 
     @property
     def entries(self) -> dict:
         return {(r, c): v for c, col in enumerate(self.columns) for r, v in col.items()}
-
-    def entry(self, r: int, c: int) -> int:
-        return self.columns[c].get(r, 0) if 0 <= c < self.cols else 0
 
     def to_rows(self) -> list:
         out = [[0] * self.cols for _ in range(self.rows)]
@@ -116,20 +93,6 @@ class IntMatrix:
             for r, v in col.items():
                 out[r][c] = v
         return out
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        """Sparse matrix product self * other."""
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        out = [{} for _ in other.columns]
-        for acc, col in zip(out, other.columns):
-            for k, b in col.items():
-                for i, a in self.columns[k].items():
-                    acc[i] = acc.get(i, 0) + a * b
-        return IntMatrix.from_columns(self.rows, out)
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
 
     @property
     def shape(self):
@@ -142,25 +105,29 @@ class IntMatrix:
             and self.columns == other.columns
         )
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
-
     def __repr__(self):
         if self.rows * self.cols <= 36:
             return f"IntMatrix({self.to_rows()!r})"
-        return f"IntMatrix({self.rows}x{self.cols}, {len(self.entries)} entries)"
+        nonzero = sum(map(len, self.columns))
+        return f"IntMatrix({self.rows}x{self.cols}, {nonzero} entries)"
 
 
-def determinant(M: IntMatrix) -> int:
-    """Determinant of a small integer matrix by fraction-free elimination.
+def dense_product(a, b) -> list:
+    """The product of two integer matrices given as lists of rows."""
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
+
+
+def determinant(rows) -> int:
+    """Determinant of a small square list of rows by fraction-free elimination.
 
     Used only to confirm unimodularity in checks; Bareiss keeps every
     intermediate value an exact integer.
     """
-    if M.rows != M.cols:
-        raise ValueError("determinant of a non-square matrix")
-    a = M.to_rows()
+    a = [list(row) for row in rows]
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a non-square matrix")
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -199,17 +166,19 @@ def _find_pivot(A, t, rows, cols):
 
 
 def smith_normal_form(M: IntMatrix):
-    """Full Smith normal form U*M*V = D.
+    """Full Smith normal form U*M*V = D, each of U, D, V a list of rows.
 
     U and V are unimodular; D is diagonal with nonnegative entries in a
     divisibility chain d1 | d2 | ... .  Pivots are chosen with minimal
     absolute value (ties: lowest row, then lowest column), which keeps
-    entry growth moderate and the output deterministic.
+    entry growth moderate and the output deterministic.  A D of no rows
+    is [], so its column count is the size of V.
 
-    >>> U, D, V = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
-    >>> D.to_rows()
+    >>> A = [[2, 4], [6, 8]]
+    >>> U, D, V = smith_normal_form(IntMatrix.from_rows(A))
+    >>> D
     [[2, 0], [0, 4]]
-    >>> U.mul(IntMatrix.from_rows([[2, 4], [6, 8]])).mul(V) == D
+    >>> dense_product(dense_product(U, A), V) == D
     True
     """
     rows, cols = M.rows, M.cols
@@ -283,11 +252,7 @@ def smith_normal_form(M: IntMatrix):
             for j in range(rows):
                 U[t][j] = -U[t][j]
         t += 1
-    def pack(data, c):
-        columns = [{i: row[j] for i, row in enumerate(data)} for j in range(c)]
-        return IntMatrix.from_columns(len(data), columns)
-
-    return pack(U, rows), pack(A, cols), pack(V, cols)
+    return U, A, V
 
 
 # ---------------------------------------------------------------------------

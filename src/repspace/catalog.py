@@ -293,19 +293,13 @@ def stunted_projective(m: int, k: int) -> ChainComplex:
             0,
             f"stunted_projective(m={m},k={k}): needs 0 <= k <= m <= {CELL_BUDGET}",
         )
-    if k == 0:
-        ranks = [1] * (m + 1)
-        diffs = [
-            IntMatrix.from_rows([[1 + (-1) ** j]]) for j in range(1, m + 1)
-        ]
-        return ChainComplex(ranks, diffs)
-    ranks = [1] + [0] * (k - 1) + [1] * (m - k + 1)
-    diffs = []
-    for j in range(1, m + 1):
-        if j > k and ranks[j - 1] and ranks[j]:
-            diffs.append(IntMatrix.from_rows([[1 + (-1) ** j]]))
-        else:
-            diffs.append(IntMatrix.zero(ranks[j - 1], ranks[j]))
+    ranks = [1 if j == 0 or j >= k else 0 for j in range(m + 1)]
+    diffs = [
+        IntMatrix.from_rows([[1 + (-1) ** j]])
+        if j > k
+        else IntMatrix.zero(ranks[j - 1], ranks[j])
+        for j in range(1, m + 1)
+    ]
     return ChainComplex(ranks, diffs)
 
 

@@ -31,7 +31,7 @@ from .abelian import (
     lead_columns_mod_p,
 )
 from .counting import _is_prime
-from .errors import CacheCorrupt, CompositionNotZero, NotPrime
+from .errors import CompositionNotZero, NotPrime
 
 ENGINE_VERSION = "1"
 
@@ -195,7 +195,7 @@ def suspend(C: ChainComplex) -> ChainComplex:
         raise ValueError("cannot suspend an empty complex")
     if any(sum(col.values()) for col in C.d(1).columns):
         raise ValueError("complex is not augmentable")
-    d1 = IntMatrix.from_columns(2, [{0: 1, 1: -1}] * C.ranks[0])
+    d1 = IntMatrix(2, [{0: 1, 1: -1}] * C.ranks[0])
     return ChainComplex([2] + C.ranks, [d1] + C.diffs, check=False)
 
 
@@ -219,21 +219,21 @@ def _cache_path(root, canonical: str) -> str:
     return os.path.join(root, f"{digest}.json")
 
 
-def _cache_read(path: str, canonical: str) -> GradedGroup:
+def _cache_read(path: str, canonical: str):
+    """The value cached at path, or None if the entry is missing, unreadable,
+    for another key or engine version, or fails its digest."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if doc.get("key") != canonical:
-            raise CacheCorrupt(f"key mismatch in {path}")
-        if doc.get("engine_version") != ENGINE_VERSION:
-            raise CacheCorrupt(f"stale engine version in {path}")
-        if doc.get("digest") != _digest(doc["graded_group"]):
-            raise CacheCorrupt(f"value digest mismatch in {path}")
-        return GradedGroup.from_json(doc["graded_group"])
-    except CacheCorrupt:
-        raise
-    except Exception as exc:
-        raise CacheCorrupt(f"unreadable cache entry {path}: {exc}") from exc
+        if (
+            doc.get("key") == canonical
+            and doc.get("engine_version") == ENGINE_VERSION
+            and doc.get("digest") == _digest(doc["graded_group"])
+        ):
+            return GradedGroup.from_json(doc["graded_group"])
+    except Exception:
+        pass  # an unreadable entry is recomputed like a missing one
+    return None
 
 
 def _cache_write(path: str, canonical: str, value: GradedGroup):
@@ -264,12 +264,9 @@ def cached_homology(canonical: str, build, cache_dir=None) -> GradedGroup:
     """
     root = cache_dir if cache_dir is not None else os.environ.get("REPSPACE_CACHE")
     if root:
-        path = _cache_path(root, canonical)
-        if os.path.exists(path):
-            try:
-                return _cache_read(path, canonical)
-            except CacheCorrupt:
-                pass  # fall through to recompute and overwrite
+        value = _cache_read(_cache_path(root, canonical), canonical)
+        if value is not None:
+            return value
     value = homology(build())
     if root:
         try:

@@ -21,10 +21,6 @@ class NotPrime(RepspaceError):
     """A mod-p computation was requested at a composite or invalid p."""
 
 
-class CacheCorrupt(RepspaceError):
-    """A cache entry exists but cannot be parsed; callers should recompute."""
-
-
 class ResourceGuard(RepspaceError):
     """A construction was refused because its size exceeds the budget."""
 

@@ -669,5 +669,5 @@ def normalized_chains(X: SimplicialSet) -> ChainComplex:
                 r = below[f.base]
                 column[r] = column.get(r, 0) + sign
             columns.append(column)
-        diffs.append(IntMatrix.from_columns(ranks[k - 1], columns))
+        diffs.append(IntMatrix(ranks[k - 1], columns))
     return ChainComplex(ranks, diffs, check=True)

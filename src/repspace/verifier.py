@@ -27,6 +27,7 @@ from .abelian import (
     AbelianGroup,
     GradedGroup,
     IntMatrix,
+    dense_product,
     determinant,
     invariant_factors,
     smith_normal_form,
@@ -544,7 +545,7 @@ def check_su2(runs: int = 1200, seed: int = 20260823) -> Report:
 
 
 def check_snf(runs: int = 200, seed: int = 11) -> Report:
-    """U·M·V = D with unimodular U, V and a divisor chain, on random M.
+    """U·A·V = D with unimodular U, V and a divisor chain, on random A.
 
     The sparse ``invariant_factors`` that homology runs on must return
     D's nonzero diagonal; U and V themselves serve no homology.
@@ -555,20 +556,16 @@ def check_snf(runs: int = 200, seed: int = 11) -> Report:
     for _ in range(runs):
         r = rng.randrange(1, 6)
         c = rng.randrange(1, 6)
-        M = IntMatrix.from_rows(
-            [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)]
-        )
+        A = [[rng.randrange(-9, 10) for _ in range(c)] for _ in range(r)]
+        M = IntMatrix.from_rows(A)
         U, D, V = smith_normal_form(M)
-        diag = [D.entry(i, i) for i in range(min(r, c))]
+        diag = [D[i][i] for i in range(min(r, c))]
         ok = (
-            U.mul(M).mul(V) == D
+            dense_product(dense_product(U, A), V) == D
             and abs(determinant(U)) == 1
             and abs(determinant(V)) == 1
             and all(
-                D.entry(i, j) == 0
-                for i in range(r)
-                for j in range(c)
-                if i != j
+                v == 0 for i, row in enumerate(D) for j, v in enumerate(row) if i != j
             )
             and all(d >= 0 for d in diag)
             and all(

@@ -538,8 +538,18 @@ def planted_dims_mod_p(top, pieces, p):
 #
 # Boundary matrices are built one column per simplex.  This replays the
 # route that replaced: every entry of a boundary matrix summed into one
-# {(r, c): v} dict, handed whole to the IntMatrix constructor.  The rank
-# over F_p, which no command needs, is the number of lead columns.
+# {(r, c): v} dict, handed whole to ``keyed_matrix``.  The rank over F_p,
+# which no command needs, is the number of lead columns.
+
+
+def keyed_matrix(rows, cols, entries):
+    """The rows x cols IntMatrix of a {(r, c): v} dict."""
+    columns = [{} for _ in range(cols)]
+    for (r, c), v in entries.items():
+        if not 0 <= c < cols:
+            raise ValueError(f"column {c} outside 0..{cols - 1}")
+        columns[c][r] = v
+    return IntMatrix(rows, columns)
 
 
 def keyed_normalized_chains(X):
@@ -556,7 +566,7 @@ def keyed_normalized_chains(X):
                 if not f.word:
                     key = (index[k - 1][f.base], col)
                     entries[key] = entries.get(key, 0) + (-1) ** i
-        diffs.append(IntMatrix(ranks[k - 1], ranks[k], entries))
+        diffs.append(keyed_matrix(ranks[k - 1], ranks[k], entries))
     return ChainComplex(ranks, diffs)
 
 

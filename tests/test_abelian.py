@@ -6,6 +6,7 @@ import pytest
 from oracles import (
     homology_by_minors,
     invariant_factor_chain,
+    keyed_matrix,
     rank_mod_p,
     snf_diagonal_by_minors,
 )
@@ -13,6 +14,7 @@ from repspace.abelian import (
     AbelianGroup,
     GradedGroup,
     IntMatrix,
+    dense_product,
     determinant,
     invariant_factors,
     smith_normal_form,
@@ -24,15 +26,15 @@ from repspace.errors import CompositionNotZero
 
 def snf_props(M):
     U, D, V = smith_normal_form(M)
-    assert U.shape == (M.rows, M.rows)
-    assert V.shape == (M.cols, M.cols)
-    assert D.shape == M.shape
-    assert U.mul(M).mul(V) == D
+    assert [len(row) for row in U] == [M.rows] * M.rows
+    assert [len(row) for row in V] == [M.cols] * M.cols
+    assert [len(row) for row in D] == [M.cols] * M.rows
+    assert dense_product(dense_product(U, M.to_rows()), V) == D
     assert abs(determinant(U)) == 1
     assert abs(determinant(V)) == 1
-    diag = [D.entry(i, i) for i in range(min(D.rows, D.cols))]
-    for (r, c), v in D.entries.items():
-        assert r == c and v
+    diag = [D[i][i] for i in range(min(M.rows, M.cols))]
+    for r, row in enumerate(D):
+        assert all(c == r for c, v in enumerate(row) if v)
     assert all(d >= 0 for d in diag)
     nz = [d for d in diag if d]
     assert diag[: len(nz)] == nz, "zero entries must come last"
@@ -43,21 +45,19 @@ def snf_props(M):
 
 def test_the_three_constructors_agree_and_refuse_what_lies_outside():
     M = IntMatrix.from_rows([[1, 0], [0, -2]])
-    assert M == IntMatrix.from_columns(2, [{0: 1, 1: 0}, {1: -2}])
-    assert M == IntMatrix(2, 2, {(0, 0): 1, (1, 0): 0, (1, 1): -2})
+    assert M == IntMatrix(2, [{0: 1, 1: 0}, {1: -2}])
     assert M.columns == [{0: 1}, {1: -2}]
-    assert [M.entry(1, c) for c in (-1, 1, 2)] == [0, -2, 0]
+    assert IntMatrix.zero(2, 3) == IntMatrix(2, [{}, {}, {}])
     for rows, columns in [(2, [{2: 1}]), (2, [{}, {-1: 1}]), (-1, [])]:
         with pytest.raises(ValueError):
-            IntMatrix.from_columns(rows, columns)
+            IntMatrix(rows, columns)
+    with pytest.raises(TypeError):
+        hash(M)
 
 
 def test_snf_identity():
-    M = IntMatrix.identity(2)
-    U, D, V = smith_normal_form(M)
-    assert U == IntMatrix.identity(2)
-    assert V == IntMatrix.identity(2)
-    assert D == M
+    U, D, V = smith_normal_form(IntMatrix.from_rows([[1, 0], [0, 1]]))
+    assert U == D == V == [[1, 0], [0, 1]]
 
 
 def test_snf_frozen_example():
@@ -69,7 +69,7 @@ def test_snf_frozen_example():
 
 def test_snf_zero_1x1():
     _, D, _ = smith_normal_form(IntMatrix.zero(1, 1))
-    assert D.to_rows() == [[0]]
+    assert D == [[0]]
 
 
 def test_snf_empty_shapes():
@@ -84,7 +84,7 @@ def test_snf_random_small_matrices():
     for _ in range(300):
         r = rng.randint(0, 6)
         c = rng.randint(0, 6)
-        M = IntMatrix(
+        M = keyed_matrix(
             r,
             c,
             {
@@ -126,7 +126,7 @@ def _check_skip_and_unit_rows(seed, values, size, runs):
         kept = [j for j in range(c) if j not in skip]
 
         def diagonal(rs):
-            sub = IntMatrix(
+            sub = keyed_matrix(
                 len(rs),
                 len(kept),
                 {
@@ -136,9 +136,9 @@ def _check_skip_and_unit_rows(seed, values, size, runs):
                 },
             )
             _, D, _ = smith_normal_form(sub)
-            return [D.entry(i, i) for i in range(min(D.shape)) if D.entry(i, i)]
+            return [D[i][i] for i in range(min(sub.shape)) if D[i][i]]
 
-        M = IntMatrix(
+        M = keyed_matrix(
             r, c, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
         )
         unit_rows = set()
@@ -203,7 +203,7 @@ def test_scaled_boundaries_take_only_nonunit_steps():
         for d in catalog.resolve(space)[1]().diffs:
             factors = invariant_factors(d)
             for k in (2, 3):
-                kd = IntMatrix.from_columns(
+                kd = IntMatrix(
                     d.rows, [{r: k * v for r, v in col.items()} for col in d.columns]
                 )
                 assert invariant_factors(kd) == [k * f for f in factors], (space, k)

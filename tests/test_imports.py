@@ -1,16 +1,26 @@
-"""Every name a ``src/repspace`` module imports is used in that module.
+"""Every import in ``src/repspace`` is read, and every definition is named.
 
 An import binds a name; the module must read that name somewhere, or the
 import is dead weight on start-up and a leftover of deleted code.
 ``from __future__ import annotations`` binds nothing and is exempt.
+
+A function, class or method defined in ``src/repspace`` must be named
+somewhere in ``src/``, ``tests/`` or ``perfbench/``: read as a name or an
+attribute, imported, or written in a string that is not a docstring (the
+bench harness binds functions by such strings).  Dunder methods are
+called by Python, and ``cmd_*`` functions by ``cli.main`` through their
+names, so both are exempt.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repspace"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repspace"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +52,73 @@ def test_the_check_finds_an_unused_import():
         "namedtuple\n"
     )
     assert unused_imports(source) == [(3, "dq")]
+
+
+def names_in(source: str) -> set:
+    """Every name the source reads, imports or writes in a non-docstring."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, *DEFINITIONS))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+    }
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def orphan_definitions(source: str, named: set) -> list:
+    """(line, name) of each definition in source that named lacks."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, DEFINITIONS)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not node.name.startswith("cmd_")
+        and node.name not in named
+    )
+
+
+@pytest.fixture(scope="module")
+def named_in_the_repository():
+    paths = [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    return set().union(*(names_in(p.read_text("utf-8")) for p in paths))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_is_named_somewhere(path, named_in_the_repository):
+    source = path.read_text("utf-8")
+    assert orphan_definitions(source, named_in_the_repository) == []
+
+
+def test_the_check_finds_an_orphan_definition():
+    # planted names start with "planted_" so that no src/ name matches them
+    source = (
+        '"""planted_in_a_docstring"""\n'
+        "class planted_class:\n"
+        "    def __init__(self): pass\n"
+        "    def planted_method(self): pass\n"
+        "    def planted_in_a_docstring(self): pass\n"
+        "def cmd_planted(): pass\n"
+        "def planted_by_string(): pass\n"
+        "def planted_outer():\n"
+        "    def planted_inner(): pass\n"
+        "planted_class().planted_method()\n"
+        "getattr(planted_class, 'planted_by_string')\n"
+    )
+    assert orphan_definitions(source, names_in(source)) == [
+        (5, "planted_in_a_docstring"),
+        (8, "planted_outer"),
+        (9, "planted_inner"),
+    ]

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from repspace.abelian import AbelianGroup, GradedGroup, IntMatrix, determinant
+from repspace.abelian import AbelianGroup, GradedGroup, determinant
 from repspace.engine import reduced_homology
 from repspace.errors import ResourceGuard, Unsupported
 from repspace.simplicial import collapse, normalized_chains
@@ -321,12 +321,37 @@ def test_snf_report_fails_on_a_wrong_sparse_elimination(monkeypatch):
     assert rep.render().startswith("[FAIL] snf(runs=20)")
 
 
+def _u_doubled(U, D, V):
+    return [[2 * x for x in row] for row in U], D, V
+
+
+def _d_off_diagonal(U, D, V):
+    if len(D) > 1:
+        D[1][0] = 1
+    elif len(D[0]) > 1:
+        D[0][1] = 1
+    return U, D, V
+
+
+def _v_column_doubled(U, D, V):
+    for row in V:
+        row[0] *= 2
+    return U, D, V
+
+
+@pytest.mark.parametrize("plant", [_u_doubled, _d_off_diagonal, _v_column_doubled])
+def test_snf_report_fails_on_wrong_transforms(monkeypatch, plant):
+    original = verifier.smith_normal_form
+    monkeypatch.setattr(verifier, "smith_normal_form", lambda M: plant(*original(M)))
+    assert not check_snf(runs=20, seed=7).ok
+
+
 def test_exact_determinant_helper():
     det = determinant
-    assert det(IntMatrix.from_rows([[2, 1], [1, 1]])) == 1
-    assert det(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
-    assert det(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert det(IntMatrix.from_rows([[3]])) == 3
+    assert det([[2, 1], [1, 1]]) == 1
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([[0, 1], [1, 0]]) == -1
+    assert det([[3]]) == 3
     rng = random.Random(6)
     for _ in range(50):
         rows = [[rng.randrange(-4, 5) for _ in range(3)] for _ in range(3)]
@@ -334,9 +359,9 @@ def test_exact_determinant_helper():
         d, e, f = rows[1]
         g, h, i = rows[2]
         rule = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        assert det(IntMatrix.from_rows(rows)) == rule
+        assert det(rows) == rule
     with pytest.raises(ValueError):
-        det(IntMatrix.zero(2, 3))
+        det([[0, 0, 0], [0, 0, 0]])
 
 
 def test_simplicial_report_covers_the_catalog():
