@@ -544,14 +544,6 @@ class GradedGroup(namedtuple("GradedGroup", ("groups",))):
     def times(self, m: int) -> "GradedGroup":
         return GradedGroup(tuple(g.times(m) for g in self.groups))
 
-    def shift(self, s: int) -> "GradedGroup":
-        """Shift degrees up by s (inserting trivial groups at the bottom)."""
-        pad = (AbelianGroup.trivial(),) * s
-        return GradedGroup(pad + self.groups)
-
-    def betti(self) -> list:
-        return [g.free_rank for g in self.groups]
-
     def to_json(self):
         return [g.to_json() for g in self.groups]
 

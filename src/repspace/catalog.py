@@ -35,7 +35,6 @@ from .simplicial import (
     basepoint_directions,
     collapse,
     guard_product,
-    minimal_circle,
     normalized_chains,
     product_list,
     quotient_by_action,
@@ -62,7 +61,8 @@ def point() -> SimplicialSet:
 
 def circle() -> SimplicialSet:
     """Minimal circle (one vertex, one edge), based at the vertex."""
-    return minimal_circle()
+    faces = {"e": (FormalSimplex((), "v"), FormalSimplex((), "v"))}
+    return SimplicialSet({0: ["v"], 1: ["e"]}, faces, basepoint="v")
 
 
 def circle_conj():
@@ -215,6 +215,8 @@ def sp_torus(n: int, m: int) -> SimplicialSet:
     """SP^m((S^1)^n) on the minimal torus model, refused before the torus
     is built when its m-fold product is over the cell budget."""
     _check_ranges("sp_torus", n=(n, 1, MAX_RANK), m=(m, 0, MAX_POWER))
+    if m == 0:
+        return point()
     _guard_sym_product(minimal_torus_f_vector(n), m)
     return sym_product(minimal_torus(n), m)
 

@@ -61,19 +61,27 @@ def _table(headers, rows, fmt, caption=None):
         print("| " + " | ".join(str(c) for c in r) + " |")
 
 
+def _answer(fmt, doc, caption, headers, rows) -> int:
+    """Print doc as indented JSON, or rows as a captioned table; exit 0."""
+    if fmt == "json":
+        print(json.dumps(doc, indent=2))
+    else:
+        _table(headers, rows, fmt, caption)
+    return 0
+
+
+def _degrees(g) -> list:
+    """(degree, group) rows of a graded group, degree 0 always included."""
+    return [(k, str(g[k])) for k in range(max(g.top, 0) + 1)]
+
+
 def cmd_homology(args) -> int:
     canonical, build = catalog.resolve(args.descriptor)
     g = cached_homology(canonical, build, cache_dir=args.cache_dir)
-    if args.fmt == "json":
-        print(
-            json.dumps(
-                {"space": canonical, "homology": g.to_json()}, indent=2
-            )
-        )
-        return 0
-    rows = [(k, str(g[k])) for k in range(max(g.top, 0) + 1)]
-    _table(("degree", "group"), rows, args.fmt, caption=f"space: {canonical}")
-    return 0
+    doc = {"space": canonical, "homology": g.to_json()}
+    return _answer(
+        args.fmt, doc, f"space: {canonical}", ("degree", "group"), _degrees(g)
+    )
 
 
 def cmd_counts(args) -> int:
@@ -90,11 +98,8 @@ def cmd_counts(args) -> int:
     if n >= 2:
         rows.append(("N(n,1,2)", n_central_product(n, 1, 2)))
         rows.append(("N(n,2,2)", n_central_product(n, 2, 2)))
-    if args.fmt == "json":
-        print(json.dumps({"n": n, "counts": dict(rows)}, indent=2))
-        return 0
-    _table(("count", "value"), rows, args.fmt, caption=f"n = {n}")
-    return 0
+    doc = {"n": n, "counts": dict(rows)}
+    return _answer(args.fmt, doc, f"n = {n}", ("count", "value"), rows)
 
 
 def cmd_verify(args) -> int:
@@ -117,27 +122,16 @@ def cmd_verify(args) -> int:
 
 def cmd_catalog(args) -> int:
     desc, h = verifier.rank_one_catalog(args.group, args.n)
-    if args.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "group": args.group,
-                    "n": args.n,
-                    "factor": desc,
-                    "reduced_homology": h.to_json(),
-                },
-                indent=2,
-            )
-        )
-        return 0
-    rows = [(k, str(h[k])) for k in range(max(h.top, 0) + 1)]
-    _table(
-        ("degree", "reduced group"),
-        rows,
-        args.fmt,
-        caption=f"{args.group}, n={args.n}: {desc}",
+    doc = {
+        "group": args.group,
+        "n": args.n,
+        "factor": desc,
+        "reduced_homology": h.to_json(),
+    }
+    caption = f"{args.group}, n={args.n}: {desc}"
+    return _answer(
+        args.fmt, doc, caption, ("degree", "reduced group"), _degrees(h)
     )
-    return 0
 
 
 def cmd_su2(args) -> int:

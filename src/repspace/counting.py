@@ -150,9 +150,6 @@ class TypeMatrix(namedtuple("TypeMatrix", ("n", "modulus", "entries"))):
                     raise ValueError(f"entries ({i},{j}) and ({j},{i}) disagree")
         return tuple.__new__(cls, (n, modulus, entries))
 
-    def entry(self, i: int, j: int) -> tuple:
-        return self.entries[i][j]
-
     def identity_rows(self) -> list:
         zero = (0,) * len(self.modulus)
         return [

@@ -71,14 +71,6 @@ class ChainComplex:
     def top(self) -> int:
         return len(self.ranks) - 1
 
-    def d(self, k: int) -> IntMatrix:
-        """Boundary map out of degree k (zero map outside 1..top)."""
-        if 1 <= k <= self.top:
-            return self.diffs[k - 1]
-        if k <= 0:
-            return IntMatrix.zero(0, self.ranks[0] if self.ranks else 0)
-        return IntMatrix.zero(self.ranks[self.top] if self.ranks else 0, 0)
-
     def validate(self):
         """d_k ∘ d_{k+1} = 0 for k = 1 .. top - 1, column by column.
 
@@ -96,9 +88,6 @@ class ChainComplex:
                 if any(acc.values()):
                     raise CompositionNotZero(f"d_{k} ∘ d_{k + 1} ≠ 0")
                 acc.clear()
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * r for k, r in enumerate(self.ranks))
 
 
 def homology(C: ChainComplex) -> GradedGroup:
@@ -193,7 +182,7 @@ def suspend(C: ChainComplex) -> ChainComplex:
     """
     if not C.ranks:
         raise ValueError("cannot suspend an empty complex")
-    if any(sum(col.values()) for col in C.d(1).columns):
+    if any(sum(col.values()) for d in C.diffs[:1] for col in d.columns):
         raise ValueError("complex is not augmentable")
     d1 = IntMatrix(2, [{0: 1, 1: -1}] * C.ranks[0])
     return ChainComplex([2] + C.ranks, [d1] + C.diffs, check=False)

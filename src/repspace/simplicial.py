@@ -131,12 +131,6 @@ class SimplicialSet:
     def f_vector(self) -> list:
         return [len(self.ids(k)) for k in range(self.dim + 1)]
 
-    def size(self) -> int:
-        return len(self.dim_of)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * len(ids) for k, ids in self.simplices.items())
-
     def formal_simplices(self, k: int):
         """All formal k-simplices as (word-set, FormalSimplex) pairs."""
         out = []
@@ -204,12 +198,6 @@ class SimplicialSet:
                         raise ValueError(
                             f"d_{i} d_{j} ≠ d_{j - 1} d_{i} on {sid!r}"
                         )
-
-
-def minimal_circle(vertex="v", edge="e") -> SimplicialSet:
-    """The one-vertex circle; smallest model, basepoint the vertex."""
-    faces = {edge: (FormalSimplex((), vertex), FormalSimplex((), vertex))}
-    return SimplicialSet({0: [vertex], 1: [edge]}, faces, basepoint=vertex)
 
 
 # ---------------------------------------------------------------------------

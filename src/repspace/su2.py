@@ -133,20 +133,6 @@ class SignMatrix(namedtuple("SignMatrix", ("n", "entries"))):
                     raise ValueError("sign matrix must be symmetric")
         return tuple.__new__(cls, (n, entries))
 
-    @classmethod
-    def from_rows(cls, rows) -> "SignMatrix":
-        return cls(len(rows), tuple(tuple(r) for r in rows))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def is_realizable(self) -> bool:
-        """Whether some almost-commuting SU(2) tuple has this sign matrix:
-        whether its alternating F2 form (sign -1 -> 1) has rank at most 2."""
-        return _f2_rank_at_most_2(
-            [sum(1 << j for j, s in enumerate(row) if s < 0) for row in self.entries]
-        )
-
 
 def _f2_rank_at_most_2(rows) -> bool:
     """Whether bitmask rows span at most two dimensions over F2.

@@ -155,29 +155,16 @@ def _graded_rows(rep: Report, expected: GradedGroup, got: GradedGroup, tag="H"):
 FAMILY_LIMITS = {"hom_circle": 5, "rep_su2": 5, "sp_circle": 3}
 
 
-def _check_splitting(family: str, n: int, m: int) -> None:
-    """Refuse a family, rank or power that the splitting check does not
-    cover; each message names the family."""
-    if family not in FAMILY_LIMITS:
-        raise ValueError(f"unknown splitting family {family!r}")
-    limit = FAMILY_LIMITS[family]
-    if not 1 <= n <= limit:
-        raise range_error(
-            n, 1, f"{family} splitting is checked for 1 <= n <= {limit}, not n={n}"
-        )
-    if family == "sp_circle" and not 1 <= m <= 3:
-        raise range_error(m, 1, f"sp_circle needs 1 <= m <= 3, not m={m}")
-
-
 def splitting_base(family: str, n: int, m: int = 2) -> tuple:
     """(rank-n total space X, {simplex of X: its basepoint directions}).
 
     X is the space whose reduced homology the wedge must reproduce.  A
     simplex at the basepoint in direction j lies in the image of the
     subtorus omitting j; an orbit of SP^m((S^1)^n) takes the directions
-    shared by all m of its torus coordinates.
+    shared by all m of its torus coordinates.  Refused as
+    ``guard_splitting`` refuses, before anything is built.
     """
-    _check_splitting(family, n, m)
+    guard_splitting(family, n, m)
     if family == "rep_su2":
         T = X = catalog.torus_conj_quotient(n)
     else:
@@ -210,7 +197,15 @@ def guard_splitting(family: str, n: int, m: int = 2) -> str:
     the ranges only SP^m((S^1)^n) can exceed the cell budget, counted from
     f-vectors, and that refusal starts with the report name.
     """
-    _check_splitting(family, n, m)
+    if family not in FAMILY_LIMITS:
+        raise ValueError(f"unknown splitting family {family!r}")
+    limit = FAMILY_LIMITS[family]
+    if not 1 <= n <= limit:
+        raise range_error(
+            n, 1, f"{family} splitting is checked for 1 <= n <= {limit}, not n={n}"
+        )
+    if family == "sp_circle" and not 1 <= m <= 3:
+        raise range_error(m, 1, f"sp_circle needs 1 <= m <= 3, not m={m}")
     if family != "sp_circle":
         return f"splitting[{family}](n={n})"
     name = f"splitting[sp_circle](n={n},m={m})"
@@ -383,7 +378,7 @@ def _sign_tables(n: int) -> tuple:
     A type's upper-triangle slots (i, j), i < j in row-major order, are
     the bits of its index with the first slot most significant; a set
     bit is the sign -1.  A matrix is realizable when its F2 form has rank
-    at most 2, tested on bitmask rows as ``SignMatrix.is_realizable`` does.
+    at most 2, tested on its bitmask rows by ``_f2_rank_at_most_2``.
     """
     guard_types(n, (2,))
     slots = list(combinations(range(n), 2))

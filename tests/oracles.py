@@ -29,7 +29,7 @@ from repspace.simplicial import (
     SimplicialSet,
     product_list,
 )
-from repspace.su2 import SignMatrix
+from repspace.su2 import SignMatrix, _f2_rank_at_most_2
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +123,11 @@ def invariant_factor_chain(values):
 # intersection.  The enumeration below builds the formal simplices from
 # scratch: a factor with f_j nondegenerate j-simplices contributes
 # f_j * C(k, k - j) formal k-simplices (choose the word as a subset).
+
+
+def euler_characteristic(counts):
+    """Alternating sum of cell counts by degree: an f-vector or chain ranks."""
+    return sum((-1) ** k * c for k, c in enumerate(counts))
 
 
 def formal_count(f_vector, k):
@@ -695,7 +700,7 @@ def reference_random_tuple(C, rng):
             diag = QFloat(math.cos(theta), math.sin(theta), 0.0, 0.0)
             out.append(g * diag * g.inverse())
         return [q.tuple() for q in out]
-    pairs = [(i, j) for i, j in combinations(range(n), 2) if C.entry(i, j) == -1]
+    pairs = [(i, j) for i, j in combinations(range(n), 2) if C.entries[i][j] == -1]
     i, j = pairs[rng.randrange(len(pairs))]
     g = _reference_unit(rng)
     x_i = g * QFloat(0.0, 1.0, 0.0, 0.0) * g.inverse()
@@ -705,7 +710,8 @@ def reference_random_tuple(C, rng):
     out[i], out[j] = x_i, x_j
     # position k gets w_k x_i^{a_k} x_j^{b_k}, C[j][k] = (-1)^{a_k}, C[i][k] = (-1)^{b_k}
     for s, k in zip(w, [k for k in range(n) if k not in (i, j)]):
-        y = x_i.power((1 - C.entry(j, k)) // 2) * x_j.power((1 - C.entry(i, k)) // 2)
+        a, b = (1 - C.entries[j][k]) // 2, (1 - C.entries[i][k]) // 2
+        y = x_i.power(a) * x_j.power(b)
         out[k] = y if s == 1 else y.neg()
     return [q.tuple() for q in out]
 
@@ -726,13 +732,20 @@ def sign_f2_rank(C):
     )
 
 
+def is_realizable(C):
+    """Whether some almost-commuting SU(2) tuple has the sign matrix C:
+    whether its alternating F2 form (sign -1 -> 1) has rank at most 2,
+    tested on bitmask rows by the function ``verifier._sign_tables`` runs."""
+    return _f2_rank_at_most_2(
+        [sum(1 << j for j, s in enumerate(row) if s < 0) for row in C.entries]
+    )
+
+
 def reference_sign_tables(n):
     """(realizable, unrealizable) sign matrices of size n, in type order."""
     tables = ([], [])
     for t in enumerate_types(n, (2,)):
-        C = SignMatrix.from_rows(
-            [[(-1) ** t.entry(i, j)[0] for j in range(n)] for i in range(n)]
-        )
+        C = SignMatrix(n, tuple(tuple((-1) ** e[0] for e in row) for row in t.entries))
         tables[sign_f2_rank(C) > 2].append(C)
     return tuple(tables[0]), tuple(tables[1])
 

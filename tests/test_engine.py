@@ -28,7 +28,12 @@ from repspace.engine import (
 )
 from repspace.errors import CompositionNotZero, NotPrime
 
-from oracles import keyed_matrix, planted_complex, planted_dims_mod_p
+from oracles import (
+    euler_characteristic,
+    keyed_matrix,
+    planted_complex,
+    planted_dims_mod_p,
+)
 
 Z = AbelianGroup.free
 
@@ -67,7 +72,7 @@ def _nonzero_product(a, b):
 def _product_route(C):
     """The first k with d_k d_{k+1} != 0 through the whole product, or None."""
     for k in range(1, C.top):
-        if _nonzero_product(C.d(k), C.d(k + 1)):
+        if _nonzero_product(C.diffs[k - 1], C.diffs[k]):
             return k
     return None
 
@@ -160,7 +165,7 @@ def test_validation_sees_one_entry_in_the_last_column_of_the_top_composition():
             d = diffs[top - 3]
             diffs[top - 3] = keyed_matrix(d.rows, d.cols + 1, d.entries)
         C = ChainComplex(grown, diffs, check=False)
-        assert _nonzero_product(C.d(top - 1), C.d(top)) == {(w, last): 1}
+        assert _nonzero_product(C.diffs[top - 2], C.diffs[top - 1]) == {(w, last): 1}
         assert _product_route(C) == top - 1
         assert _validation_failure(C) == f"d_{top - 1} ∘ d_{top} ≠ 0"
 
@@ -170,13 +175,6 @@ def test_validation_rejects_shape_mismatch():
         ChainComplex([1, 2], [IntMatrix.zero(2, 2)])
     with pytest.raises(ValueError, match="negative"):
         ChainComplex([1, -1], [IntMatrix.zero(1, 0)])
-
-
-def test_boundary_outside_range_is_zero():
-    C = torus_complex()
-    assert C.d(0).shape == (0, 1)
-    assert C.d(3).shape == (1, 0)
-    assert C.d(7) == IntMatrix.zero(1, 0)
 
 
 def test_classical_homology_fixtures():
@@ -333,14 +331,14 @@ def test_symmetric_square_of_the_three_torus():
     # coefficient of (1+tx)^3 (1+t^3 x) / ((1-x)(1-t^2 x)^3).  No closed form
     # for its torsion is derived, so that is checked only through F_p ranks.
     C = catalog.resolve("sp_torus(n=3,m=2)")[1]()
-    assert homology(C).betti() == [1, 3, 6, 10, 9, 3]
+    assert [g.free_rank for g in homology(C).groups] == [1, 3, 6, 10, 9, 3]
     assert universal_coefficients_check(C, 2, 3)
 
 
 def test_euler_characteristic():
-    assert rp_complex(2).euler_characteristic() == 1
-    assert rp_complex(3).euler_characteristic() == 0
-    assert torus_complex().euler_characteristic() == 0
+    assert euler_characteristic(rp_complex(2).ranks) == 1
+    assert euler_characteristic(rp_complex(3).ranks) == 0
+    assert euler_characteristic(torus_complex().ranks) == 0
 
 
 def test_suspend_shifts_homology():

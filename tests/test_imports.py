@@ -10,6 +10,14 @@ attribute, imported, or written in a string that is not a docstring (the
 bench harness binds functions by such strings).  Dunder methods are
 called by Python, and ``cmd_*`` functions by ``cli.main`` through their
 names, so both are exempt.
+
+Each definition must also be named outside ``tests/``, in ``src/`` or
+``perfbench/``: what only tests call is not reached by a command and belongs in
+``tests/oracles.py``.  ``TEST_ONLY`` lists the exceptions with their
+reasons.  A check by name cannot see a test-only member whose name is
+used elsewhere, such as a method ``d``, ``entry`` or ``from_rows``: a
+variable ``d``, the word "entry" in an error message and
+``IntMatrix.from_rows`` would each hide it.
 """
 
 import ast
@@ -21,6 +29,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repspace"
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+# definitions that only tests reach, each with the reason it stays in src/
+TEST_ONLY = {"em_decomposition": "ROADMAP item 2"}
 
 
 def unused_imports(source: str) -> list:
@@ -121,4 +131,32 @@ def test_the_check_finds_an_orphan_definition():
         (5, "planted_in_a_docstring"),
         (8, "planted_outer"),
         (9, "planted_inner"),
+    ]
+
+
+@pytest.fixture(scope="module")
+def named_outside_the_tests():
+    paths = [p for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    return set().union(*(names_in(p.read_text("utf-8")) for p in paths))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_definition_is_named_outside_the_tests(path, named_outside_the_tests):
+    source = path.read_text("utf-8")
+    named = named_outside_the_tests | TEST_ONLY.keys()
+    assert orphan_definitions(source, named) == []
+
+
+def test_the_check_finds_a_definition_only_tests_name():
+    source = (
+        "class planted_class:\n"
+        "    def planted_by_a_command(self): pass\n"
+        "    def planted_by_a_test(self): pass\n"
+        "    def em_decomposition(self): pass\n"
+    )
+    command = names_in("planted_class().planted_by_a_command()\n")
+    test = names_in("planted_class().planted_by_a_test()\n")
+    assert orphan_definitions(source, command | test | TEST_ONLY.keys()) == []
+    assert orphan_definitions(source, command | TEST_ONLY.keys()) == [
+        (3, "planted_by_a_test")
     ]

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from repspace.abelian import AbelianGroup, GradedGroup
 from repspace import catalog
-from repspace.catalog import minimal_torus
+from repspace.catalog import circle, minimal_torus
 from repspace.engine import ChainComplex, homology, reduced_homology, suspend
 from repspace.errors import ActionInvalid, ResourceGuard
 from repspace.simplicial import (
@@ -19,7 +19,6 @@ from repspace.simplicial import (
     collapse,
     compose_degeneracy,
     formal_face,
-    minimal_circle,
     normalized_chains,
     product_list,
     product_f_vector,
@@ -95,7 +94,7 @@ def test_degeneracy_exchange_law_randomized():
 
 
 def test_formal_face_absorbs_and_pushes():
-    X = minimal_circle()
+    X = circle()
     e = F((), "e")
     # d_0 s_0 = d_1 s_0 = id on the edge
     assert formal_face(X, F((0,), "e"), 0) == e
@@ -108,7 +107,7 @@ def test_formal_face_absorbs_and_pushes():
 
 def test_face_identities_on_all_formal_simplices():
     # d_i d_j = d_{j-1} d_i (i < j) for every formal simplex up to dim 5
-    spaces = [minimal_circle(), two_gon()[0]]
+    spaces = [circle(), two_gon()[0]]
     for X in spaces:
         for k in range(2, 6):
             for _, f in X.formal_simplices(k):
@@ -190,16 +189,16 @@ def test_validate_rejects_a_broken_identity_through_a_degenerate_face():
 
 
 def test_minimal_circle_chains_and_homology():
-    X = minimal_circle()
+    X = circle()
     assert X.f_vector() == [1, 1]
     C = normalized_chains(X)
-    assert C.d(1).entries == {}
+    assert C.diffs[0].entries == {}
     assert homology(C) == GradedGroup.of(Z(1), Z(1))
 
 
 def test_two_gon_is_a_circle():
     X, _ = two_gon()
-    assert X.euler_characteristic() == 0
+    assert oracles.euler_characteristic(X.f_vector()) == 0
     assert homology(normalized_chains(X)) == GradedGroup.of(Z(1), Z(1))
 
 
@@ -207,11 +206,11 @@ def test_two_gon_is_a_circle():
 
 
 def test_torus_f_vector_minimal_model():
-    X = product_list([minimal_circle(), minimal_circle()])
+    X = product_list([circle(), circle()])
     X.validate()
     assert X.f_vector() == [1, 3, 2]
     assert X.f_vector() == oracles.torus_f_vector(2, 1)
-    Y = product_list([minimal_circle()] * 3)
+    Y = product_list([circle()] * 3)
     Y.validate()
     assert Y.f_vector() == oracles.torus_f_vector(3, 1)
 
@@ -228,7 +227,7 @@ def test_torus_f_vector_two_gon_model():
 
 def test_mixed_product_f_vector_against_shuffle_oracle():
     C, _ = two_gon()
-    M = minimal_circle()
+    M = circle()
     X = product_list([C, M, M])
     X.validate()
     assert X.f_vector() == oracles.product_f_vector(
@@ -237,7 +236,7 @@ def test_mixed_product_f_vector_against_shuffle_oracle():
 
 
 def test_torus_homology_kunneth():
-    M = minimal_circle()
+    M = circle()
     assert homology(normalized_chains(product_list([M, M]))) == GradedGroup.of(
         Z(1), Z(2), Z(1)
     )
@@ -262,7 +261,7 @@ def test_product_with_point_is_identity_on_f_vectors():
 
 PRODUCT_CASES = {
     "minimal T^2 cubed": lambda: [minimal_torus(2)] * 3,
-    "2-gon x circle x rose(2)": lambda: [two_gon()[0], minimal_circle(), rose(2)],
+    "2-gon x circle x rose(2)": lambda: [two_gon()[0], circle(), rose(2)],
     "cross-polytope S^1 x 2-gon": lambda: [
         oracles.cross_polytope_sphere(1)[0],
         two_gon()[0],
@@ -271,7 +270,7 @@ PRODUCT_CASES = {
     "two-cell S^2 x 2-gon": lambda: [catalog.sphere_simplicial(2)[0], two_gon()[0]],
     "torus_conj_quotient(2) squared": lambda: [catalog.torus_conj_quotient(2)] * 2,
     # faces s_1 s_0 * on both sides: two shared degeneracies to peel
-    "3-sphere x circle": lambda: [smash([minimal_circle()] * 3), minimal_circle()],
+    "3-sphere x circle": lambda: [smash([circle()] * 3), circle()],
 }
 
 
@@ -326,7 +325,7 @@ def test_conjugation_quotient_of_circle_is_an_arc():
 
 
 def test_quotient_of_a_product_keeps_each_orbits_coordinates():
-    M = minimal_circle()
+    M = circle()
     P = product_list([M, M])
     swap = {sid: product_simplex_id(fs[::-1]) for sid, fs in P.parts.items()}
     Q = quotient_by_action(P, SimplicialAction.involution(P, swap))
@@ -446,14 +445,14 @@ def test_collapse_rejects_reserved_id():
 def test_wedge_of_circles():
     # the fat wedge of a product of two circles is their wedge; kept whole,
     # it gains the disjoint basepoint: W_+, whose reduced homology is H(W)
-    P = product_list([minimal_circle(), minimal_circle()])
+    P = product_list([circle(), circle()])
     W = collapse(P, fat_wedge(P))
     assert W.f_vector() == [1 + 1, 2]  # rose(2) and *
     assert reduced_homology(normalized_chains(W)) == GradedGroup.of(Z(1), Z(2))
 
 
 def test_smash_of_circles_is_a_sphere():
-    S = smash([minimal_circle(), minimal_circle()])
+    S = smash([circle(), circle()])
     assert S.f_vector() == [1, 1, 2]
     assert homology(normalized_chains(S)) == GradedGroup.of(Z(1), Z(0), Z(1))
 
@@ -483,7 +482,9 @@ def test_iterated_suspension_randomized_shift():
     for _ in range(5):
         n = rng.randrange(1, 3)
         C = normalized_chains(rose(n))
-        assert reduced_homology(suspend(C)) == reduced_homology(C).shift(1)
+        assert reduced_homology(suspend(C)) == GradedGroup.of(
+            Z(0), *reduced_homology(C).groups
+        )
 
 
 def test_formal_simplex_render():
@@ -499,17 +500,17 @@ def test_normalized_chains_boundary_squares_to_zero_everywhere():
     spaces = [
         product_list([C] * 2),
         quotient_by_action(C, A),
-        smash([C, minimal_circle()]),
+        smash([C, circle()]),
     ]
     for X in spaces:
         normalized_chains(X)  # ChainComplex validates d∘d = 0 on build
 
 
 def test_euler_characteristic_matches_betti_alternation():
-    X = product_list([minimal_circle()] * 3)
+    X = product_list([circle()] * 3)
     h = homology(normalized_chains(X))
     alt = sum((-1) ** k * h[k].free_rank for k in range(X.dim + 1))
-    assert X.euler_characteristic() == alt == 0
+    assert oracles.euler_characteristic(X.f_vector()) == alt == 0
 
 
 def test_column_chains_match_the_keyed_reference(monkeypatch):

@@ -113,6 +113,21 @@ def test_splitting_guards():
         verify_splitting("sp_circle", 3, m=3)  # underlying product too big
 
 
+def test_a_splitting_factor_over_budget_is_refused_by_name_before_a_build(
+    monkeypatch,
+):
+    def refuse(*args):
+        raise AssertionError("the torus was built")
+
+    monkeypatch.setattr(catalog, "minimal_torus", refuse)
+    with pytest.raises(ResourceGuard) as err:
+        splitting_factor("sp_circle", 3, 3)
+    assert str(err.value) == (
+        "splitting[sp_circle](n=3,m=3): product needs "
+        "14174522 nondegenerate simplices (budget 200000)"
+    )
+
+
 def test_splitting_factors_are_the_expected_spaces():
     # hom_circle factors are spheres,
     for r in range(1, 5):
@@ -192,7 +207,7 @@ def filtration_layers(family, n):
 def test_filtration_of_the_torus():
     layers = filtration_layers("hom_circle", 2)
     # S^0, S^1, S^2 have 6, 3 and 1 simplices; each layer adds the point *
-    assert [L.size() for L in layers] == [6 - 3 + 1, 3 - 1 + 1, 1 + 1]
+    assert [len(L.dim_of) for L in layers] == [6 - 3 + 1, 3 - 1 + 1, 1 + 1]
     # S^2 is the basepoint, so S^1/S^2 is S^1: the two coordinate circles
     assert reduced_homology(normalized_chains(layers[1])) == G(T(0), T(2))
 
@@ -211,14 +226,14 @@ def test_filtration_layers_match_the_wedge_factors():
 
 def test_filtration_of_the_conjugation_quotient():
     layers = filtration_layers("rep_su2", 2)
-    assert [L.size() for L in layers] == [14 - 5 + 1, 5 - 1 + 1, 1 + 1]
+    assert [len(L.dim_of) for L in layers] == [14 - 5 + 1, 5 - 1 + 1, 1 + 1]
     # S^1 is two arcs glued at the identity vertex, a contractible tree
     assert reduced_homology(normalized_chains(layers[1])) == G()
 
 
 def test_filtration_of_the_symmetric_square():
     layers = filtration_layers("sp_circle", 2)
-    assert [L.size() for L in layers] == [78 - 7 + 1, 7 - 1 + 1, 1 + 1]
+    assert [len(L.dim_of) for L in layers] == [78 - 7 + 1, 7 - 1 + 1, 1 + 1]
     # S^1 is two symmetric squares of circles glued at a point
     assert reduced_homology(normalized_chains(layers[1])) == G(T(0), T(2))
 
@@ -406,7 +421,7 @@ def test_sign_matrix_enumeration_sizes():
     assert len(sign_matrices(2)) == 2
     assert len(sign_matrices(3)) == 8
     assert len(sign_matrices(4)) == 64
-    assert sum(C.is_realizable() for C in sign_matrices(4)) == 36
+    assert sum(map(oracles.is_realizable, sign_matrices(4))) == 36
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -416,8 +431,8 @@ def test_sign_tables_match_the_type_matrix_route_in_order(n):
     realizable, unrealizable = oracles.reference_sign_tables(n)
     assert verifier._sign_tables(n) == (realizable, unrealizable)
     # the public predicate on its bitmask rows agrees with the mod-2 rank
-    assert all(C.is_realizable() for C in realizable)
-    assert not any(C.is_realizable() for C in unrealizable)
+    assert all(map(oracles.is_realizable, realizable))
+    assert not any(map(oracles.is_realizable, unrealizable))
 
 
 def test_psi_sweep_is_deterministic_and_clean():
@@ -476,7 +491,7 @@ FROZEN_SU2_REPORT = """\
 def _flip_first_sign(C):
     rows = [list(r) for r in C.entries]
     rows[0][1] = rows[1][0] = -rows[0][1]
-    return SignMatrix.from_rows(rows)
+    return SignMatrix(len(rows), tuple(map(tuple, rows)))
 
 
 def test_sweeps_fail_on_a_wrong_commutator_sign(monkeypatch):
