@@ -15,9 +15,11 @@ Simplicial models are kept as small as the required symmetry allows:
   exact and tiny, and for the lens space S^3/Q_8.
 
 Every public constructor has a string descriptor ("torus(n=3)") used as
-the cache key and accepted by the CLI.  Size guards raise ResourceGuard
-before any large construction starts, and a space built from its
-descriptor names that descriptor in every refusal.
+the cache key and accepted by the CLI.  Range checks and the cell count
+of ``simplicial.guard_product`` refuse before any large construction
+starts; symmetric products count their factor's f-vector, not a built
+factor.  A refusal does not name its space: ``resolve``, which knows the
+descriptor asked for, puts it in front of every refusal of a build.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .simplicial import (
     collapse,
     guard_product,
     normalized_chains,
+    product_f_vector,
     product_list,
     quotient_by_action,
     symmetric_product_list,
@@ -106,41 +109,33 @@ def _product_involution(P: SimplicialSet, factor_swaps) -> SimplicialAction:
     return SimplicialAction.involution(P, swap)
 
 
-def _check_ranges(name: str, **ranges):
-    """Refuse a parameter outside its ``(value, low, high)`` range under the
-    descriptor the caller was asked by, before any inner constructor can
-    refuse it under its own.  The message starts ``name(k=v,...):``."""
-    where = f"{name}({','.join(f'{k}={v}' for k, (v, _, _) in ranges.items())})"
+def _check_ranges(**ranges):
+    """Refuse a parameter outside its ``(value, low, high)`` range, before
+    any inner constructor can refuse it under its own."""
     for k, (v, low, high) in ranges.items():
         if not low <= v <= high:
-            raise range_error(v, low, f"{where}: {k} outside the range {low}..{high}")
-
-
-def _circle_power_f_vector(name: str, n: int, C: SimplicialSet) -> list:
-    """f(C^n), range-checked and refused exactly as ``name``(n) is."""
-    _check_ranges(name, n=(n, 1, MAX_RANK))
-    return guard_product([C.f_vector()] * n)
+            raise range_error(v, low, f"{k} outside the range {low}..{high}")
 
 
 def torus_f_vector(n: int) -> list:
-    """f(torus(n)) from the 2-gon's f-vector, refused as torus(n) is."""
-    return _circle_power_f_vector("torus", n, circle_conj()[0])
+    """f(torus(n)), counted from the 2-gon's f-vector [2, 2]."""
+    return product_f_vector([[2, 2]] * n)
 
 
 def minimal_torus_f_vector(n: int) -> list:
-    """f(minimal_torus(n)) from the circle's f-vector, refused as it is."""
-    return _circle_power_f_vector("minimal_torus", n, circle())
+    """f(minimal_torus(n)), counted from the circle's f-vector [1, 1]."""
+    return product_f_vector([[1, 1]] * n)
 
 
 def torus(n: int):
     """(S^1)^n as an n-fold 2-gon product, with diagonal conjugation.
 
-    Returns (space, Z/2 action).  ``torus_f_vector`` guards n <= MAX_RANK and
-    the cell budget of ``product_list``, which the 2-gon model exceeds at
-    n = 6, before anything is built; the one-vertex model (minimal_torus)
-    covers larger products whenever no involution is required.
+    Returns (space, Z/2 action).  ``product_list`` refuses the cell budget,
+    which the 2-gon model exceeds at n = 6; the one-vertex model
+    (minimal_torus) covers larger products whenever no involution is
+    required.
     """
-    torus_f_vector(n)
+    _check_ranges(n=(n, 1, MAX_RANK))
     C, A = circle_conj()
     P = product_list([C] * n)
     return P, _product_involution(P, [A.swap] * n)
@@ -148,24 +143,24 @@ def torus(n: int):
 
 def minimal_torus(n: int) -> SimplicialSet:
     """(S^1)^n on one-vertex circles; no involution, smallest possible."""
-    minimal_torus_f_vector(n)
+    _check_ranges(n=(n, 1, MAX_RANK))
     return product_list([circle()] * n)
 
 
 def torus_conj_quotient_f_vector(n: int) -> list:
-    """f((S^1)^n / Z/2) by Burnside: (f(T^n) + f(Fix)) / 2.
+    """f((S^1)^n / Z/2) by Burnside: (f(T^n) + f(Fix)) / 2, refused when
+    the torus, counted as a one-factor product, is over the cell budget.
 
     Conjugation fixes only the 2^n vertices with every coordinate a real
     point; a fixed simplex of positive degree would have every coordinate
     a degenerate vertex, so it is degenerate.
     """
-    f = torus_f_vector(n)
+    f = guard_product([torus_f_vector(n)])
     return [(f[0] + 2**n) // 2] + [x // 2 for x in f[1:]]
 
 
 def torus_conj_quotient(n: int) -> SimplicialSet:
     """(S^1)^n / Z/2, conjugation acting diagonally."""
-    _check_ranges("torus_conj_quotient", n=(n, 1, MAX_RANK))
     return quotient_by_action(*torus(n))
 
 
@@ -176,24 +171,13 @@ def smash_factor(n: int) -> SimplicialSet:
     invariant and collapsing it in the conjugation quotient gives the
     same space as quotienting the smash product.
     """
-    _check_ranges("smash_factor", n=(n, 1, 5))
+    _check_ranges(n=(n, 1, 5))
     Q = torus_conj_quotient(n)
     return collapse(Q, [s for s in Q.dim_of if not basepoint_directions(Q, s)])
 
 
 # ---------------------------------------------------------------------------
 # SECTION: symmetric products
-
-
-def _guard_sym_product(f: list, m: int):
-    """Range-check m and refuse SP^m of a space with f-vector f when its
-    m-fold product is over the cell budget, before anything is built."""
-    if m < 0 or m > MAX_POWER:
-        raise range_error(
-            m, 0, f"sym_product with m={m} outside the range 0..{MAX_POWER}"
-        )
-    if m >= 2:
-        guard_product([f] * m)
 
 
 def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
@@ -203,7 +187,7 @@ def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
     (``symmetric_product_list``), with neither X^m nor a quotient built;
     its ``parts`` give each orbit's m coordinates in X.
     """
-    _guard_sym_product(X.f_vector(), m)
+    _check_ranges(m=(m, 0, MAX_POWER))
     if m == 0:
         return point()
     if m == 1:
@@ -214,20 +198,20 @@ def sym_product(X: SimplicialSet, m: int) -> SimplicialSet:
 def sp_torus(n: int, m: int) -> SimplicialSet:
     """SP^m((S^1)^n) on the minimal torus model, refused before the torus
     is built when its m-fold product is over the cell budget."""
-    _check_ranges("sp_torus", n=(n, 1, MAX_RANK), m=(m, 0, MAX_POWER))
+    _check_ranges(n=(n, 1, MAX_RANK), m=(m, 0, MAX_POWER))
     if m == 0:
         return point()
-    _guard_sym_product(minimal_torus_f_vector(n), m)
+    guard_product([minimal_torus_f_vector(n)] * m)
     return sym_product(minimal_torus(n), m)
 
 
 def rep_sp(n: int, m: int) -> SimplicialSet:
     """SP^m((S^1)^n / Z/2), the symplectic-group commuting space, refused
     before the quotient is built when its m-fold product is over budget."""
-    _check_ranges("rep_sp", n=(n, 1, MAX_RANK), m=(m, 0, MAX_POWER))
+    _check_ranges(n=(n, 1, MAX_RANK), m=(m, 0, MAX_POWER))
     if m == 0:
         return point()
-    _guard_sym_product(torus_conj_quotient_f_vector(n), m)
+    guard_product([torus_conj_quotient_f_vector(n)] * m)
     return sym_product(torus_conj_quotient(n), m)
 
 
@@ -266,13 +250,13 @@ def sphere_simplicial(k: int):
 def rp_simplicial(n: int) -> SimplicialSet:
     """RP^n as the antipodal quotient of the two-cell sphere: one cell per
     dimension."""
-    _check_ranges("rp_simplicial", n=(n, 0, MAX_SPHERE))
+    _check_ranges(n=(n, 0, MAX_SPHERE))
     return quotient_by_action(*sphere_simplicial(n))
 
 
 def sphere_chain(n: int) -> ChainComplex:
     """Minimal CW sphere: one 0-cell and one n-cell (two 0-cells for S^0)."""
-    _check_ranges("sphere", n=(n, 0, CELL_BUDGET))
+    _check_ranges(n=(n, 0, CELL_BUDGET))
     if n == 0:
         return ChainComplex([2], [])
     ranks = [1] + [0] * (n - 1) + [1]
@@ -290,11 +274,7 @@ def stunted_projective(m: int, k: int) -> ChainComplex:
     range, so the bottom surviving cell is a cycle.
     """
     if not 0 <= k <= m <= CELL_BUDGET:
-        raise range_error(
-            min(k, m - k),
-            0,
-            f"stunted_projective(m={m},k={k}): needs 0 <= k <= m <= {CELL_BUDGET}",
-        )
+        raise range_error(min(k, m - k), 0, f"needs 0 <= k <= m <= {CELL_BUDGET}")
     ranks = [1 if j == 0 or j >= k else 0 for j in range(m + 1)]
     diffs = [
         IntMatrix.from_rows([[1 + (-1) ** j]])
@@ -305,9 +285,9 @@ def stunted_projective(m: int, k: int) -> ChainComplex:
     return ChainComplex(ranks, diffs)
 
 
-def rp_chain(m: int) -> ChainComplex:
-    _check_ranges("rp", n=(m, 0, CELL_BUDGET))
-    return stunted_projective(m, 0)
+def rp_chain(n: int) -> ChainComplex:
+    _check_ranges(n=(n, 0, CELL_BUDGET))
+    return stunted_projective(n, 0)
 
 
 def thom_space_su2_factor(n: int) -> ChainComplex:
@@ -316,7 +296,7 @@ def thom_space_su2_factor(n: int) -> ChainComplex:
     For n >= 1 this is the stunted projective space RP^{n+2}/RP^{n-1};
     for n = 0 the zero bundle gives RP^2 with a disjoint basepoint.
     """
-    _check_ranges("thom_su2", n=(n, 0, CELL_BUDGET - 2))
+    _check_ranges(n=(n, 0, CELL_BUDGET - 2))
     if n == 0:
         # RP^2 plus a disjoint 0-cell
         return ChainComplex(
@@ -333,7 +313,7 @@ def sphere_bundle_quotient(n: int) -> SimplicialSet:
     over RP^2, on two-cell spheres (``sphere_simplicial``), whose diagonal
     involution is simplicial and free.
     """
-    _check_ranges("sphere_bundle_quotient", n=(n, 1, MAX_SPHERE))
+    _check_ranges(n=(n, 1, MAX_SPHERE))
     S2, A2 = sphere_simplicial(2)
     Sn, An = sphere_simplicial(n - 1)
     P = product_list([S2, Sn])
@@ -349,7 +329,7 @@ def thom_zero_quotient(n: int) -> ChainComplex:
     suspension is taken algebraically on the chains of the simplicial
     sphere-bundle quotient.
     """
-    _check_ranges("thom_zero_quotient", n=(n, 1, MAX_SPHERE))
+    _check_ranges(n=(n, 1, MAX_SPHERE))
     return suspend(normalized_chains(sphere_bundle_quotient(n)))
 
 
@@ -394,7 +374,7 @@ _REGISTRY = {
     "sp_torus": (("n", "m"), _chains(sp_torus)),
     "rep_sp": (("n", "m"), _chains(rep_sp)),
     "stunted_projective": (("m", "k"), stunted_projective),
-    "rp": (("n",), lambda n: rp_chain(n)),
+    "rp": (("n",), rp_chain),
     "rp_simplicial": (("n",), _chains(rp_simplicial)),
     "sphere": (("n",), sphere_chain),
     "thom_su2": (("n",), thom_space_su2_factor),
@@ -458,6 +438,8 @@ def resolve(key: str):
 
     The thunk returns the space's ChainComplex: every catalog entry is a
     chain complex, whose homology ``engine.cached_homology`` computes.
+    Each refusal of the build (ValueError or ResourceGuard) is raised
+    again with the canonical descriptor in front.
     """
     canonical, name, params = _lookup(key)
     _, builder = _REGISTRY[name]
@@ -465,12 +447,9 @@ def resolve(key: str):
     def build():
         try:
             return builder(**params)
-        except ResourceGuard as err:
-            # range refusals already start with the descriptor; the cell
-            # budget guards of products do not
-            if str(err).startswith(canonical + ":"):
-                raise
-            raise ResourceGuard(f"{canonical}: {err}") from None
+        except (ValueError, ResourceGuard) as err:
+            kind = ResourceGuard if isinstance(err, ResourceGuard) else ValueError
+            raise kind(f"{canonical}: {err}") from None
 
     return canonical, build
 

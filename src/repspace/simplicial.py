@@ -132,14 +132,12 @@ class SimplicialSet:
         return [len(self.ids(k)) for k in range(self.dim + 1)]
 
     def formal_simplices(self, k: int):
-        """All formal k-simplices as (word-set, FormalSimplex) pairs."""
+        """All formal k-simplices, grouped by degeneracy word."""
         out = []
         for j in range(min(k, self.dim) + 1):
             for asc in combinations(range(k), k - j):
                 word = tuple(reversed(asc))
-                ws = frozenset(asc)
-                for sid in self.ids(j):
-                    out.append((ws, FormalSimplex(word, sid)))
+                out.extend(FormalSimplex(word, sid) for sid in self.ids(j))
         return out
 
     # -- integrity ----------------------------------------------------------
@@ -260,7 +258,7 @@ def _factor_degrees(X: SimplicialSet, top: int) -> list:
     degrees = []
     below = {}
     for k in range(top + 1):
-        pool = [f for _, f in X.formal_simplices(k)]
+        pool = X.formal_simplices(k)
         masks = [sum(1 << w for w in f.word) for f in pool]
         runs = []
         for p, mask in enumerate(masks):

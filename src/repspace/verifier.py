@@ -57,6 +57,7 @@ from .simplicial import (
     SimplicialSet,
     basepoint_directions,
     collapse,
+    guard_product,
     normalized_chains,
 )
 from .su2 import (
@@ -210,7 +211,7 @@ def guard_splitting(family: str, n: int, m: int = 2) -> str:
         return f"splitting[{family}](n={n})"
     name = f"splitting[sp_circle](n={n},m={m})"
     try:
-        catalog._guard_sym_product(catalog.minimal_torus_f_vector(n), m)
+        guard_product([catalog.minimal_torus_f_vector(n)] * m)
     except ResourceGuard as err:
         raise ResourceGuard(f"{name}: {err}") from None
     return name

@@ -573,29 +573,28 @@ def test_resource_guards():
 
 
 def test_over_budget_products_are_refused_before_they_start(monkeypatch):
-    # torus(6) and the symmetric products are refused from f-vectors alone,
-    # before any product (their torus included) is built
-    original = SimplicialSet.formal_simplices
+    # torus(6) builds its 2-gon before product_list counts, but enumerates
+    # no simplex of the product
     monkeypatch.setattr(SimplicialSet, "formal_simplices", None)
+    with pytest.raises(ResourceGuard, match="budget"):
+        catalog.torus(6)
+
+    # the symmetric products and the sp_circle splitting are counted from
+    # f-vectors alone, before any space (their torus included) is built
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a space was built before the count refused")
+
+    monkeypatch.setattr(SimplicialSet, "__init__", refuse)
     for refused in (
-        lambda: catalog.torus(6),
         lambda: catalog.sp_torus(4, 3),
         lambda: catalog.sp_torus(6, 2),
         lambda: catalog.rep_sp(3, 3),
         lambda: catalog.rep_sp(5, 2),
+        lambda: verifier.guard_splitting("sp_circle", 3, 3),
+        lambda: verifier.verify_splitting("sp_circle", 3, m=3),
     ):
         with pytest.raises(ResourceGuard, match="budget"):
             refused()
-
-    # the sp_circle family builds its rank-n torus from circles (dimension
-    # 1), never a simplex of the refused power
-    def circles_only(self, k):
-        assert self.dim == 1, "enumerated a factor of a refused product"
-        return original(self, k)
-
-    monkeypatch.setattr(SimplicialSet, "formal_simplices", circles_only)
-    with pytest.raises(ResourceGuard, match="budget"):
-        verifier.verify_splitting("sp_circle", 3, m=3)
 
 
 # -- descriptors -------------------------------------------------------------

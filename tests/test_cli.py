@@ -396,6 +396,16 @@ def test_a_verify_refusal_names_its_space_as_homology_does(capsys):
     assert run(capsys, "homology", "torus_conj_quotient(n=6)") == (3, "", want)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_rep_sp_at_rank_six_is_refused_by_the_count_of_its_torus(capsys, m):
+    # the 2-gon torus is over the budget before its quotient or a power is
+    want = (
+        f"resource guard: rep_sp(n=6,m={m}): product needs 599424 "
+        "nondegenerate simplices (budget 200000)\n"
+    )
+    assert run(capsys, "homology", f"rep_sp(n=6,m={m})") == (3, "", want)
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     broken = verifier.Report("counts")
     broken.add("A(5)", 155, 154)

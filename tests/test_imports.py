@@ -18,6 +18,10 @@ reasons.  A check by name cannot see a test-only member whose name is
 used elsewhere, such as a method ``d``, ``entry`` or ``from_rows``: a
 variable ``d``, the word "entry" in an error message and
 ``IntMatrix.from_rows`` would each hide it.
+
+No module reads a private attribute off another module (``catalog._name``;
+dunders are exempt): a helper another module needs is public, so that it
+has one owner and one name.
 """
 
 import ast
@@ -62,6 +66,51 @@ def test_the_check_finds_an_unused_import():
         "namedtuple\n"
     )
     assert unused_imports(source) == [(3, "dq")]
+
+
+def private_reads(source: str) -> list:
+    """(line, "module._name") of each private attribute read off a module
+    the source imports as a module."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            modules.update(a.asname or a.name for a in node.names)
+    return sorted(
+        (node.lineno, f"{node.value.id}.{node.attr}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_a_module_reads_no_private_attribute_of_another(path):
+    assert private_reads(path.read_text("utf-8")) == []
+
+
+def test_the_check_finds_a_private_read():
+    source = (
+        "import os.path as osp, sys\n"
+        "from . import catalog\n"
+        "from .su2 import helper\n"
+        "catalog._planted\n"
+        "catalog.__name__\n"
+        "catalog.public\n"
+        "sys._getframe()\n"
+        "osp._joinrealpath\n"
+        "helper._field\n"
+    )
+    assert private_reads(source) == [
+        (4, "catalog._planted"),
+        (7, "sys._getframe"),
+        (8, "osp._joinrealpath"),
+    ]
 
 
 def names_in(source: str) -> set:

@@ -110,7 +110,7 @@ def test_face_identities_on_all_formal_simplices():
     spaces = [circle(), two_gon()[0]]
     for X in spaces:
         for k in range(2, 6):
-            for _, f in X.formal_simplices(k):
+            for f in X.formal_simplices(k):
                 for j in range(1, k + 1):
                     for i in range(j):
                         left = formal_face(X, formal_face(X, f, j), i)
