@@ -387,6 +387,18 @@ def invariant_factors(M: IntMatrix, skip=frozenset(), unit_rows=None) -> list:
     return _divisor_chain(out)
 
 
+def is_prime(p: int) -> bool:
+    """Whether p is prime, by trial division; the moduli here are small."""
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True
+
+
 def lead_columns_mod_p(M: IntMatrix, p: int, drop=()) -> set:
     """Lead columns of an F_p row echelon form (p prime) of M less the rows drop.
 

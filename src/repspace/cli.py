@@ -38,8 +38,8 @@ FORMATS = ("markdown", "json", "csv")
 # K(n) ~ 7^n/24 has 3,611 digits at n = 4000, inside Python's default
 # 4,300-digit limit on int -> str conversion.
 COUNTS_MAX_N = 4000
-# A verify-psi run at --n 6 takes about 140 µs on a 2-vCPU Xeon, so the
-# largest sweep allowed takes about 14 s.
+# A verify-psi run at --n 6 takes about 35 µs on a 2-vCPU Xeon, so the
+# largest sweep allowed takes about 3.5 s.
 PSI_MAX_RUNS = 10**5
 
 

@@ -18,7 +18,7 @@ from collections import namedtuple
 from itertools import product as iter_product
 from math import comb, gcd, prod
 
-from .abelian import AbelianGroup, GradedGroup
+from .abelian import AbelianGroup, GradedGroup, is_prime
 from .errors import NotPrime, ResourceGuard
 
 ENUMERATION_GUARD = 10**6
@@ -97,23 +97,12 @@ def k_via_recurrence(n: int) -> int:
     return k_[n]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    f = 2
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def n_central_product(n: int, m: int, p: int) -> int:
     """Component count for the rank-m central p-group target.
 
     p^{(m-1)(n-2)} (p^n - 1)(p^{n-1} - 1)/(p^2 - 1) + 1.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")

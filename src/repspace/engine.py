@@ -28,9 +28,9 @@ from .abelian import (
     GradedGroup,
     IntMatrix,
     invariant_factors,
+    is_prime,
     lead_columns_mod_p,
 )
-from .counting import _is_prime
 from .errors import CompositionNotZero, NotPrime
 
 ENGINE_VERSION = "1"
@@ -139,7 +139,7 @@ def homology_mod_p(C: ChainComplex, p: int) -> list:
     every cycle of C_{k-1} is determined by its other coordinates, so the
     dropped rows carry no rank of d_k, whose image consists of cycles.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     rank = [0] * (len(C.ranks) + 1)
     leads = ()

@@ -10,11 +10,18 @@ is realizable iff its F2 alternating form has rank at most two, and the
 constructor raises TypeMismatch on exactly the other matrices.
 
 A quaternion w + xi + yj + zk is the plain float 4-tuple (w, x, y, z),
-and a tuple of elements is a sequence of them.  ``_unit`` normalizes,
-``_product`` multiplies and ``_unit_product`` does both.  Every product,
-inverse, negation and conjugate renormalizes, so drift over the tuple
-sizes used here (well under 10^2 products) stays far below the default
-1e-9 tolerance.
+and a tuple of elements is a sequence of them.  ``_unit`` normalizes and
+``_unit_product`` multiplies and normalizes.  Every product, inverse,
+negation and conjugate renormalizes, so drift over the tuple sizes used
+here (well under 10^2 products) stays far below the default 1e-9
+tolerance.
+
+No commutator is ever formed.  For unit a and b, [a, b] ∓ 1 =
+(ab ∓ ba)(ba)⁻¹ and |ba| = 1, so the distance of a b a⁻¹ b⁻¹ from ±1 is
+|ab ∓ ba|, which ``_central_sign`` reads off one cross product and one
+symmetric product.  Negating a lift negates ab ∓ ba, and conjugating
+both elements by g turns it into g (ab ∓ ba) g⁻¹; neither changes its
+norm, so signs and distances ignore lift signs and conjugation.
 """
 
 from __future__ import annotations
@@ -55,21 +62,8 @@ def _unit(w: float, x: float, y: float, z: float) -> tuple:
     return w, x, y, z
 
 
-def _product(a: tuple, b: tuple) -> tuple:
-    """The Hamilton product of two 4-tuples, not renormalized."""
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
-
 def _unit_product(a: tuple, b: tuple) -> tuple:
-    """``_unit(*_product(a, b))``, with the same float operations in the
-    same order, without the intermediate tuple."""
+    """The Hamilton product of two 4-tuples, renormalized by ``_unit``."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     return _unit(
@@ -80,32 +74,46 @@ def _unit_product(a: tuple, b: tuple) -> tuple:
     )
 
 
-def _inverse(a: tuple) -> tuple:
+def inverse(a: tuple) -> tuple:
     w, x, y, z = a
     return _unit(w, -x, -y, -z)
 
 
-def _neg(a: tuple) -> tuple:
+def neg(a: tuple) -> tuple:
     w, x, y, z = a
     return _unit(-w, -x, -y, -z)
 
 
-def _commutator(a: tuple, b: tuple, ai: tuple, bi: tuple) -> tuple:
-    """a b a⁻¹ b⁻¹ on 4-tuples, given ai = a⁻¹ and bi = b⁻¹; every product
-    but the last renormalized."""
-    return _product(_unit_product(_unit_product(a, b), ai), bi)
-
-
-def _conjugate(g: tuple, x: tuple, gi: tuple) -> tuple:
+def conjugate(g: tuple, x: tuple, gi: tuple) -> tuple:
     """g x g⁻¹ on 4-tuples, given gi = g⁻¹, renormalized as ``g * x * gi``."""
     return _unit_product(_unit_product(g, x), gi)
 
 
-def _distance(a: tuple, bw: float) -> float:
-    """Euclidean distance from a 4-tuple to the real quaternion bw."""
-    w, x, y, z = a
-    w -= bw
-    return math.sqrt(w * w + x * x + y * y + z * z)
+def _central_sign(a: tuple, b: tuple):
+    """(sign, distance) of the nearer of ±1 to the commutator a b a⁻¹ b⁻¹;
+    the squared distances are compared, and a tie goes to +1.
+
+    Precondition: |a| = |b| = 1.  Then the distance from ±1 is |ab ∓ ba|,
+    and for a = (a₀, u) and b = (b₀, v)
+
+        ab − ba = 2 (0, u × v),
+        ab + ba = 2 (a₀b₀ − u·v, a₀v + b₀u),
+
+    so no inverse and no renormalized product is formed, and only the
+    nearer distance takes a square root.  Norms 1 + ε and 1 + δ scale
+    both distances by (1 + ε)(1 + δ); the 4-tuples here come from
+    ``_unit``, whose drift is at most NORM_TOL.
+    """
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+    sw = aw * bw - ax * bx - ay * by - az * bz
+    sx, sy, sz = aw * bx + bw * ax, aw * by + bw * ay, aw * bz + bw * az
+    plus = cx * cx + cy * cy + cz * cz
+    minus = sw * sw + sx * sx + sy * sy + sz * sz
+    if plus <= minus:
+        return 1, 2.0 * math.sqrt(plus)
+    return -1, 2.0 * math.sqrt(minus)
 
 
 ONE = (1.0, 0.0, 0.0, 0.0)
@@ -134,48 +142,22 @@ class SignMatrix(namedtuple("SignMatrix", ("n", "entries"))):
         return tuple.__new__(cls, (n, entries))
 
 
-def _f2_rank_at_most_2(rows) -> bool:
-    """Whether bitmask rows span at most two dimensions over F2.
-
-    ``min(r, r ^ b)`` clears b's leading bit from r.  Each basis element
-    is reduced by the earlier ones, so it lacks their leading bits, and
-    reducing in insertion order leaves none of them set.
-    """
-    basis = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            if len(basis) == 2:
-                return False
-            basis.append(r)
-    return True
-
-
-def _nearest_central_sign(q: tuple):
-    """(sign, distance) of the nearer of ±1 to a unit 4-tuple."""
-    d_plus = _distance(q, 1.0)
-    d_minus = _distance(q, -1.0)
-    return (1, d_plus) if d_plus <= d_minus else (-1, d_minus)
-
-
-def _pairwise_commutators(quads, refuse=None):
+def pairwise_commutators(quads, refuse=None):
     """(sign rows as tuples, largest defect) over every pairwise commutator
-    of a sequence of 4-tuples.
+    of a sequence of unit 4-tuples.
 
-    Each commutator is matched to the nearer of ±1.  With ``refuse``
-    given, the first pair (i, j) farther than DEFAULT_TOL raises
-    ``refuse(i, j, distance)``.  Each element is inverted once.
+    Each commutator is matched to the nearer of ±1 by ``_central_sign``,
+    whose distance is |ab ∓ ba|: unchanged by a lift's sign or by a
+    common conjugation.  With ``refuse`` given, the first pair (i, j)
+    farther than DEFAULT_TOL raises ``refuse(i, j, distance)``.
     """
     n = len(quads)
-    inverses = [_inverse(q) for q in quads]
     rows = [[1] * n for _ in range(n)]
     worst = 0.0
     for i in range(n):
+        a = quads[i]
         for j in range(i + 1, n):
-            sign, dist = _nearest_central_sign(
-                _unit(*_commutator(quads[i], quads[j], inverses[i], inverses[j]))
-            )
+            sign, dist = _central_sign(a, quads[j])
             if refuse is not None and dist > DEFAULT_TOL:
                 raise refuse(i, j, dist)
             rows[i][j] = rows[j][i] = sign
@@ -189,14 +171,15 @@ def commutator_type(quads) -> SignMatrix:
     Raises NotAlmostCommuting when any commutator is farther than
     DEFAULT_TOL from both central elements.
     """
-    rows, _ = _pairwise_commutators(quads, NotAlmostCommuting)
+    rows, _ = pairwise_commutators(quads, NotAlmostCommuting)
     return SignMatrix(len(rows), rows)
 
 
 def max_commutator_defect(quads) -> float:
     """Largest distance of any pairwise commutator of a sequence of unit
-    4-tuples from {±1}."""
-    return _pairwise_commutators(quads)[1]
+    4-tuples from {±1}, read off ab ∓ ba as |ab ∓ ba|; a lift's sign or a
+    common conjugation changes no such norm."""
+    return pairwise_commutators(quads)[1]
 
 
 def psi_construct(x_i: tuple, x_j: tuple, w, C: SignMatrix, i: int, j: int) -> list:
@@ -217,9 +200,7 @@ def psi_construct(x_i: tuple, x_j: tuple, w, C: SignMatrix, i: int, j: int) -> l
         raise ValueError(f"need {n - 2} signs, got {len(w)}")
     if any(s not in (1, -1) for s in w):
         raise ValueError("w entries must be ±1")
-    sign, dist = _nearest_central_sign(
-        _unit(*_commutator(x_i, x_j, _inverse(x_i), _inverse(x_j)))
-    )
+    sign, dist = _central_sign(x_i, x_j)
     if dist > DEFAULT_TOL:
         raise NotAlmostCommuting(i, j, dist)
     if sign == 1:
@@ -235,7 +216,7 @@ def psi_construct(x_i: tuple, x_j: tuple, w, C: SignMatrix, i: int, j: int) -> l
     powers_j = (ONE, _unit_product(ONE, x_j))
     for s, (k, a, b) in enumerate(plan):
         y = _unit_product(powers_i[a], powers_j[b])
-        elements[k] = y if w[s] == 1 else _neg(y)
+        elements[k] = y if w[s] == 1 else neg(y)
     return elements
 
 
@@ -267,9 +248,10 @@ def classify_so3_tuple(rotations) -> SignMatrix:
     """Sign matrix of a commuting SO(3) tuple given by a sequence of unit
     4-tuple lifts.
 
-    Well-defined: changing a lift by the central sign flips both factors
-    of each commutator once, which cancels.  Raises NotCommutingInSO3
-    when some projected pair fails to commute within tolerance.
+    Well-defined: each sign and distance is read off ab ∓ ba, which a
+    lift's sign only negates and a common conjugation by g turns into
+    g (ab ∓ ba) g⁻¹, so no norm changes.  Raises NotCommutingInSO3 when
+    some projected pair fails to commute within tolerance.
     """
 
     def refuse(i, j, dist):
@@ -278,11 +260,11 @@ def classify_so3_tuple(rotations) -> SignMatrix:
             f"(lifted commutator {dist:.3e} from ±1)"
         )
 
-    rows, _ = _pairwise_commutators(rotations, refuse)
+    rows, _ = pairwise_commutators(rotations, refuse)
     return SignMatrix(len(rows), rows)
 
 
-def _random_unit(rng: random.Random) -> tuple:
+def random_unit(rng: random.Random) -> tuple:
     while True:
         q = (
             rng.gauss(0, 1),
@@ -304,11 +286,11 @@ def random_torus_tuple(n: int, seed) -> list:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
-    g = _random_unit(rng)
-    gi = _inverse(g)
+    g = random_unit(rng)
+    gi = inverse(g)
     elements = []
     for _ in range(n):
         theta = rng.uniform(0, 2 * math.pi)
         diag = _unit(math.cos(theta), math.sin(theta), 0.0, 0.0)
-        elements.append(_conjugate(g, diag, gi))
+        elements.append(conjugate(g, diag, gi))
     return elements

@@ -65,15 +65,14 @@ from .su2 import (
     I,
     J,
     SignMatrix,
-    _conjugate,
-    _f2_rank_at_most_2,
-    _inverse,
-    _neg,
-    _pairwise_commutators,
-    _random_unit,
     classify_so3_tuple,
+    conjugate,
+    inverse,
+    neg,
+    pairwise_commutators,
     psi_construct,
     random_torus_tuple,
+    random_unit,
 )
 
 # ---------------------------------------------------------------------------
@@ -371,6 +370,24 @@ def check_counts() -> Report:
 # SECTION: randomized SU(2) sweeps
 
 
+def _f2_rank_at_most_2(rows) -> bool:
+    """Whether bitmask rows span at most two dimensions over F2.
+
+    ``min(r, r ^ b)`` clears b's leading bit from r.  Each basis element
+    is reduced by the earlier ones, so it lacks their leading bits, and
+    reducing in insertion order leaves none of them set.
+    """
+    basis = []
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)
+        if r:
+            if len(basis) == 2:
+                return False
+            basis.append(r)
+    return True
+
+
 @cache
 def _sign_tables(n: int) -> tuple:
     """(realizable, unrealizable) sign matrices of size n, in the order of
@@ -419,10 +436,10 @@ def _random_tuple(C: SignMatrix, rng: random.Random) -> list:
     if not pairs:
         return random_torus_tuple(n, rng.randrange(2**63))
     i, j = pairs[rng.randrange(len(pairs))]
-    g = _random_unit(rng)
-    gi = _inverse(g)
-    x_i = _conjugate(g, I, gi)
-    x_j = _conjugate(g, J, gi)
+    g = random_unit(rng)
+    gi = inverse(g)
+    x_i = conjugate(g, I, gi)
+    x_j = conjugate(g, J, gi)
     w = tuple(rng.choice((1, -1)) for _ in range(n - 2))
     return psi_construct(x_i, x_j, w, C, i, j)
 
@@ -448,7 +465,7 @@ def psi_sweep(n: int, runs: int, seed) -> dict:
         except RepspaceError:
             failures += 1
             continue
-        rows, defect = _pairwise_commutators(t)
+        rows, defect = pairwise_commutators(t)
         worst = max(worst, defect)
         if defect > DEFAULT_TOL or rows != C.entries:
             failures += 1
@@ -493,10 +510,10 @@ def so3_invariance(cases: int, seed) -> dict:
         try:
             t = _random_tuple(rng.choice(_sign_tables(n)[0]), rng)
             before = classify_so3_tuple(t)
-            flipped = [x if rng.random() < 0.5 else _neg(x) for x in t]
-            g = _random_unit(rng)
-            gi = _inverse(g)
-            after = classify_so3_tuple([_conjugate(g, x, gi) for x in flipped])
+            flipped = [x if rng.random() < 0.5 else neg(x) for x in t]
+            g = random_unit(rng)
+            gi = inverse(g)
+            after = classify_so3_tuple([conjugate(g, x, gi) for x in flipped])
         except RepspaceError:
             failures += 1
             continue

@@ -29,7 +29,8 @@ from repspace.simplicial import (
     SimplicialSet,
     product_list,
 )
-from repspace.su2 import SignMatrix, _f2_rank_at_most_2
+from repspace.su2 import SignMatrix
+from repspace.verifier import _f2_rank_at_most_2
 
 
 # ---------------------------------------------------------------------------

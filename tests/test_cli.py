@@ -476,13 +476,13 @@ def test_su2_verify_psi_rejects_counts_below_one(capsys, flag, value):
 
 
 def test_su2_verify_psi_matches_frozen_stdout(capsys):
-    # computed before the sweeps built their tuples on 4-tuples
+    # the defect is read off ab ∓ ba; test_verifier's replay pins the tuples
     assert run(
         capsys, "su2", "verify-psi", "--n", "4", "--runs", "200", "--seed", "3"
     ) == (
         0,
         '{\n  "runs": 200,\n  "failures": 0,\n'
-        '  "max_commutator_defect": 4.1518530461638927e-16\n}\n',
+        '  "max_commutator_defect": 4.47545209131181e-16\n}\n',
         "",
     )
 

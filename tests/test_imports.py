@@ -19,9 +19,10 @@ used elsewhere, such as a method ``d``, ``entry`` or ``from_rows``: a
 variable ``d``, the word "entry" in an error message and
 ``IntMatrix.from_rows`` would each hide it.
 
-No module reads a private attribute off another module (``catalog._name``;
-dunders are exempt): a helper another module needs is public, so that it
-has one owner and one name.
+No module reads a private attribute off another module (``catalog._name``)
+or imports one by name (``from .catalog import _name``); dunders are
+exempt.  A helper another module needs is public, so that it has one
+owner and one name.
 """
 
 import ast
@@ -68,25 +69,38 @@ def test_the_check_finds_an_unused_import():
     assert unused_imports(source) == [(3, "dq")]
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def private_reads(source: str) -> list:
-    """(line, "module._name") of each private attribute read off a module
-    the source imports as a module."""
+    """(line, what) of each private name taken from another module: read as
+    an attribute off a module the source imports as a module ("module._name"),
+    or imported by name ("from module import _name")."""
     tree = ast.parse(source)
     modules = set()
+    found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update(a.asname or a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module is None:
-            modules.update(a.asname or a.name for a in node.names)
-    return sorted(
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:
+                modules.update(a.asname or a.name for a in node.names)
+            origin = "." * node.level + (node.module or "")
+            found += [
+                (node.lineno, f"from {origin} import {a.name}")
+                for a in node.names
+                if _private(a.name)
+            ]
+    found += [
         (node.lineno, f"{node.value.id}.{node.attr}")
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id in modules
-        and node.attr.startswith("_")
-        and not (node.attr.startswith("__") and node.attr.endswith("__"))
-    )
+        and _private(node.attr)
+    ]
+    return sorted(found)
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -110,6 +124,23 @@ def test_the_check_finds_a_private_read():
         (4, "catalog._planted"),
         (7, "sys._getframe"),
         (8, "osp._joinrealpath"),
+    ]
+
+
+def test_the_check_finds_a_private_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from .counting import _planted, public\n"
+        "from .su2 import public as _alias, _renamed as alias\n"
+        "from . import _module, __version__\n"
+        "from os import _exit\n"
+        "from .abelian import __all__\n"
+    )
+    assert private_reads(source) == [
+        (2, "from .counting import _planted"),
+        (3, "from .su2 import _renamed"),
+        (4, "from . import _module"),
+        (5, "from os import _exit"),
     ]
 
 

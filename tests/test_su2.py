@@ -45,14 +45,9 @@ def type_to_sign(C):
 
 def anticommuting_pair(rng):
     """A random conjugate of (i, j); exactly anticommuting up to drift."""
-    g = su2._random_unit(rng)
-    gi = su2._inverse(g)
-    return su2._conjugate(g, I, gi), su2._conjugate(g, J, gi)
-
-
-def commutator(a, b):
-    """a b a⁻¹ b⁻¹, renormalized."""
-    return su2._unit(*su2._commutator(a, b, su2._inverse(a), su2._inverse(b)))
+    g = su2.random_unit(rng)
+    gi = su2.inverse(g)
+    return su2.conjugate(g, I, gi), su2.conjugate(g, J, gi)
 
 
 # -- quaternion arithmetic vs the exact oracle -------------------------------
@@ -93,29 +88,37 @@ def test_unit_quaternion_normalizes():
             su2._unit(*args)
 
 
-def test_commutator_equals_the_product_of_four_quaternions():
-    # The 4-tuple commutator must reproduce, bit for bit, four products
-    # renormalized one by one on the oracle's own float quaternions.
+def test_central_sign_matches_the_four_product_commutator():
+    # The kernel reads the commutator's sign and distance off ab ∓ ba; the
+    # oracle multiplies a·b·a⁻¹·b⁻¹ on its own float quaternions, each
+    # product renormalized, and measures the distance from the nearer of ±1.
     rng = random.Random(20261018)
+    signs = set()
     for _ in range(1000):
         a = oracles.QFloat(*(rng.gauss(0, 1) for _ in range(4)))
         b = oracles.QFloat(*(rng.gauss(0, 1) for _ in range(4)))
-        want = a * b * a.inverse() * b.inverse()
-        assert commutator(a.tuple(), b.tuple()) == want.tuple()
+        q = (a * b * a.inverse() * b.inverse()).tuple()
+        want = 1 if q[0] >= 0 else -1
+        sign, dist = su2._central_sign(a.tuple(), b.tuple())
+        assert sign == want
+        assert abs(dist - math.dist(q, (want, 0.0, 0.0, 0.0))) < 1e-15
+        signs.add(sign)
+    assert signs == {1, -1}
 
 
 def test_commutator_fixtures():
     # [i, j] = iji⁻¹j⁻¹ = -1, exactly, per the rational oracle
     assert oracles.Q_I.commutator(oracles.Q_J) == oracles.QFrac(-1)
-    assert math.dist(commutator(I, J), MINUS_ONE) < 1e-15
-    assert math.dist(commutator(I, I), ONE) < 1e-15
+    assert su2._central_sign(I, J) == (-1, 0.0)
+    assert su2._central_sign(I, I) == (1, 0.0)
+    assert su2._central_sign(I, su2.neg(I)) == (1, 0.0)
 
 
 def test_powers_and_inverse():
     assert math.dist(su2._unit_product(I, I), MINUS_ONE) < 1e-15
-    assert math.dist(su2._unit_product(su2._unit_product(I, I), I), su2._neg(I)) < 1e-15
-    assert su2._inverse(I) == su2._neg(I)
-    assert math.dist(su2._unit_product(I, su2._inverse(I)), ONE) < 1e-15
+    assert math.dist(su2._unit_product(su2._unit_product(I, I), I), su2.neg(I)) < 1e-15
+    assert su2.inverse(I) == su2.neg(I)
+    assert math.dist(su2._unit_product(I, su2.inverse(I)), ONE) < 1e-15
 
 
 # -- sign matrices -----------------------------------------------------------
@@ -200,14 +203,14 @@ def test_psi_full_extension_gives_k():
     assert math.dist(t[2], K) < 1e-15
     assert commutator_type(t) == C
     t_neg = psi_construct(I, J, [-1], C, 0, 1)
-    assert math.dist(t_neg[2], su2._neg(K)) < 1e-15
+    assert math.dist(t_neg[2], su2.neg(K)) < 1e-15
     assert commutator_type(t_neg) == C
 
 
 def test_psi_error_contract():
     C = sign_matrix([[1, -1], [-1, 1]])
     with pytest.raises(BadBasePair):
-        psi_construct(I, su2._neg(I), [], C, 0, 1)
+        psi_construct(I, su2.neg(I), [], C, 0, 1)
     flat = sign_matrix([[1, 1], [1, 1]])
     with pytest.raises(TypeMismatch):
         psi_construct(I, J, [], flat, 0, 1)
@@ -269,10 +272,10 @@ def test_conjugation_preserves_type():
     C = sign_matrix([[1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
     base = psi_construct(I, J, [1], C, 0, 1)
     for _ in range(50):
-        g = su2._random_unit(rng)
-        gi = su2._inverse(g)
-        assert commutator_type([su2._conjugate(g, x, gi) for x in base]) == C
-    assert math.dist(su2._conjugate(ONE, base[0], ONE), I) < 1e-12
+        g = su2.random_unit(rng)
+        gi = su2.inverse(g)
+        assert commutator_type([su2.conjugate(g, x, gi) for x in base]) == C
+    assert math.dist(su2.conjugate(ONE, base[0], ONE), I) < 1e-12
 
 
 # -- SO(3) classification ----------------------------------------------------
@@ -300,10 +303,10 @@ def test_classify_so3_lift_sign_and_conjugation_invariance():
         want = classify_so3_tuple(base)
         flip = rng.randrange(3)
         flipped = tuple(
-            su2._neg(q) if t == flip else q for t, q in enumerate(base)
+            su2.neg(q) if t == flip else q for t, q in enumerate(base)
         )
         assert classify_so3_tuple(flipped) == want
-        g = su2._random_unit(rng)
-        gi = su2._inverse(g)
-        moved = tuple(su2._conjugate(g, q, gi) for q in base)
+        g = su2.random_unit(rng)
+        gi = su2.inverse(g)
+        moved = tuple(su2.conjugate(g, q, gi) for q in base)
         assert classify_so3_tuple(moved) == want

@@ -442,12 +442,12 @@ def test_psi_sweep_is_deterministic_and_clean():
     assert out["max_commutator_defect"] < 1e-9
 
 
-# psi_sweep(n, 200, seed=5) as computed by the dataclass quaternions the
-# 4-tuple arithmetic replaced; the floats must match exactly.
+# psi_sweep(n, 200, seed=5), each defect read off ab ∓ ba; the floats must
+# match exactly.  The tuples themselves are pinned by the replay below.
 FROZEN_SWEEPS = {
-    2: 3.7341307954279784e-16,
-    3: 5.125396027766234e-16,
-    4: 6.5865219954586615e-16,
+    2: 3.356589068483857e-16,
+    3: 4.660953740672398e-16,
+    4: 5.688200336284365e-16,
 }
 
 
@@ -475,15 +475,15 @@ def test_sweep_tuples_match_the_quaternion_route_bit_for_bit(n):
         assert got_rng.getstate() == want_rng.getstate()
 
 
-# check_su2(runs=120, seed=2024) as rendered before the sweeps built their
-# tuples on 4-tuples; every row, the n = 2..4 sweep rows included.
+# check_su2(runs=120, seed=2024), every row; the sweep rows' worst defects
+# are read off ab ∓ ba.
 FROZEN_SU2_REPORT = """\
 [ok] su2(runs=120)
-  + construction sweep n=2 (40 runs): expected 0 failures, got 0 failures, worst defect 4.27e-16
+  + construction sweep n=2 (40 runs): expected 0 failures, got 0 failures, worst defect 4.17e-16
   + refusals n=2: expected 0 matrices refused everywhere, got 0 matrices refused everywhere
-  + construction sweep n=3 (40 runs): expected 0 failures, got 0 failures, worst defect 3.28e-16
+  + construction sweep n=3 (40 runs): expected 0 failures, got 0 failures, worst defect 2.78e-16
   + refusals n=3: expected 0 matrices refused everywhere, got 0 matrices refused everywhere
-  + construction sweep n=4 (40 runs): expected 0 failures, got 0 failures, worst defect 3.66e-16
+  + construction sweep n=4 (40 runs): expected 0 failures, got 0 failures, worst defect 2.79e-16
   + refusals n=4: expected 28 matrices refused everywhere, got 28 matrices refused everywhere
   + SO(3) lift/conjugation invariance (40 cases): expected 0 failures, got 0 failures"""
 
