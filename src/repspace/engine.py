@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import suppress
 
 from .abelian import (
     AbelianGroup,
@@ -234,9 +235,14 @@ def _cache_write(path: str, canonical: str, value: GradedGroup):
         "engine_version": ENGINE_VERSION,
     }
     tmp = f"{os.path.splitext(path)[0]}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=1))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(doc, indent=1))
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def cached_homology(canonical: str, build, cache_dir=None) -> GradedGroup:

@@ -9,8 +9,11 @@ identities
     d_i s_j = s_{j-1} d_i  (i < j),   d_j s_j = d_{j+1} s_j = id,
     d_i s_j = s_j d_{i-1}  (i > j+1),   s_i s_j = s_{j+1} s_i  (i <= j)
 
-are implemented once in :func:`formal_face` / :func:`compose_degeneracy`
-and everything else is built on top of them.
+are stated once: the face rule in :func:`_degeneracy_faces` and the
+exchange rule in :func:`compose_degeneracy`.  A face of a degenerate
+simplex is read from the faces one degree down: the degree tables of a
+product's factors and the validation of a face table both peel the
+outermost degeneracy and apply the face rule.
 
 Products use the shuffle description: a nondegenerate k-simplex of a
 product is a tuple of formal k-simplices whose degeneracy words have
@@ -38,9 +41,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import cmp_to_key
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import chain, combinations, combinations_with_replacement, groupby
 from itertools import product as iter_product
 from math import comb, prod
+from operator import itemgetter
 
 from .abelian import IntMatrix
 from .engine import ChainComplex
@@ -62,34 +66,46 @@ class FormalSimplex(namedtuple("FormalSimplex", ("word", "base"))):
 
 
 def compose_degeneracy(j: int, f: FormalSimplex) -> FormalSimplex:
-    """Normal form of s_j applied on the outside of f."""
-    shifted = tuple(w + 1 if w >= j else w for w in f.word)
-    bigger = tuple(w for w in shifted if w > j)
-    smaller = tuple(w for w in shifted if w < j)
-    return FormalSimplex(bigger + (j,) + smaller, f.base)
-
-
-def formal_face(X: "SimplicialSet", f: FormalSimplex, i: int) -> FormalSimplex:
-    """d_i of a formal simplex of X, in normal form.
-
-    The face operator is pushed through the degeneracy word; it is either
-    absorbed (d_j s_j = d_{j+1} s_j = id) or reaches the nondegenerate
-    base, where the stored face table takes over.
-    """
-    prefix = []
+    """Normal form of s_j applied on the outside of f: the indices w >= j
+    of f's decreasing word move up to w + 1 and j goes after them."""
     word = f.word
-    for t, j in enumerate(word):
-        if i < j:
-            prefix.append(j - 1)
-        elif i == j or i == j + 1:
-            return FormalSimplex(tuple(prefix) + word[t + 1 :], f.base)
-        else:
-            prefix.append(j)
-            i -= 1
-    g = X.faces[f.base][i]
-    for j in reversed(prefix):
-        g = compose_degeneracy(j, g)
-    return g
+    t = 0
+    while t < len(word) and word[t] >= j:
+        t += 1
+    return FormalSimplex(tuple([w + 1 for w in word[:t]]) + (j,) + word[t:], f.base)
+
+
+def _degeneracy_faces(j: int, g, below, lift) -> tuple:
+    """The faces d_0, d_1, ... of s_j g, from g and g's faces ``below``, by
+    the simplicial identities: d_i s_j g is s_{j-1} d_i g for i < j, g for
+    i = j, j + 1, and s_j d_{i-1} g for i > j + 1; lift(j', x) is s_j' x."""
+    return (
+        *[lift(j - 1, x) for x in below[:j]],
+        g,
+        g,
+        *[lift(j, x) for x in below[j + 1 :]],
+    )
+
+
+class _PushedFaces(dict):
+    """The faces of each degenerate formal simplex of X, pushed once.
+
+    f = s_j g for the outermost index j of f's word, so its faces follow
+    from g's (:func:`_degeneracy_faces`): X's face table entry for a
+    nondegenerate g, none for a vertex, else g's own pushed faces.
+    """
+
+    __slots__ = ("faces",)
+
+    def __init__(self, X: "SimplicialSet"):
+        super().__init__()
+        self.faces = X.faces
+
+    def __missing__(self, f):
+        g = FormalSimplex(f.word[1:], f.base)
+        below = self[g] if g.word else self.faces.get(g.base, ())
+        row = self[f] = _degeneracy_faces(f.word[0], g, below, compose_degeneracy)
+        return row
 
 
 class SimplicialSet:
@@ -149,46 +165,53 @@ class SimplicialSet:
             range(max(self.simplices) + 1)
         ):
             raise ValueError("dimensions are not contiguous from 0")
-        checked, degree = set(), 0  # faces whose structure passed, per degree
-        for sid, k in self.dim_of.items():
+        dim_of, faces = self.dim_of, self.faces
+        checked, degree = set(), 0  # degenerate faces that passed, per degree
+        for sid, k in dim_of.items():
             if k != degree:
                 checked, degree = set(), k
             if k == 0:
-                if sid in self.faces:
+                if sid in faces:
                     raise ValueError(f"0-simplex {sid!r} has a face entry")
                 continue
-            fs = self.faces.get(sid)
+            fs = faces.get(sid)
             if fs is None or len(fs) != k + 1:
                 raise ValueError(f"{sid!r} needs {k + 1} faces")
             for f in fs:
-                if f in checked:
+                word = f.word
+                if word and f in checked:
                     continue
-                if f.base not in self.dim_of:
+                d = dim_of.get(f.base)
+                if d is None:
                     raise ValueError(f"face of {sid!r} references {f.base!r}")
-                if len(f.word) + self.dim_of[f.base] != k - 1:
+                if len(word) + d != k - 1:
                     raise ValueError(f"face of {sid!r} has wrong dimension")
-                if any(a <= b for a, b in zip(f.word, f.word[1:])):
-                    raise ValueError(f"face word of {sid!r} not normal")
-                if f.word and f.word[0] > k - 2:
-                    raise ValueError(f"face word of {sid!r} out of range")
-                checked.add(f)
-        # simplicial identities d_i d_j = d_{j-1} d_i (i < j) on generators;
-        # the faces of a nondegenerate face are its face table entry, and
-        # those of a degenerate face are pushed through its word once a call
-        faces = self.faces
-        pushed = {}
-        for sid, k in self.dim_of.items():
+                if word:
+                    if any(a <= b for a, b in zip(word, word[1:])):
+                        raise ValueError(f"face word of {sid!r} not normal")
+                    if word[0] > k - 2:
+                        raise ValueError(f"face word of {sid!r} out of range")
+                    checked.add(f)
+        # simplicial identities d_i d_j = d_{j-1} d_i (i < j) on generators:
+        # with the faces' faces laid out row after row, k to a row, each side
+        # of all the identities is one itemgetter, and the two sides are
+        # compared as tuples; the pairs are walked only to name a failure
+        pushed = _PushedFaces(self)
+        pairs = {}
+        for sid, k in dim_of.items():
             if k < 2:
                 continue
-            ds = []
-            for f in faces[sid]:
-                if f.word:
-                    g = pushed.get(f)
-                    if g is None:
-                        g = pushed[f] = [formal_face(self, f, i) for i in range(k)]
-                    ds.append(g)
-                else:
-                    ds.append(faces[f.base])
+            ds = [pushed[f] if f.word else faces[f.base] for f in faces[sid]]
+            if k not in pairs:
+                ij = [(i, j) for j in range(1, k + 1) for i in range(j)]
+                pairs[k] = (
+                    itemgetter(*[j * k + i for i, j in ij]),
+                    itemgetter(*[i * k + j - 1 for i, j in ij]),
+                )
+            left, right = pairs[k]
+            flat = list(chain.from_iterable(ds))
+            if left(flat) == right(flat):
+                continue
             for j in range(1, k + 1):
                 dj = ds[j]
                 for i in range(j):
@@ -254,9 +277,16 @@ _Degree = namedtuple("_Degree", ("pool", "masks", "names", "faces", "runs"))
 
 
 def _factor_degrees(X: SimplicialSet, top: int) -> list:
-    """X's degree tables for k = 0..top, each face computed once."""
-    degrees = []
-    below = {}
+    """X's degree tables for k = 0..top, each face read from the tables below.
+
+    A nondegenerate simplex's faces are its face table entry.  A degenerate
+    one is s_j g with j its word's outermost index, so each face is g or
+    s_j' of a face of g (:func:`_degeneracy_faces`).  Pools keep each
+    degeneracy set contiguous with the bases in X's order, so s_j' maps
+    each degree k - 2 run onto the degree k - 1 run of the shifted set.
+    """
+    degrees, starts = [], []
+    offset = {sid: b for ids in X.simplices.values() for b, sid in enumerate(ids)}
     for k in range(top + 1):
         pool = X.formal_simplices(k)
         masks = [sum(1 << w for w in f.word) for f in pool]
@@ -266,13 +296,33 @@ def _factor_degrees(X: SimplicialSet, top: int) -> list:
                 runs[-1][2] = p + 1
             else:
                 runs.append([mask, p, p + 1])
+        starts.append({mask: p for mask, p, _ in runs})
         faces = []
         if k:
-            faces = [
-                tuple(below[formal_face(X, f, i)] for i in range(k + 1))
-                for f in pool
-            ]
-        below = {f: p for p, f in enumerate(pool)}
+            below, lower = starts[k - 1], degrees[k - 1].faces
+            lifts = []  # lifts[j][q]: the degree k - 1 position of s_j q
+            for j in range(k - 1):
+                lifts.append([])
+                for m, start, stop in degrees[k - 2].runs:
+                    low = m & ((1 << j) - 1)
+                    first = below[low | (m ^ low) << 1 | 1 << j]
+                    lifts[j].extend(range(first, first + stop - start))
+            lift = lambda j, q: lifts[j][q]
+            for mask, start, stop in runs:
+                if not mask:
+                    faces.extend(
+                        tuple(
+                            below[sum(1 << w for w in g.word)] + offset[g.base]
+                            for g in X.faces[f.base]
+                        )
+                        for f in pool[start:stop]
+                    )
+                    continue
+                j = mask.bit_length() - 1
+                first = below[mask ^ 1 << j]
+                for g in range(first, first + stop - start):
+                    row = lower[g] if k > 1 else ()
+                    faces.append(_degeneracy_faces(j, g, row, lift))
         degrees.append(
             _Degree(pool, masks, [f.render() for f in pool], faces, runs)
         )
@@ -311,7 +361,10 @@ def product_list(factors) -> SimplicialSet:
     Each distinct factor's formal simplices, ids and faces are tabled once
     per degree.  Only combinations of degeneracy sets with empty common
     intersection are expanded, and the tuples found are taken in the
-    lexicographic order of their pool positions.  The result records
+    lexicographic order of their pool positions.  A face is looked up
+    first in the lower degree's index of jointly nondegenerate tuples; only
+    a miss, a face whose coordinates share a degeneracy, goes through
+    ``_normalize_tuple``.  The result records
     ``parts``: for every nondegenerate product simplex its tuple of factor
     FormalSimplexes, and is not re-validated.  Based factors give a based
     product.  Over ``CELL_BUDGET`` nondegenerate simplices the product is
@@ -343,6 +396,7 @@ def product_list(factors) -> SimplicialSet:
         found.sort()
         index = {}
         ids.append(index)
+        below = ids[k - 1] if k else None
         level = []
         for ps in found:
             sid = "(" + "|".join([t.names[p] for t, p in zip(level_tables, ps)])
@@ -353,7 +407,10 @@ def product_list(factors) -> SimplicialSet:
             if k:
                 rows = [t.faces[p] for t, p in zip(level_tables, ps)]
                 faces[sid] = tuple(
-                    [_normalize_tuple(tables, k - 1, qs, ids) for qs in zip(*rows)]
+                    [
+                        below.get(qs) or _normalize_tuple(tables, k - 1, qs, ids)
+                        for qs in zip(*rows)
+                    ]
                 )
         if level:
             simplices[k] = level
@@ -411,10 +468,11 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
     occur in X^m.  An orbit is named "[" + its least member's product id
     + "]" and records that member's coordinates as ``parts``; the least
     member is the representative sorted by ``_least_id_ranks``.  Each
-    orbit is indexed once, under its sorted positions.  A face whose
-    coordinates share no degeneracy is looked up under its sorted
-    positions; a degenerate face goes through ``_normalize_tuple``, whose
-    peeled positions ``_OrbitIndex`` sorts.  The result is validated.
+    orbit is indexed once, under its sorted positions.  A face is looked
+    up first in the lower degree's index, as its positions come and then
+    sorted; only a miss, a face whose coordinates share a degeneracy, goes
+    through ``_normalize_tuple``, whose peeled positions ``_OrbitIndex``
+    sorts.  The result is validated.
     Refused (ResourceGuard) when X^m is over ``CELL_BUDGET``.
     """
     guard_product([X.f_vector()] * m)
@@ -444,8 +502,7 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
         ids.append(index)
         level = []
         rank = _least_id_ranks(t.names).__getitem__
-        if k:
-            below, masks = ids[k - 1], degrees[k - 1].masks
+        below = ids[k - 1] if k else None
         for ps in found:
             least = sorted(ps, key=rank)
             oid = "[(" + "|".join([t.names[p] for p in least]) + ")]"
@@ -453,16 +510,14 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
             level.append(oid)
             parts[oid] = tuple([t.pool[p] for p in least])
             if k:
-                row = []
-                for qs in zip(*[t.faces[p] for p in ps]):
-                    common = -1
-                    for q in qs:
-                        common &= masks[q]
-                    if common:
-                        row.append(_normalize_tuple(tables, k - 1, qs, ids))
-                    else:
-                        row.append(below[tuple(sorted(qs))])
-                faces[oid] = tuple(row)
+                faces[oid] = tuple(
+                    [
+                        below.get(qs)
+                        or below.get(tuple(sorted(qs)))
+                        or _normalize_tuple(tables, k - 1, qs, ids)
+                        for qs in zip(*[t.faces[p] for p in ps])
+                    ]
+                )
         if level:
             simplices[k] = level
     basepoint = None

@@ -161,8 +161,9 @@ def splitting_base(family: str, n: int, m: int = 2) -> tuple:
     X is the space whose reduced homology the wedge must reproduce.  A
     simplex at the basepoint in direction j lies in the image of the
     subtorus omitting j; an orbit of SP^m((S^1)^n) takes the directions
-    shared by all m of its torus coordinates.  Refused as
-    ``guard_splitting`` refuses, before anything is built.
+    shared by all m of its torus coordinates, met once per tuple of
+    coordinate bases.  Refused as ``guard_splitting`` refuses, before
+    anything is built.
     """
     guard_splitting(family, n, m)
     if family == "rep_su2":
@@ -173,10 +174,13 @@ def splitting_base(family: str, n: int, m: int = 2) -> tuple:
     torus = {sid: basepoint_directions(T, sid) for sid in T.dim_of}
     if X is T:  # every family but SP^m with m >= 2
         return X, torus
-    return X, {
-        sid: frozenset.intersection(*(torus[f.base] for f in X.parts[sid]))
-        for sid in X.dim_of
-    }
+    shared, directions = {}, {}
+    for sid in X.dim_of:
+        bases = tuple([f.base for f in X.parts[sid]])
+        if bases not in shared:
+            shared[bases] = frozenset.intersection(*map(torus.__getitem__, bases))
+        directions[sid] = shared[bases]
+    return X, directions
 
 
 def _slice(X: SimplicialSet, directions: dict, D=frozenset()) -> SimplicialSet:

@@ -324,6 +324,65 @@ def reference_product(factors):
     return simplices, faces, parts, basepoint
 
 
+def reference_factor_degrees(X, top):
+    """(pool, masks, names, faces, runs) of X per degree k = 0..top, as
+    ``simplicial._factor_degrees`` lays them out: each face of each formal
+    simplex pushed through its word and looked up in the pool below."""
+    out, below = [], {}
+    for k in range(top + 1):
+        pool = _formal_pool(X, k)
+        masks = [sum(1 << w for w in word) for word, _ in pool]
+        runs = []
+        for p, mask in enumerate(masks):
+            if runs and runs[-1][0] == mask:
+                runs[-1][2] = p + 1
+            else:
+                runs.append([mask, p, p + 1])
+        faces = [
+            tuple(below[_formal_face(X, f, i, k)] for i in range(k + 1))
+            for f in pool
+        ] if k else []
+        below = {f: p for p, f in enumerate(pool)}
+        out.append((pool, masks, [_render(f) for f in pool], faces, runs))
+    return out
+
+
+def validation_error(X):
+    """The first fault in X's face table as ``SimplicialSet.validate`` words
+    it, or None: each face's structure, then d_i d_j = d_{j-1} d_i (i < j)
+    pair by pair, every face of a face pushed through ``_formal_face``."""
+    dims = {sid: k for k, ids in X.simplices.items() for sid in ids}
+    if X.basepoint is not None and dims.get(X.basepoint) != 0:
+        return f"basepoint {X.basepoint!r} is not a 0-simplex"
+    if X.simplices and sorted(X.simplices) != list(range(max(X.simplices) + 1)):
+        return "dimensions are not contiguous from 0"
+    for sid, k in dims.items():
+        if k == 0:
+            if sid in X.faces:
+                return f"0-simplex {sid!r} has a face entry"
+            continue
+        fs = X.faces.get(sid)
+        if fs is None or len(fs) != k + 1:
+            return f"{sid!r} needs {k + 1} faces"
+        for word, base in fs:
+            if base not in dims:
+                return f"face of {sid!r} references {base!r}"
+            if len(word) + dims[base] != k - 1:
+                return f"face of {sid!r} has wrong dimension"
+            if list(word) != sorted(set(word), reverse=True):
+                return f"face word of {sid!r} not normal"
+            if word and word[0] > k - 2:
+                return f"face word of {sid!r} out of range"
+    for sid, k in dims.items():
+        for j in range(1, k + 1 if k > 1 else 0):
+            for i in range(j):
+                left = _formal_face(X, X.faces[sid][j], i, k - 1)
+                right = _formal_face(X, X.faces[sid][i], j - 1, k - 1)
+                if left != right:
+                    return f"d_{i} d_{j} ≠ d_{j - 1} d_{i} on {sid!r}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Quotients by generator closure, and symmetric products the old way.
 #

@@ -424,6 +424,14 @@ def test_cached_homology_rejects_stale_engine_version(tmp_path):
     )
 
 
+def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, capsys):
+    # an entry path that is a directory refuses the final rename
+    cache_file(tmp_path, "rp(n=3)").mkdir()
+    assert cached("rp(n=3)", cache_dir=tmp_path) == RP3_HOMOLOGY
+    assert capsys.readouterr().err.startswith("warning: result not cached: ")
+    assert list(tmp_path.glob("*.tmp*")) == []
+
+
 def test_cached_homology_env_var_and_flag_priority(tmp_path, monkeypatch):
     env_dir = tmp_path / "env"
     flag_dir = tmp_path / "flag"

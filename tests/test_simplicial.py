@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from repspace.abelian import AbelianGroup, GradedGroup
-from repspace import catalog
+from repspace import catalog, simplicial
 from repspace.catalog import circle, minimal_torus
 from repspace.engine import ChainComplex, homology, reduced_homology, suspend
 from repspace.errors import ActionInvalid, ResourceGuard
@@ -18,7 +18,6 @@ from repspace.simplicial import (
     basepoint_directions,
     collapse,
     compose_degeneracy,
-    formal_face,
     normalized_chains,
     product_list,
     product_f_vector,
@@ -97,24 +96,25 @@ def test_formal_face_absorbs_and_pushes():
     X = circle()
     e = F((), "e")
     # d_0 s_0 = d_1 s_0 = id on the edge
-    assert formal_face(X, F((0,), "e"), 0) == e
-    assert formal_face(X, F((0,), "e"), 1) == e
+    assert oracles._formal_face(X, F((0,), "e"), 0, 2) == e
+    assert oracles._formal_face(X, F((0,), "e"), 1, 2) == e
     # d_2 s_0 e = s_0 d_1 e = s_0 v
-    assert formal_face(X, F((0,), "e"), 2) == F((0,), "v")
+    assert oracles._formal_face(X, F((0,), "e"), 2, 2) == F((0,), "v")
     # d_0 s_1 e = s_0 d_0 e = s_0 v
-    assert formal_face(X, F((1,), "e"), 0) == F((0,), "v")
+    assert oracles._formal_face(X, F((1,), "e"), 0, 2) == F((0,), "v")
 
 
 def test_face_identities_on_all_formal_simplices():
     # d_i d_j = d_{j-1} d_i (i < j) for every formal simplex up to dim 5
     spaces = [circle(), two_gon()[0]]
+    face = oracles._formal_face
     for X in spaces:
         for k in range(2, 6):
             for f in X.formal_simplices(k):
                 for j in range(1, k + 1):
                     for i in range(j):
-                        left = formal_face(X, formal_face(X, f, j), i)
-                        right = formal_face(X, formal_face(X, f, i), j - 1)
+                        left = face(X, face(X, f, j, k), i, k - 1)
+                        right = face(X, face(X, f, i, k), j - 1, k - 1)
                         assert left == right, (f, i, j)
 
 
@@ -183,6 +183,105 @@ def test_validate_rejects_a_broken_identity_through_a_degenerate_face():
             {**simplices, 2: ["t1", "t2"]},
             {**faces, "t2": (su, su, F((), "e"))},
         )
+
+
+class _SpiedPushes(simplicial._PushedFaces):
+    """validate's memo of degenerate faces, kept for inspection."""
+
+    __slots__ = ("misses",)
+    seen = []
+
+    def __init__(self, X):
+        super().__init__(X)
+        self.misses = 0
+        self.seen.append(self)
+
+    def __missing__(self, f):
+        self.misses += 1
+        return super().__missing__(f)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_validate_pushes_each_degenerate_face_once_as_the_reference_does(
+    n, monkeypatch
+):
+    X = catalog.sphere_bundle_quotient(n)
+    monkeypatch.setattr(simplicial, "_PushedFaces", _SpiedPushes)
+    _SpiedPushes.seen.clear()
+    X.validate()
+    (pushed,) = _SpiedPushes.seen
+    faces = {f for sid, k in X.dim_of.items() if k > 1 for f in X.faces[sid]}
+    assert {f for f in faces if f.word} <= pushed.keys()
+    assert pushed.misses == len(pushed) > 0
+    for f, row in pushed.items():
+        k = len(f.word) + X.dim_of[f.base]
+        assert row == tuple(oracles._formal_face(X, f, i, k) for i in range(k + 1))
+
+
+def _plant(X, rng):
+    """X's face table with one face replaced by a wrong one: mostly another
+    formal simplex of the same dimension, else one of another dimension, an
+    unknown base, or a word out of normal form or out of range."""
+    sid, i = rng.choice([(s, i) for s, fs in X.faces.items() for i in range(len(fs))])
+    k, old = X.dim_of[sid], X.faces[sid][i]
+    others = [f for f in X.formal_simplices(k - 1) if f != old]
+    kind = rng.choice(["same"] * 6 + ["dimension", "base", "normal", "range"])
+    if kind == "dimension" or not others:
+        new = rng.choice(X.formal_simplices(k))
+    elif kind == "base":
+        new = F(old.word, "nowhere")
+    elif kind == "normal" and len(old.word) > 1:
+        new = F(old.word[::-1], old.base)
+    elif kind == "range" and old.word:
+        new = F((k - 1,) + old.word[1:], old.base)
+    else:
+        new = rng.choice(others)
+    faces = dict(X.faces)
+    faces[sid] = faces[sid][:i] + (new,) + faces[sid][i + 1 :]
+    return SimplicialSet(X.simplices, faces, basepoint=X.basepoint, check=False)
+
+
+PLANT_CASES = {
+    "sphere_bundle_quotient(3)": lambda: catalog.sphere_bundle_quotient(3),
+    "torus_conj_quotient(3)": lambda: catalog.torus_conj_quotient(3),
+    "two-cell S^2 x 2-gon": lambda: product_list(
+        [catalog.sphere_simplicial(2)[0], two_gon()[0]]
+    ),
+    "sp_torus(2,2)": lambda: catalog.sp_torus(2, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANT_CASES))
+def test_a_planted_wrong_face_is_refused_as_the_reference_refuses_it(case):
+    X = PLANT_CASES[case]()
+    X.validate()
+    rng = random.Random(case)
+    for _ in range(40):
+        Y = _plant(X, rng)
+        expected = oracles.validation_error(Y)
+        assert expected is not None
+        with pytest.raises(ValueError) as refusal:
+            Y.validate()
+        assert str(refusal.value) == expected
+
+
+def test_the_plants_reach_degenerate_faces_and_the_identities():
+    # the plants above move degenerate faces, and they fail the structure
+    # checks and the identities both
+    rng = random.Random(5)
+    X = catalog.sphere_bundle_quotient(3)
+    moved, messages = set(), set()
+    for _ in range(80):
+        Y = _plant(X, rng)
+        moved |= {
+            (bool(f.word), bool(g.word))
+            for sid in X.faces
+            for f, g in zip(X.faces[sid], Y.faces[sid])
+            if f != g
+        }
+        messages.add(oracles.validation_error(Y).split(" ")[0])
+    assert moved == {(False, False), (False, True), (True, False), (True, True)}
+    assert {"d_0", "d_1", "face"} <= messages
 
 
 # -- basic models ------------------------------------------------------------
@@ -285,6 +384,31 @@ def test_product_matches_the_reference_product(case):
     assert P.faces == faces
     assert P.parts == parts
     assert P.basepoint == basepoint
+
+
+FACTOR_CASES = {
+    # each up to the top degree of the products the catalog builds from it:
+    # SP^3 of a circle or torus, and S^2 x S^k for the sphere bundles
+    "circle": (circle, 3),
+    "circle_conj": (lambda: catalog.circle_conj()[0], 3),
+    **{f"minimal_torus({n})": (lambda n=n: minimal_torus(n), 3 * n) for n in (1, 2, 3)},
+    **{
+        f"sphere_simplicial({k})": (lambda k=k: catalog.sphere_simplicial(k)[0], k + 2)
+        for k in range(1, 6)
+    },
+    "torus_conj_quotient(2)": (lambda: catalog.torus_conj_quotient(2), 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACTOR_CASES))
+def test_degree_tables_match_the_push_through_reference(case):
+    # pool, masks, names, faces and runs, the faces of degenerate formal
+    # simplices read from the tables below against each face pushed
+    # through its degeneracy word
+    build, top = FACTOR_CASES[case]
+    X = build()
+    tables = simplicial._factor_degrees(X, top)
+    assert [tuple(t) for t in tables] == oracles.reference_factor_degrees(X, top)
 
 
 def test_product_budget_guard():
