@@ -68,15 +68,15 @@ def circle() -> SimplicialSet:
     return SimplicialSet({0: ["v"], 1: ["e"]}, faces, basepoint="v")
 
 
-def circle_conj():
-    """2-gon circle with the complex-conjugation involution.
+# Complex conjugation on the 2-gon circle: it swaps the two arcs.
+_ARC_SWAP = {"a": "c", "c": "a"}
 
-    Vertices: b (the identity, basepoint) and q (the other real point).
-    Edges a and c are the two arcs from b to q; conjugation swaps them
-    and fixes both vertices.
-    """
+
+def _two_gon() -> SimplicialSet:
+    """2-gon circle: vertices b (the identity, basepoint) and q (the other
+    real point), and the two arcs a and c from b to q."""
     F = FormalSimplex
-    X = SimplicialSet(
+    return SimplicialSet(
         {0: ["b", "q"], 1: ["a", "c"]},
         {
             "a": (F((), "q"), F((), "b")),
@@ -84,7 +84,13 @@ def circle_conj():
         },
         basepoint="b",
     )
-    return X, SimplicialAction.involution(X, {"a": "c", "c": "a"})
+
+
+def circle_conj():
+    """2-gon circle with the complex-conjugation involution, which swaps the
+    arcs and fixes both vertices."""
+    X = _two_gon()
+    return X, SimplicialAction.involution(X, _ARC_SWAP)
 
 
 def _product_involution(P: SimplicialSet, factor_swaps) -> SimplicialAction:
@@ -135,10 +141,14 @@ def torus(n: int):
     (minimal_torus) covers larger products whenever no involution is
     required.
     """
+    P = _two_gon_torus(n)
+    return P, _product_involution(P, [_ARC_SWAP] * n)
+
+
+def _two_gon_torus(n: int) -> SimplicialSet:
+    """The n-fold 2-gon product of ``torus``, without its involution."""
     _check_ranges(n=(n, 1, MAX_RANK))
-    C, A = circle_conj()
-    P = product_list([C] * n)
-    return P, _product_involution(P, [A.swap] * n)
+    return product_list([_two_gon()] * n)
 
 
 def minimal_torus(n: int) -> SimplicialSet:
@@ -367,7 +377,7 @@ _REGISTRY = {
         (),
         lambda: normalized_chains(quotient_by_action(*circle_conj())),
     ),
-    "torus": (("n",), lambda n: normalized_chains(torus(n)[0])),
+    "torus": (("n",), _chains(_two_gon_torus)),
     "minimal_torus": (("n",), _chains(minimal_torus)),
     "torus_conj_quotient": (("n",), _chains(torus_conj_quotient)),
     "smash_factor": (("n",), _chains(smash_factor)),

@@ -32,9 +32,14 @@ preserves both colimits, so the realizations are the honest product and
 quotient spaces.  A collapse of everything outside a locally closed set
 of simplices completes the constructions.
 
-Identifiers are canonical strings derived from construction history
-("(a|s0(v))" for product tuples, "[x]" for orbits, "*" for a collapse
-basepoint), so equal constructions produce identical ids across runs.
+Faces are stored by position: per degree, one row (d_0 x, ..., d_k x)
+per simplex, each face a pair (degeneracy word, position of its base in
+the degree below the word).  The builders emit these rows from the
+positions they hold; validation and the chains read them and never look
+an id up.  Identifiers are the rendering: canonical strings derived from
+construction history ("(a|s0(v))" for product tuples, "[x]" for orbits,
+"*" for a collapse basepoint), so equal constructions produce identical
+ids across runs.
 """
 
 from __future__ import annotations
@@ -55,7 +60,8 @@ CELL_BUDGET = 200_000
 
 
 class FormalSimplex(namedtuple("FormalSimplex", ("word", "base"))):
-    """A degeneracy word applied to a nondegenerate simplex id."""
+    """A degeneracy word applied to a nondegenerate simplex: its id, or in
+    a face table its position."""
 
     __slots__ = ()
 
@@ -65,14 +71,15 @@ class FormalSimplex(namedtuple("FormalSimplex", ("word", "base"))):
         return "s" + "_".join(map(str, self.word)) + "(" + self.base + ")"
 
 
-def compose_degeneracy(j: int, f: FormalSimplex) -> FormalSimplex:
-    """Normal form of s_j applied on the outside of f: the indices w >= j
-    of f's decreasing word move up to w + 1 and j goes after them."""
-    word = f.word
+def compose_degeneracy(j: int, f) -> FormalSimplex:
+    """Normal form of s_j applied on the outside of f = (word, base): the
+    indices w >= j of f's decreasing word move up to w + 1 and j goes after
+    them."""
+    word = f[0]
     t = 0
     while t < len(word) and word[t] >= j:
         t += 1
-    return FormalSimplex(tuple([w + 1 for w in word[:t]]) + (j,) + word[t:], f.base)
+    return FormalSimplex(tuple([w + 1 for w in word[:t]]) + (j,) + word[t:], f[1])
 
 
 def _degeneracy_faces(j: int, g, below, lift) -> tuple:
@@ -88,42 +95,72 @@ def _degeneracy_faces(j: int, g, below, lift) -> tuple:
 
 
 class _PushedFaces(dict):
-    """The faces of each degenerate formal simplex of X, pushed once.
+    """The faces of each degenerate formal simplex of one degree e, pushed once.
 
-    f = s_j g for the outermost index j of f's word, so its faces follow
-    from g's (:func:`_degeneracy_faces`): X's face table entry for a
-    nondegenerate g, none for a vertex, else g's own pushed faces.
+    f = (word, q) is s_j g for j = word[0] and g = (word[1:], q) of degree
+    e - 1, so its faces follow from g's (:func:`_degeneracy_faces`): the
+    row of a nondegenerate g in ``rows`` (the degree e - 1 table), else
+    g's own pushed faces in ``lower`` (degree e - 1's pushes).
     """
 
-    __slots__ = ("faces",)
+    __slots__ = ("rows", "lower")
 
-    def __init__(self, X: "SimplicialSet"):
+    def __init__(self, rows, lower):
         super().__init__()
-        self.faces = X.faces
+        self.rows = rows
+        self.lower = lower
 
     def __missing__(self, f):
-        g = FormalSimplex(f.word[1:], f.base)
-        below = self[g] if g.word else self.faces.get(g.base, ())
-        row = self[f] = _degeneracy_faces(f.word[0], g, below, compose_degeneracy)
+        word, q = f
+        g = (word[1:], q)
+        below = self.lower[g] if len(word) > 1 else self.rows[q]
+        row = self[f] = _degeneracy_faces(word[0], g, below, compose_degeneracy)
         return row
 
 
-class SimplicialSet:
-    """Nondegenerate simplices per dimension plus a face table.
+def _rows_by_position(X: "SimplicialSet", faces) -> list:
+    """X's face table given by id, {id: (FormalSimplex(word, base id), ...)},
+    as rows by position.  A face that names no simplex of the degree its
+    word leaves is placed one past that degree's last position, where
+    ``validate`` refuses it."""
+    place = {sid: p for ids in X.simplices.values() for p, sid in enumerate(ids)}
+    table = []
+    for k in range(X.dim + 1):
+        rows = []
+        for sid in X.ids(k):
+            row = []
+            for word, base in faces.get(sid, ()):
+                d = k - 1 - len(word)
+                q = place[base] if X.dim_of.get(base) == d else len(X.ids(d))
+                row.append((word, q))
+            rows.append(tuple(row))
+        table.append(rows)
+    return table
 
-    faces[x] for a k-simplex x (k >= 1) is the tuple (d_0 x, ..., d_k x)
-    of FormalSimplexes.  ``parts`` (coordinates, kept by products and by
-    their quotients) records construction provenance
+
+class SimplicialSet:
+    """Nondegenerate simplices per dimension and their faces by position.
+
+    ``simplices[k]`` lists the ids of the k-simplices, and ``table[k][p]``
+    is the face row (d_0 x, ..., d_k x) of the p-th of them: each face a
+    pair (word, q), the degeneracy word applied to simplex q of degree
+    k - 1 - len(word).  A vertex's row is empty.  The table is the one
+    source of faces; ids are its rendering, ``faces`` shows it by id and
+    ``dim_of`` gives each id's degree.  ``parts`` (coordinates, kept by
+    products and by their quotients) records construction provenance
     that later constructions need; it is not part of the space itself.
+
+    The constructor takes the table (one list of rows per degree from 0)
+    from the builders, and the faces of a hand-built set by id,
+    {id: (FormalSimplex(word, base id), ...)}, which it converts once.
     """
 
-    __slots__ = ("simplices", "faces", "basepoint", "dim_of", "parts")
+    __slots__ = ("simplices", "table", "basepoint", "dim_of", "parts")
 
     def __init__(self, simplices, faces, basepoint=None, check=True):
         self.simplices = {
             k: list(ids) for k, ids in sorted(simplices.items()) if ids
         }
-        self.faces = dict(faces)
         self.basepoint = basepoint
         self.dim_of = {}
         for k, ids in self.simplices.items():
@@ -131,6 +168,9 @@ class SimplicialSet:
                 if sid in self.dim_of:
                     raise ValueError(f"duplicate simplex id {sid!r}")
                 self.dim_of[sid] = k
+        if isinstance(faces, dict):
+            faces = _rows_by_position(self, faces)
+        self.table = faces
         self.parts = None
         if check:
             self.validate()
@@ -147,6 +187,17 @@ class SimplicialSet:
     def f_vector(self) -> list:
         return [len(self.ids(k)) for k in range(self.dim + 1)]
 
+    @property
+    def faces(self) -> dict:
+        """The table by id: {id: (FormalSimplex(word, base id), ...)} for
+        every simplex of positive degree."""
+        ids = self.simplices
+        return {
+            sid: tuple([FormalSimplex(w, ids[k - 1 - len(w)][q]) for w, q in row])
+            for k in range(1, len(self.table))
+            for sid, row in zip(self.ids(k), self.table[k])
+        }
+
     def formal_simplices(self, k: int):
         """All formal k-simplices, grouped by degeneracy word."""
         out = []
@@ -159,66 +210,74 @@ class SimplicialSet:
     # -- integrity ----------------------------------------------------------
 
     def validate(self):
+        """Refuse (ValueError) a table that is no simplicial set: a row of
+        the wrong length, a word out of normal form or range, a position
+        outside its degree, or d_i d_j ≠ d_{j-1} d_i."""
         if self.basepoint is not None and self.dim_of.get(self.basepoint) != 0:
             raise ValueError(f"basepoint {self.basepoint!r} is not a 0-simplex")
         if self.simplices and sorted(self.simplices) != list(
             range(max(self.simplices) + 1)
         ):
             raise ValueError("dimensions are not contiguous from 0")
-        dim_of, faces = self.dim_of, self.faces
-        checked, degree = set(), 0  # degenerate faces that passed, per degree
-        for sid, k in dim_of.items():
-            if k != degree:
-                checked, degree = set(), k
-            if k == 0:
-                if sid in faces:
-                    raise ValueError(f"0-simplex {sid!r} has a face entry")
-                continue
-            fs = faces.get(sid)
-            if fs is None or len(fs) != k + 1:
-                raise ValueError(f"{sid!r} needs {k + 1} faces")
-            for f in fs:
-                word = f.word
-                if word and f in checked:
-                    continue
-                d = dim_of.get(f.base)
-                if d is None:
-                    raise ValueError(f"face of {sid!r} references {f.base!r}")
-                if len(word) + d != k - 1:
-                    raise ValueError(f"face of {sid!r} has wrong dimension")
-                if word:
-                    if any(a <= b for a, b in zip(word, word[1:])):
-                        raise ValueError(f"face word of {sid!r} not normal")
-                    if word[0] > k - 2:
-                        raise ValueError(f"face word of {sid!r} out of range")
-                    checked.add(f)
+        table = self.table
+        sizes = [len(self.ids(k)) for k in range(len(table))]
+        if len(table) <= self.dim or list(map(len, table)) != sizes:
+            raise ValueError("the face table needs one row per simplex")
+        for sid, row in zip(self.ids(0), table[0] if table else ()):
+            if row:
+                raise ValueError(f"0-simplex {sid!r} has a face entry")
+        for k in range(1, len(table)):
+            ids, below, checked = self.ids(k), sizes[k - 1], set()
+            for p, row in enumerate(table[k]):
+                if len(row) != k + 1:
+                    raise ValueError(f"{ids[p]!r} needs {k + 1} faces")
+                for f in row:
+                    word, q = f
+                    if not word:
+                        if 0 <= q < below:
+                            continue
+                        d = k - 1
+                    elif f in checked:  # a degenerate face that passed
+                        continue
+                    else:
+                        if any(a <= b for a, b in zip(word, word[1:])):
+                            raise ValueError(f"face word of {ids[p]!r} not normal")
+                        if word[0] > k - 2 or word[-1] < 0:
+                            raise ValueError(f"face word of {ids[p]!r} out of range")
+                        d = k - 1 - len(word)
+                        if 0 <= q < sizes[d]:
+                            checked.add(f)
+                            continue
+                    raise ValueError(
+                        f"face of {ids[p]!r} references position {q} of degree {d}"
+                    )
         # simplicial identities d_i d_j = d_{j-1} d_i (i < j) on generators:
-        # with the faces' faces laid out row after row, k to a row, each side
-        # of all the identities is one itemgetter, and the two sides are
-        # compared as tuples; the pairs are walked only to name a failure
-        pushed = _PushedFaces(self)
-        pairs = {}
-        for sid, k in dim_of.items():
-            if k < 2:
+        # with the face rows of the faces of all k-simplices in one list,
+        # k + 1 to a simplex, d_i d_j of every k-simplex is item i of the
+        # rows taken from j in steps of k + 1; each side of an identity is
+        # one such list, and the pairs are walked only to name a failure
+        pushed = [None]
+        for e in range(1, len(table)):
+            pushed.append(_PushedFaces(table[e - 1], pushed[e - 1]))
+        for k in range(2, len(table)):
+            lower, push = table[k - 1], pushed[k - 1]
+            faces = chain.from_iterable(table[k])
+            ds = [push[f] if f[0] else lower[f[1]] for f in faces]
+            if all(
+                list(map(itemgetter(i), ds[j :: k + 1]))
+                == list(map(itemgetter(j - 1), ds[i :: k + 1]))
+                for j in range(1, k + 1)
+                for i in range(j)
+            ):
                 continue
-            ds = [pushed[f] if f.word else faces[f.base] for f in faces[sid]]
-            if k not in pairs:
-                ij = [(i, j) for j in range(1, k + 1) for i in range(j)]
-                pairs[k] = (
-                    itemgetter(*[j * k + i for i, j in ij]),
-                    itemgetter(*[i * k + j - 1 for i, j in ij]),
-                )
-            left, right = pairs[k]
-            flat = list(chain.from_iterable(ds))
-            if left(flat) == right(flat):
-                continue
-            for j in range(1, k + 1):
-                dj = ds[j]
-                for i in range(j):
-                    if dj[i] != ds[i][j - 1]:
-                        raise ValueError(
-                            f"d_{i} d_{j} ≠ d_{j - 1} d_{i} on {sid!r}"
-                        )
+            for p, sid in enumerate(self.ids(k)):
+                dp = ds[p * (k + 1) : (p + 1) * (k + 1)]
+                for j in range(1, k + 1):
+                    for i in range(j):
+                        if dp[j][i] != dp[i][j - 1]:
+                            raise ValueError(
+                                f"d_{i} d_{j} ≠ d_{j - 1} d_{i} on {sid!r}"
+                            )
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +338,13 @@ _Degree = namedtuple("_Degree", ("pool", "masks", "names", "faces", "runs"))
 def _factor_degrees(X: SimplicialSet, top: int) -> list:
     """X's degree tables for k = 0..top, each face read from the tables below.
 
-    A nondegenerate simplex's faces are its face table entry.  A degenerate
+    A nondegenerate simplex's faces are its table row.  A degenerate
     one is s_j g with j its word's outermost index, so each face is g or
     s_j' of a face of g (:func:`_degeneracy_faces`).  Pools keep each
     degeneracy set contiguous with the bases in X's order, so s_j' maps
     each degree k - 2 run onto the degree k - 1 run of the shifted set.
     """
     degrees, starts = [], []
-    offset = {sid: b for ids in X.simplices.values() for b, sid in enumerate(ids)}
     for k in range(top + 1):
         pool = X.formal_simplices(k)
         masks = [sum(1 << w for w in f.word) for f in pool]
@@ -309,13 +367,10 @@ def _factor_degrees(X: SimplicialSet, top: int) -> list:
                     lifts[j].extend(range(first, first + stop - start))
             lift = lambda j, q: lifts[j][q]
             for mask, start, stop in runs:
-                if not mask:
+                if not mask:  # X's own k-simplices, in X's order
                     faces.extend(
-                        tuple(
-                            below[sum(1 << w for w in g.word)] + offset[g.base]
-                            for g in X.faces[f.base]
-                        )
-                        for f in pool[start:stop]
+                        tuple([below[sum(1 << w for w in word)] + q for word, q in row])
+                        for row in X.table[k]
                     )
                     continue
                 j = mask.bit_length() - 1
@@ -329,15 +384,16 @@ def _factor_degrees(X: SimplicialSet, top: int) -> list:
     return degrees
 
 
-def _normalize_tuple(tables, k, ps, ids) -> FormalSimplex:
-    """The product simplex with degree-k pool positions ``ps``, in normal form.
+def _normalize_tuple(tables, k, ps, ids) -> tuple:
+    """The product simplex with degree-k pool positions ``ps``, in normal form,
+    as a face (word, position).
 
     A product simplex is in the image of s_j exactly when j lies in every
     factor's degeneracy set; peeling the largest common index first (d_j
     on every coordinate) keeps the accumulated outer word strictly
     decreasing.  ``tables`` holds each factor's degree tables and
     ``ids[k]`` maps jointly nondegenerate positions to their product
-    simplex, as a FormalSimplex with the empty word.  For a symmetric
+    simplex, as the face ((), its position).  For a symmetric
     product ``ids[k]`` is an ``_OrbitIndex``, which looks the positions up
     sorted, so the peeled tuple needs no order.
     """
@@ -348,7 +404,7 @@ def _normalize_tuple(tables, k, ps, ids) -> FormalSimplex:
             common &= t[k].masks[p]
         if not common:
             face = ids[k][ps]
-            return FormalSimplex(tuple(prefix), face.base) if prefix else face
+            return (tuple(prefix), face[1]) if prefix else face
         j = common.bit_length() - 1
         ps = tuple(t[k].faces[p][j] for t, p in zip(tables, ps))
         prefix.append(j)
@@ -381,7 +437,7 @@ def product_list(factors) -> SimplicialSet:
             distinct[id(X)] = _factor_degrees(X, top)
     tables = [distinct[id(X)] for X in factors]
     simplices = {}
-    faces = {}
+    table = []
     parts = {}
     ids = []
     for k in range(top + 1):
@@ -397,29 +453,31 @@ def product_list(factors) -> SimplicialSet:
         index = {}
         ids.append(index)
         below = ids[k - 1] if k else None
-        level = []
-        for ps in found:
+        level, rows = [], []
+        for at, ps in enumerate(found):
             sid = "(" + "|".join([t.names[p] for t, p in zip(level_tables, ps)])
             sid += ")"
-            index[ps] = FormalSimplex((), sid)
+            index[ps] = ((), at)
             level.append(sid)
             parts[sid] = tuple([t.pool[p] for t, p in zip(level_tables, ps)])
             if k:
-                rows = [t.faces[p] for t, p in zip(level_tables, ps)]
-                faces[sid] = tuple(
-                    [
-                        below.get(qs) or _normalize_tuple(tables, k - 1, qs, ids)
-                        for qs in zip(*rows)
-                    ]
+                faced = [t.faces[p] for t, p in zip(level_tables, ps)]
+                rows.append(
+                    tuple(
+                        [
+                            below.get(qs) or _normalize_tuple(tables, k - 1, qs, ids)
+                            for qs in zip(*faced)
+                        ]
+                    )
                 )
-        if level:
-            simplices[k] = level
+        simplices[k] = level
+        table.append(rows if k else [()] * len(level))
     basepoint = None
     if all(X.basepoint is not None for X in factors):
         basepoint = product_simplex_id(
             FormalSimplex((), X.basepoint) for X in factors
         )
-    out = SimplicialSet(simplices, faces, basepoint=basepoint, check=False)
+    out = SimplicialSet(simplices, table, basepoint=basepoint, check=False)
     out.parts = parts
     return out
 
@@ -479,7 +537,7 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
     degrees = _factor_degrees(X, m * X.dim)
     tables = [degrees] * m
     simplices = {}
-    faces = {}
+    table = []
     parts = {}
     ids = []
     for k, t in enumerate(degrees):
@@ -500,31 +558,33 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
         found.sort()
         index = _OrbitIndex()
         ids.append(index)
-        level = []
+        level, rows = [], []
         rank = _least_id_ranks(t.names).__getitem__
         below = ids[k - 1] if k else None
-        for ps in found:
+        for at, ps in enumerate(found):
             least = sorted(ps, key=rank)
             oid = "[(" + "|".join([t.names[p] for p in least]) + ")]"
-            index[ps] = FormalSimplex((), oid)
+            index[ps] = ((), at)
             level.append(oid)
             parts[oid] = tuple([t.pool[p] for p in least])
             if k:
-                faces[oid] = tuple(
-                    [
-                        below.get(qs)
-                        or below.get(tuple(sorted(qs)))
-                        or _normalize_tuple(tables, k - 1, qs, ids)
-                        for qs in zip(*[t.faces[p] for p in ps])
-                    ]
+                rows.append(
+                    tuple(
+                        [
+                            below.get(qs)
+                            or below.get(tuple(sorted(qs)))
+                            or _normalize_tuple(tables, k - 1, qs, ids)
+                            for qs in zip(*[t.faces[p] for p in ps])
+                        ]
+                    )
                 )
-        if level:
-            simplices[k] = level
+        simplices[k] = level
+        table.append(rows if k else [()] * len(level))
     basepoint = None
     if X.basepoint is not None:
         point = FormalSimplex((), X.basepoint)
         basepoint = "[" + product_simplex_id([point] * m) + "]"
-    out = SimplicialSet(simplices, faces, basepoint=basepoint)
+    out = SimplicialSet(simplices, table, basepoint=basepoint)
     out.parts = parts
     return out
 
@@ -559,28 +619,43 @@ class SimplicialAction:
                 raise ActionInvalid(f"swap is not its own inverse at {sid!r}")
         return cls(full)
 
-    def validate(self, X: SimplicialSet):
-        """Check that swap is a self-inverse simplicial automorphism of X.
+    def validate(self, X: SimplicialSet) -> list:
+        """Check that swap is a self-inverse simplicial automorphism of X, and
+        return it by position: per degree, the position of each simplex's
+        image.
 
-        Each pair {s, t = swap[s]} is checked once, at its lesser id: for
-        a self-inverse map, d_i t = swap(d_i s) is d_i s = swap(d_i t).
+        Each pair {s, t = swap[s]} is compared once, at its lesser position:
+        for a self-inverse map, d_i t = swap(d_i s) is d_i s = swap(d_i t).
         """
-        swap, dim_of, faces = self.swap, X.dim_of, X.faces
-        if swap.keys() != dim_of.keys():
+        swap = self.swap
+        if swap.keys() != X.dim_of.keys():
             raise ActionInvalid("swap is not defined on exactly the simplices")
-        for sid, k in dim_of.items():
-            target = swap[sid]
-            if swap.get(target) != sid:
-                raise ActionInvalid(f"swap is not a self-inverse bijection at {sid!r}")
-            if target < sid:
-                continue
-            if dim_of[target] != k:
-                raise ActionInvalid(f"swap changes dimension at {sid!r}")
-            if k == 0:
-                continue
-            for i, (f, moved) in enumerate(zip(faces[sid], faces[target])):
-                if moved.word != f.word or moved.base != swap[f.base]:
-                    raise ActionInvalid(f"swap does not commute with d_{i} on {sid!r}")
+        images = []
+        for k in range(len(X.table)):
+            place = {sid: p for p, sid in enumerate(X.ids(k))}
+            moved = []
+            for sid in X.ids(k):
+                target = swap[sid]
+                if swap.get(target) != sid:
+                    raise ActionInvalid(
+                        f"swap is not a self-inverse bijection at {sid!r}"
+                    )
+                if target not in place:
+                    raise ActionInvalid(f"swap changes dimension at {sid!r}")
+                moved.append(place[target])
+            images.append(moved)
+        for k in range(1, len(X.table)):
+            rows, below = X.table[k], images[k - 1]
+            for p, t in enumerate(images[k]):
+                if t < p:
+                    continue
+                for i, ((word, q), g) in enumerate(zip(rows[p], rows[t])):
+                    image = images[k - 1 - len(word)][q] if word else below[q]
+                    if g[0] != word or g[1] != image:
+                        raise ActionInvalid(
+                            f"swap does not commute with d_{i} on {X.ids(k)[p]!r}"
+                        )
+        return images
 
 
 def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
@@ -590,26 +665,39 @@ def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
     pairs {s, swap[s]}, are exactly the nondegenerate simplices of the
     quotient, in the order in which they first occur in X.  An orbit's
     id is its lesser member in brackets, and its faces are induced on
-    that member.  When X records ``parts``, so does the quotient: each
-    orbit's representative's coordinates.
+    that member: each face's position becomes its orbit's.  When X
+    records ``parts``, so does the quotient: each orbit's
+    representative's coordinates.
     """
-    A.validate(X)
-    swap = A.swap
-    orbit_of = {sid: "[" + min(sid, swap[sid]) + "]" for sid in X.dim_of}
-    simplices = {
-        k: list(dict.fromkeys(orbit_of[sid] for sid in ids))
-        for k, ids in X.simplices.items()
-    }
-    faces = {
-        oid: tuple(
-            FormalSimplex(f.word, orbit_of[f.base]) for f in X.faces[oid[1:-1]]
+    images = A.validate(X)
+    simplices, table, orbit = {}, [], []  # orbit[k][p]: p's orbit position
+    for k, moved in enumerate(images):
+        ids = X.ids(k)
+        at = [None] * len(ids)
+        level, reps = [], []
+        for p, t in enumerate(moved):
+            if at[p] is None:
+                at[p] = at[t] = len(level)
+                reps.append(p if ids[p] <= ids[t] else t)
+                level.append("[" + ids[reps[-1]] + "]")
+        orbit.append(at)
+        simplices[k] = level
+        image = [((), o) for o in orbit[k - 1]] if k else []
+        table.append(
+            [
+                tuple(
+                    [
+                        (w, orbit[k - 1 - len(w)][q]) if w else image[q]
+                        for w, q in X.table[k][r]
+                    ]
+                )
+                for r in reps
+            ]
         )
-        for k, level in simplices.items()
-        if k > 0
-        for oid in level
-    }
-    basepoint = orbit_of[X.basepoint] if X.basepoint is not None else None
-    out = SimplicialSet(simplices, faces, basepoint=basepoint)
+    basepoint = None
+    if X.basepoint is not None:
+        basepoint = "[" + min(X.basepoint, A.swap[X.basepoint]) + "]"
+    out = SimplicialSet(simplices, table, basepoint=basepoint)
     if X.parts is not None:
         out.parts = {oid: X.parts[oid[1:-1]] for oid in out.dim_of}
     return out
@@ -645,38 +733,59 @@ def collapse(X: SimplicialSet, keep) -> SimplicialSet:
             raise ValueError(f"unknown simplex {sid!r}")
     if BASEPOINT_ID in X.dim_of:
         raise ValueError("space already contains the reserved id '*'")
-    simplices = {0: [BASEPOINT_ID]}
-    faces = {}
-    dropped = set()
-    for k, ids in X.simplices.items():
-        level = [sid for sid in ids if sid in keep]
-        if k == 0:
-            simplices[0] += level
-            continue
+    simplices, table = {}, []
+    at = []  # at[k][p]: the new position of X's k-simplex p, None if collapsed
+    dropped = [set() for _ in range(X.dim + 1)]  # collapsed faces, by degree
+    for k in range(X.dim + 1):
+        level = [BASEPOINT_ID] if k == 0 else []
+        new = []
+        for sid in X.ids(k):
+            if sid in keep:
+                new.append(len(level))
+                level.append(sid)
+            else:
+                new.append(None)
+        at.append(new)
         simplices[k] = level
-        point = FormalSimplex(tuple(range(k - 2, -1, -1)), BASEPOINT_ID)
-        for sid in level:
-            row = []
-            for f in X.faces[sid]:
-                if f.base in keep:
-                    row.append(f)
+        if k == 0:
+            table.append([()] * len(level))
+            continue
+        point = (tuple(range(k - 2, -1, -1)), 0)
+        image = [point if r is None else ((), r) for r in at[k - 1]]
+        rows = []
+        for row, r in zip(X.table[k], new):
+            if r is None:
+                continue
+            out = []
+            for word, q in row:
+                if not word:
+                    f = image[q]
+                    if f is point:
+                        dropped[k - 1].add(q)
                 else:
-                    dropped.add(f.base)
-                    row.append(point)
-            faces[sid] = tuple(row)
-    frontier = list(dropped)
+                    d = k - 1 - len(word)
+                    if at[d][q] is None:
+                        dropped[d].add(q)
+                        f = point
+                    else:
+                        f = (word, at[d][q])
+                out.append(f)
+            rows.append(tuple(out))
+        table.append(rows)
+    frontier = [(d, q) for d, qs in enumerate(dropped) for q in qs]
     while frontier:
-        sid = frontier.pop()
-        for f in X.faces.get(sid, ()):
-            if f.base in keep:
+        d, q = frontier.pop()
+        for word, r in X.table[d][q]:
+            e = d - 1 - len(word)
+            if at[e][r] is not None:
                 raise ValueError(
-                    f"keep is not locally closed: {sid!r} is collapsed "
-                    f"but its face {f.base!r} is kept"
+                    f"keep is not locally closed: {X.ids(d)[q]!r} is collapsed "
+                    f"but its face {X.ids(e)[r]!r} is kept"
                 )
-            if f.base not in dropped:
-                dropped.add(f.base)
-                frontier.append(f.base)
-    return SimplicialSet(simplices, faces, basepoint=BASEPOINT_ID, check=False)
+            if r not in dropped[e]:
+                dropped[e].add(r)
+                frontier.append((e, r))
+    return SimplicialSet(simplices, table, basepoint=BASEPOINT_ID, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -686,29 +795,24 @@ def collapse(X: SimplicialSet, keep) -> SimplicialSet:
 def normalized_chains(X: SimplicialSet) -> ChainComplex:
     """One generator per nondegenerate simplex; degenerate faces drop out.
 
-    Each simplex's boundary is its column, in the stored id order per
-    dimension, so the boundary matrices are reproducible across runs.
+    Each simplex's boundary is its column, read off its table row: a
+    nondegenerate face d_i at position q adds (-1)^i to row q.  Rows and
+    columns keep the stored order per dimension, so the boundary matrices
+    are reproducible across runs.
     """
     if X.dim < 0:
         return ChainComplex([], [])
-    index = {
-        k: {sid: i for i, sid in enumerate(X.ids(k))}
-        for k in range(X.dim + 1)
-    }
-    ranks = [len(X.ids(k)) for k in range(X.dim + 1)]
+    ranks = X.f_vector()
     diffs = []
     for k in range(1, X.dim + 1):
         columns = []
-        below = index[k - 1]
-        for sid in X.ids(k):
+        for row in X.table[k]:
             column = {}
             sign = -1
-            for f in X.faces[sid]:
+            for word, q in row:
                 sign = -sign  # (-1)^i for d_i
-                if f.word:
-                    continue
-                r = below[f.base]
-                column[r] = column.get(r, 0) + sign
+                if not word:
+                    column[q] = column.get(q, 0) + sign
             columns.append(column)
         diffs.append(IntMatrix(ranks[k - 1], columns))
     return ChainComplex(ranks, diffs, check=True)

@@ -6,11 +6,11 @@ implementation always means the fast side is wrong (or the oracle's
 definition was misread, which is easier to audit).  Only five sections
 use the package under test, each replaying the route a smaller or faster
 construction replaced: spheres as cross-polytope boundaries, quotients
-by generator closure (symmetric products as X^m and then its quotient),
-normalized chains as one {(r, c): v} dict per boundary matrix, the SU(2)
-sweep tuples on a float quaternion class of their own (QFloat,
-renormalized after every operation), and the sign-matrix tables as one
-type matrix, sign matrix and F2 rank per type.
+by generator closure (symmetric products as X^m and then its quotient)
+and collapses on the faces by id, normalized chains as one {(r, c): v}
+dict per boundary matrix, the SU(2) sweep tuples on a float quaternion
+class of their own (QFloat, renormalized after every operation), and the
+sign-matrix tables as one type matrix, sign matrix and F2 rank per type.
 """
 
 import math
@@ -263,8 +263,9 @@ def _product_id(fs):
     return "(" + "|".join(_render(f) for f in fs) + ")"
 
 
-def _formal_face(X, f, i, k):
-    """d_i of the formal k-simplex f of X."""
+def _formal_face(faces, f, i, k):
+    """d_i of the formal k-simplex f of a simplicial set whose faces by id
+    are ``faces`` (``SimplicialSet.faces``)."""
     word, base = f
     phi = _surjection(word, k)
     del phi[i]
@@ -273,7 +274,7 @@ def _formal_face(X, f, i, k):
     if not missed:
         return _word(phi), base
     (l,) = missed
-    face_word, face_base = X.faces[base][l]
+    face_word, face_base = faces[base][l]
     theta = _surjection(face_word, top - 1)
     return _word([theta[v if v < l else v - 1] for v in phi]), face_base
 
@@ -291,6 +292,7 @@ def _formal_pool(X, k):
 def reference_product(factors):
     """(simplices, faces, parts, basepoint) of a product, by brute force."""
     top = sum(max(X.simplices) for X in factors)
+    named = [X.faces for X in factors]
     simplices, faces, parts = {}, {}, {}
     for k in range(top + 1):
         level = []
@@ -304,7 +306,7 @@ def reference_product(factors):
                 continue
             row = []
             for i in range(k + 1):
-                faced = [_formal_face(X, f, i, k) for X, f in zip(factors, combo)]
+                faced = [_formal_face(n, f, i, k) for n, f in zip(named, combo)]
                 shared = set(range(k - 1)).intersection(*(set(w) for w, _ in faced))
                 core = []
                 for word, base in faced:
@@ -328,7 +330,7 @@ def reference_factor_degrees(X, top):
     """(pool, masks, names, faces, runs) of X per degree k = 0..top, as
     ``simplicial._factor_degrees`` lays them out: each face of each formal
     simplex pushed through its word and looked up in the pool below."""
-    out, below = [], {}
+    out, below, named = [], {}, X.faces
     for k in range(top + 1):
         pool = _formal_pool(X, k)
         masks = [sum(1 << w for w in word) for word, _ in pool]
@@ -339,7 +341,7 @@ def reference_factor_degrees(X, top):
             else:
                 runs.append([mask, p, p + 1])
         faces = [
-            tuple(below[_formal_face(X, f, i, k)] for i in range(k + 1))
+            tuple(below[_formal_face(named, f, i, k)] for i in range(k + 1))
             for f in pool
         ] if k else []
         below = {f: p for p, f in enumerate(pool)}
@@ -349,35 +351,46 @@ def reference_factor_degrees(X, top):
 
 def validation_error(X):
     """The first fault in X's face table as ``SimplicialSet.validate`` words
-    it, or None: each face's structure, then d_i d_j = d_{j-1} d_i (i < j)
-    pair by pair, every face of a face pushed through ``_formal_face``."""
-    dims = {sid: k for k, ids in X.simplices.items() for sid in ids}
+    it, or None: each row's structure read off the table, then d_i d_j =
+    d_{j-1} d_i (i < j) pair by pair on the faces rendered by id, every
+    face of a face pushed through ``_formal_face``."""
+    ids, table = X.simplices, X.table
+    dims = {sid: k for k, level in ids.items() for sid in level}
     if X.basepoint is not None and dims.get(X.basepoint) != 0:
         return f"basepoint {X.basepoint!r} is not a 0-simplex"
-    if X.simplices and sorted(X.simplices) != list(range(max(X.simplices) + 1)):
+    if ids and sorted(ids) != list(range(max(ids) + 1)):
         return "dimensions are not contiguous from 0"
-    for sid, k in dims.items():
-        if k == 0:
-            if sid in X.faces:
-                return f"0-simplex {sid!r} has a face entry"
-            continue
-        fs = X.faces.get(sid)
-        if fs is None or len(fs) != k + 1:
-            return f"{sid!r} needs {k + 1} faces"
-        for word, base in fs:
-            if base not in dims:
-                return f"face of {sid!r} references {base!r}"
-            if len(word) + dims[base] != k - 1:
-                return f"face of {sid!r} has wrong dimension"
-            if list(word) != sorted(set(word), reverse=True):
-                return f"face word of {sid!r} not normal"
-            if word and word[0] > k - 2:
-                return f"face word of {sid!r} out of range"
+    if len(table) <= max(ids, default=-1) or any(
+        len(rows) != len(ids.get(k, [])) for k, rows in enumerate(table)
+    ):
+        return "the face table needs one row per simplex"
+    for k, rows in enumerate(table):
+        for sid, row in zip(ids.get(k, []), rows):
+            if k == 0:
+                if row:
+                    return f"0-simplex {sid!r} has a face entry"
+                continue
+            if len(row) != k + 1:
+                return f"{sid!r} needs {k + 1} faces"
+            for word, q in row:
+                if list(word) != sorted(set(word), reverse=True):
+                    return f"face word of {sid!r} not normal"
+                if word and not (word[-1] >= 0 and word[0] <= k - 2):
+                    return f"face word of {sid!r} out of range"
+                d = k - 1 - len(word)
+                if not 0 <= q < len(ids.get(d, [])):
+                    return f"face of {sid!r} references position {q} of degree {d}"
+    faces = {
+        sid: tuple((word, ids[k - 1 - len(word)][q]) for word, q in row)
+        for k, rows in enumerate(table)
+        if k
+        for sid, row in zip(ids.get(k, []), rows)
+    }
     for sid, k in dims.items():
         for j in range(1, k + 1 if k > 1 else 0):
             for i in range(j):
-                left = _formal_face(X, X.faces[sid][j], i, k - 1)
-                right = _formal_face(X, X.faces[sid][i], j - 1, k - 1)
+                left = _formal_face(faces, faces[sid][j], i, k - 1)
+                right = _formal_face(faces, faces[sid][i], j - 1, k - 1)
                 if left != right:
                     return f"d_{i} d_{j} ≠ d_{j - 1} d_{i} on {sid!r}"
     return None
@@ -442,13 +455,14 @@ def orbit_quotient(X, generators):
     for g in generators:
         SimplicialAction(g).validate(X)
     orbit_of = orbit_ids(X, generators)
+    named = X.faces
     simplices = {
         k: list(dict.fromkeys(orbit_of[sid] for sid in ids))
         for k, ids in X.simplices.items()
     }
     faces = {
         oid: tuple(
-            FormalSimplex(f.word, orbit_of[f.base]) for f in X.faces[oid[1:-1]]
+            FormalSimplex(f.word, orbit_of[f.base]) for f in named[oid[1:-1]]
         )
         for k, level in simplices.items()
         if k > 0
@@ -465,6 +479,24 @@ def reference_sym_product(X, m):
     """SP^m X = X^m / Σ_m as the quotient of the built product (m >= 2)."""
     P = product_list([X] * m)
     return orbit_quotient(P, adjacent_transpositions(P, m))
+
+
+def reference_collapse(X, keep):
+    """(simplices, faces by id) of X with everything outside ``keep``
+    collapsed to a new basepoint "*": a face of a kept simplex stays when
+    its base is kept and becomes the total degeneration of "*" otherwise."""
+    keep, faces = set(keep), X.faces
+    simplices = {k: [s for s in X.ids(k) if s in keep] for k in range(X.dim + 1)}
+    simplices[0].insert(0, "*")
+    collapsed = {
+        sid: tuple(
+            f if f.base in keep else FormalSimplex(tuple(range(k - 2, -1, -1)), "*")
+            for f in faces[sid]
+        )
+        for k in range(1, X.dim + 1)
+        for sid in simplices[k]
+    }
+    return {k: ids for k, ids in simplices.items() if ids}, collapsed
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +655,12 @@ def keyed_normalized_chains(X):
         return ChainComplex([], [])
     index = {k: {sid: i for i, sid in enumerate(X.ids(k))} for k in range(X.dim + 1)}
     ranks = [len(X.ids(k)) for k in range(X.dim + 1)]
+    named = X.faces
     diffs = []
     for k in range(1, X.dim + 1):
         entries = {}
         for col, sid in enumerate(X.ids(k)):
-            for i, f in enumerate(X.faces[sid]):
+            for i, f in enumerate(named[sid]):
                 if not f.word:
                     key = (index[k - 1][f.base], col)
                     entries[key] = entries.get(key, 0) + (-1) ** i

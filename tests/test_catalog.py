@@ -1,6 +1,8 @@
 """Space catalog: models, frozen homology fixtures, descriptors, guards."""
 
 import functools
+import hashlib
+import json
 from itertools import permutations
 from math import comb
 
@@ -201,7 +203,7 @@ def test_the_orbit_index_holds_one_entry_per_orbit(monkeypatch):
         Y = catalog.sym_product(X, m)
         assert len(made) == m * X.dim + 1, case
         for k, index in enumerate(made):
-            assert [f.base for f in index.values()] == Y.ids(k), case
+            assert list(index.values()) == [((), p) for p in range(len(Y.ids(k)))]
             assert all(list(ps) == sorted(ps) for ps in index), case
 
 
@@ -397,6 +399,107 @@ def test_z2_quotients_match_the_generator_closure_route(name):
     assert got.faces == want.faces
     assert got.parts == want.parts
     assert got.basepoint == want.basepoint
+
+
+# -- faces by position --------------------------------------------------------
+
+# Each space a descriptor's build takes chains of ("#i" counts them), and
+# three splitting slices built by ``collapse``, rendered by id (ids in
+# order, faces, parts, basepoint) and hashed.  The digests were frozen from
+# the construction that stored each face as (word, base id) in a dict keyed
+# by id; a position table must render byte for byte as those did.
+RENDERED = {
+    "point#0": "0e66ffc0d8211e3c",
+    "circle#0": "2e179c0dc67768e9",
+    "circle_conj#0": "8e2014ce8d485011",
+    "circle_conj_quotient#0": "b149b27593edc12b",
+    "torus(n=1)#0": "ab97b43bb47eda6f",
+    "torus(n=2)#0": "3f04e7c9ce749ade",
+    "torus(n=3)#0": "7b1a398da2bf1264",
+    "minimal_torus(n=2)#0": "4d839ba1c3a23f43",
+    "minimal_torus(n=3)#0": "39a52eab0b165348",
+    "torus_conj_quotient(n=1)#0": "60c4d6ad2163c5d5",
+    "torus_conj_quotient(n=2)#0": "3c32c4d9971472ef",
+    "torus_conj_quotient(n=3)#0": "19bf320d0ad825c0",
+    "smash_factor(n=1)#0": "f255836450244901",
+    "smash_factor(n=2)#0": "79120d5e399607b1",
+    "smash_factor(n=3)#0": "48a0535ea2c75c9f",
+    "sp_torus(n=2,m=2)#0": "fc4038a002dc4a0c",
+    "rep_sp(n=2,m=1)#0": "3c32c4d9971472ef",
+    "rep_sp(n=2,m=2)#0": "7a386e7d5ea9b1e2",
+    "rp_simplicial(n=2)#0": "2c8e8de989f37322",
+    "thom_zero_quotient(n=1)#0": "cd503ef44a8e0696",
+    "thom_zero_quotient(n=2)#0": "eadc8f5dee9c7a03",
+    "sphere_bundle_quotient(n=2)#0": "eadc8f5dee9c7a03",
+    "sp_torus(n=2,m=3)#0": "79f88b1b4bee810d",
+    "torus_conj_quotient(n=4)#0": "3803c6ef737de335",
+    "rep_sp(n=2,m=3)#0": "35650e13854c4c89",
+    "splitting_factor(sp_circle,2,3)": "a467e2b037bb76df",
+    "splitting_factor(rep_su2,3,2)": "48a0535ea2c75c9f",
+    "splitting_factor(hom_circle,3,2)": "2873afaa96f48f0f",
+}
+
+
+def _digest(X) -> str:
+    def named(fs):
+        return [[list(f.word), f.base] for f in fs]
+
+    parts = None if X.parts is None else [[s, named(fs)] for s, fs in X.parts.items()]
+    text = json.dumps(
+        [
+            [[k, ids] for k, ids in X.simplices.items()],
+            [[s, named(fs)] for s, fs in X.faces.items()],
+            parts,
+            X.basepoint,
+        ],
+        ensure_ascii=False,
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_every_table_renders_as_the_faces_by_id_did(monkeypatch):
+    built = {}
+    key = None
+
+    def spy(X):
+        built[f"{key}#{sum(k.startswith(key + '#') for k in built)}"] = X
+        return normalized_chains(X)
+
+    monkeypatch.setattr(catalog, "normalized_chains", spy)
+    extra = ["sp_torus(n=2,m=3)", "torus_conj_quotient(n=4)", "rep_sp(n=2,m=3)"]
+    for key in catalog.catalog_samples() + extra:
+        catalog.resolve(key)[1]()
+    for family, r, m in (("sp_circle", 2, 3), ("rep_su2", 3, 2), ("hom_circle", 3, 2)):
+        built[f"splitting_factor({family},{r},{m})"] = verifier.splitting_factor(
+            family, r, m
+        )
+    assert {k: _digest(X) for k, X in built.items()} == RENDERED
+    for X in built.values():
+        # the rendering by id, converted back once, is the table itself
+        again = SimplicialSet(X.simplices, X.faces, X.basepoint, check=False)
+        assert again.table == X.table[: len(again.table)]
+        assert not any(X.table[len(again.table) :])
+
+
+def test_the_torus_descriptor_builds_no_involution(monkeypatch):
+    calls = []
+    original = catalog._product_involution
+
+    def spy(P, swaps):
+        calls.append(len(swaps))
+        return original(P, swaps)
+
+    monkeypatch.setattr(catalog, "_product_involution", spy)
+    for n in (1, 2, 3):
+        C = catalog.resolve(f"torus(n={n})")[1]()
+        assert calls == []
+        want = normalized_chains(catalog.torus(n)[0])
+        assert calls == [n]
+        calls.clear()
+        assert C.ranks == want.ranks
+        assert [d.columns for d in C.diffs] == [d.columns for d in want.diffs]
+    catalog.resolve("torus_conj_quotient(n=2)")[1]()
+    assert calls == [2]
 
 
 # -- spheres and projective spaces -------------------------------------------

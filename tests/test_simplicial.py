@@ -6,10 +6,10 @@ import pytest
 
 import oracles
 from repspace.abelian import AbelianGroup, GradedGroup
-from repspace import catalog, simplicial
+from repspace import catalog, simplicial, verifier
 from repspace.catalog import circle, minimal_torus
 from repspace.engine import ChainComplex, homology, reduced_homology, suspend
-from repspace.errors import ActionInvalid, ResourceGuard
+from repspace.errors import ActionInvalid, CompositionNotZero, ResourceGuard
 from repspace.simplicial import (
     CELL_BUDGET,
     FormalSimplex,
@@ -93,15 +93,15 @@ def test_degeneracy_exchange_law_randomized():
 
 
 def test_formal_face_absorbs_and_pushes():
-    X = circle()
+    faces = circle().faces
     e = F((), "e")
     # d_0 s_0 = d_1 s_0 = id on the edge
-    assert oracles._formal_face(X, F((0,), "e"), 0, 2) == e
-    assert oracles._formal_face(X, F((0,), "e"), 1, 2) == e
+    assert oracles._formal_face(faces, F((0,), "e"), 0, 2) == e
+    assert oracles._formal_face(faces, F((0,), "e"), 1, 2) == e
     # d_2 s_0 e = s_0 d_1 e = s_0 v
-    assert oracles._formal_face(X, F((0,), "e"), 2, 2) == F((0,), "v")
+    assert oracles._formal_face(faces, F((0,), "e"), 2, 2) == F((0,), "v")
     # d_0 s_1 e = s_0 d_0 e = s_0 v
-    assert oracles._formal_face(X, F((1,), "e"), 0, 2) == F((0,), "v")
+    assert oracles._formal_face(faces, F((1,), "e"), 0, 2) == F((0,), "v")
 
 
 def test_face_identities_on_all_formal_simplices():
@@ -109,12 +109,13 @@ def test_face_identities_on_all_formal_simplices():
     spaces = [circle(), two_gon()[0]]
     face = oracles._formal_face
     for X in spaces:
+        faces = X.faces
         for k in range(2, 6):
             for f in X.formal_simplices(k):
                 for j in range(1, k + 1):
                     for i in range(j):
-                        left = face(X, face(X, f, j, k), i, k - 1)
-                        right = face(X, face(X, f, i, k), j - 1, k - 1)
+                        left = face(faces, face(faces, f, j, k), i, k - 1)
+                        right = face(faces, face(faces, f, i, k), j - 1, k - 1)
                         assert left == right, (f, i, j)
 
 
@@ -145,8 +146,20 @@ def test_validate_rejects_bad_face_data():
                 "w": (F((0, 1), "v"),) + (F((1, 0), "v"),) * 3,
             },
         )
+    with pytest.raises(ValueError, match="references position 1 of degree 1"):
+        # a vertex named as a face of a 2-simplex: no 1-simplex has that id
+        SimplicialSet(
+            {0: ["v"], 1: ["e"], 2: ["t"]},
+            {"e": (F((), "v"), F((), "v")), "t": (F((), "e"), F((), "e"), F((), "v"))},
+        )
     with pytest.raises(ValueError, match="duplicate"):
         SimplicialSet({0: ["v", "v"]}, {})
+
+
+def test_the_empty_simplicial_set_has_empty_chains():
+    X = SimplicialSet({}, {})
+    assert (X.dim, X.f_vector(), X.faces) == (-1, [], {})
+    assert normalized_chains(X).ranks == []
 
 
 def test_validate_rejects_broken_simplicial_identity():
@@ -186,13 +199,14 @@ def test_validate_rejects_a_broken_identity_through_a_degenerate_face():
 
 
 class _SpiedPushes(simplicial._PushedFaces):
-    """validate's memo of degenerate faces, kept for inspection."""
+    """validate's memos of degenerate faces, one per degree, kept for
+    inspection."""
 
     __slots__ = ("misses",)
     seen = []
 
-    def __init__(self, X):
-        super().__init__(X)
+    def __init__(self, rows, lower):
+        super().__init__(rows, lower)
         self.misses = 0
         self.seen.append(self)
 
@@ -209,13 +223,20 @@ def test_validate_pushes_each_degenerate_face_once_as_the_reference_does(
     monkeypatch.setattr(simplicial, "_PushedFaces", _SpiedPushes)
     _SpiedPushes.seen.clear()
     X.validate()
-    (pushed,) = _SpiedPushes.seen
-    faces = {f for sid, k in X.dim_of.items() if k > 1 for f in X.faces[sid]}
-    assert {f for f in faces if f.word} <= pushed.keys()
-    assert pushed.misses == len(pushed) > 0
-    for f, row in pushed.items():
-        k = len(f.word) + X.dim_of[f.base]
-        assert row == tuple(oracles._formal_face(X, f, i, k) for i in range(k + 1))
+    pushed = _SpiedPushes.seen  # pushed[e - 1]: the degree e memo
+    assert len(pushed) == X.dim
+    faces, ids = X.faces, X.simplices
+    for k in range(2, X.dim + 1):
+        degenerate = {f for row in X.table[k] for f in row if f[0]}
+        assert degenerate <= pushed[k - 2].keys()
+    assert sum(map(len, pushed)) > 0
+    for e, memo in enumerate(pushed, start=1):
+        assert memo.misses == len(memo)
+        for (word, q), row in memo.items():
+            name = F(word, ids[e - len(word)][q])
+            assert [(w, ids[e - 1 - len(w)][p]) for w, p in row] == [
+                oracles._formal_face(faces, name, i, e) for i in range(e + 1)
+            ]
 
 
 def _plant(X, rng):
@@ -274,14 +295,90 @@ def test_the_plants_reach_degenerate_faces_and_the_identities():
     for _ in range(80):
         Y = _plant(X, rng)
         moved |= {
-            (bool(f.word), bool(g.word))
-            for sid in X.faces
-            for f, g in zip(X.faces[sid], Y.faces[sid])
+            (bool(f[0]), bool(g[0]))
+            for rows, planted in zip(X.table, Y.table)
+            for row, wrong in zip(rows, planted)
+            for f, g in zip(row, wrong)
             if f != g
         }
         messages.add(oracles.validation_error(Y).split(" ")[0])
     assert moved == {(False, False), (False, True), (True, False), (True, True)}
     assert {"d_0", "d_1", "face"} <= messages
+
+
+def _plant_in_the_table(X, rng, kind):
+    """X with one row of its position table changed: one face moved to
+    another position of its degree ("position"), to a position outside it
+    ("range") or under a word out of normal form ("normal"), or two unequal
+    faces of one row swapped ("swap")."""
+    table = [list(rows) for rows in X.table]
+    sites = [
+        (k, p, i)
+        for k in range(1, len(table))
+        for p, row in enumerate(table[k])
+        for i in range(k + 1)
+        if kind != "position" or len(X.ids(k - 1 - len(row[i][0]))) > 1
+        if kind != "swap" or len(set(row)) > 1
+    ]
+    k, p, i = rng.choice(sites)
+    row = list(table[k][p])
+    word, q = row[i]
+    size = len(X.ids(k - 1 - len(word)))
+    if kind == "position":
+        row[i] = (word, (q + rng.randrange(1, size)) % size)
+    elif kind == "range":
+        row[i] = (word, rng.choice([-1, size, size + 7]))
+    elif kind == "normal":
+        row[i] = ((0, 0) + word, q)
+    else:
+        j = rng.choice([j for j in range(k + 1) if row[j] != row[i]])
+        row[i], row[j] = row[j], row[i]
+    table[k][p] = tuple(row)
+    return SimplicialSet(X.simplices, table, basepoint=X.basepoint, check=False)
+
+
+@pytest.mark.parametrize("case", sorted(PLANT_CASES))
+def test_a_fault_planted_in_the_table_is_refused_as_the_reference_refuses_it(case):
+    X = PLANT_CASES[case]()
+    rng = random.Random(f"table {case}")
+    refused = {}
+    for kind in ("position", "range", "normal", "swap"):
+        for _ in range(15):
+            Y = _plant_in_the_table(X, rng, kind)
+            expected = oracles.validation_error(Y)
+            if expected is None:
+                Y.validate()
+                continue
+            with pytest.raises(ValueError) as refusal:
+                Y.validate()
+            assert str(refusal.value) == expected
+            refused.setdefault(kind, set()).add(expected.split(" ")[0])
+    assert refused["range"] == {"face"}
+    assert refused["normal"] == {"face"}
+    assert {"d_0", "d_1"} <= refused["position"] | refused["swap"]
+
+
+def test_a_wrong_face_planted_in_a_collapse_is_refused_by_d_d():
+    # collapse builds unchecked; with the nondegenerate face e of a
+    # 2-simplex t replaced by the collapsed point, ∂t loses ±e, so
+    # ∂∂t = ∓∂e, which is not zero when e's two ends differ
+    Q = catalog.smash_factor(2)
+    normalized_chains(Q)
+    table = [list(rows) for rows in Q.table]
+    p, i = next(
+        (p, i)
+        for p, row in enumerate(table[2])
+        for i, (word, q) in enumerate(row)
+        if not word and len(set(Q.table[1][q])) == 2
+    )
+    row = list(table[2][p])
+    row[i] = ((0,), 0)  # s_0 of the basepoint *
+    table[2][p] = tuple(row)
+    Y = SimplicialSet(Q.simplices, table, basepoint=Q.basepoint, check=False)
+    with pytest.raises(CompositionNotZero, match="d_1 ∘ d_2"):
+        normalized_chains(Y)
+    with pytest.raises(ValueError, match="d_"):
+        Y.validate()
 
 
 # -- basic models ------------------------------------------------------------
@@ -558,6 +655,34 @@ def test_collapse_refuses_a_keep_set_that_is_not_locally_closed():
     # the top simplex with all its edges, but not the vertex, is fine
     Q = collapse(P, [P.ids(2)[0]] + P.ids(1))
     assert Q.f_vector() == [1, 3, 1]
+
+
+def _slice(family, n, m, D=frozenset()):
+    X, directions = verifier.splitting_base(family, n, m)
+    return X, [s for s, d in directions.items() if d == D]
+
+
+COLLAPSE_CASES = {
+    "smash_factor(2)": lambda: _slice("rep_su2", 2, 2),
+    "fat wedge of the minimal T^3": lambda: (
+        minimal_torus(3),
+        fat_wedge(minimal_torus(3)),
+    ),
+    # e0+ moves up one place behind "*", under the degenerate faces s_0 e0+
+    "two-cell S^4 without e0-": lambda: (
+        catalog.sphere_simplicial(4)[0],
+        [s for s in catalog.sphere_simplicial(4)[0].dim_of if s != "e0-"],
+    ),
+    "SP^3(T^2) slice D = {}": lambda: _slice("sp_circle", 2, 3),
+    "SP^3(T^2) slice D = {0}": lambda: _slice("sp_circle", 2, 3, frozenset({0})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COLLAPSE_CASES))
+def test_collapse_matches_the_collapse_by_id(case):
+    X, keep = COLLAPSE_CASES[case]()
+    Q = collapse(X, keep)
+    assert (Q.simplices, Q.faces) == oracles.reference_collapse(X, keep)
 
 
 def test_collapse_rejects_reserved_id():

@@ -1,4 +1,5 @@
-"""Every name the traced benchmark pass rebinds exists in the package.
+"""Every name the traced benchmark pass rebinds exists in the package, and
+the cell counter it wraps around ``SimplicialSet.__init__`` reads ``dim_of``.
 
 ``perfbench/spans.py`` wraps package functions by name from outside, so
 deleting or renaming one would only show when a traced run fails.
@@ -31,3 +32,29 @@ def test_every_name_the_trace_rebinds_exists():
         assert callable(getattr(cls, method, None)), (cls_name, method)
     assert callable(modules["catalog"].resolve)
     assert "__init__" in vars(modules["simplicial"].SimplicialSet)
+
+
+def test_every_catalog_constructor_the_trace_labels_exists():
+    spans = load_spans()
+    catalog = importlib.import_module("repspace.catalog")
+    missing = [
+        name
+        for name in spans.CATALOG_CONSTRUCTORS
+        if not callable(getattr(catalog, name, None))
+    ]
+    assert missing == []
+
+
+def test_the_cell_counter_reads_one_entry_per_simplex():
+    # the traced pass counts the cells of each SimplicialSet it builds as
+    # len(dim_of): one entry per nondegenerate simplex of every degree
+    catalog = importlib.import_module("repspace.catalog")
+    verifier = importlib.import_module("repspace.verifier")
+    for X in (
+        catalog.circle(),
+        catalog.sp_torus(2, 2),
+        catalog.torus_conj_quotient(2),
+        verifier.splitting_factor("hom_circle", 3),
+    ):
+        assert len(X.dim_of) == sum(X.f_vector()) > 0
+        assert all(X.dim_of[sid] == k for k, ids in X.simplices.items() for sid in ids)
