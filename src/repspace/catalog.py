@@ -31,7 +31,6 @@ from .engine import ChainComplex, suspend
 from .errors import ResourceGuard, UnknownSpace, range_error
 from .simplicial import (
     CELL_BUDGET,
-    FormalSimplex,
     SimplicialAction,
     SimplicialSet,
     basepoint_directions,
@@ -59,60 +58,56 @@ MAX_SPHERE = 8
 
 
 def point() -> SimplicialSet:
-    return SimplicialSet({0: ["pt"]}, {}, basepoint="pt")
+    return SimplicialSet({0: ["pt"]}, [[()]], basepoint="pt")
 
 
 def circle() -> SimplicialSet:
     """Minimal circle (one vertex, one edge), based at the vertex."""
-    faces = {"e": (FormalSimplex((), "v"), FormalSimplex((), "v"))}
-    return SimplicialSet({0: ["v"], 1: ["e"]}, faces, basepoint="v")
-
-
-# Complex conjugation on the 2-gon circle: it swaps the two arcs.
-_ARC_SWAP = {"a": "c", "c": "a"}
+    return SimplicialSet(
+        {0: ["v"], 1: ["e"]}, [[()], [(((), 0), ((), 0))]], basepoint="v"
+    )
 
 
 def _two_gon() -> SimplicialSet:
     """2-gon circle: vertices b (the identity, basepoint) and q (the other
     real point), and the two arcs a and c from b to q."""
-    F = FormalSimplex
+    arc = (((), 1), ((), 0))
     return SimplicialSet(
-        {0: ["b", "q"], 1: ["a", "c"]},
-        {
-            "a": (F((), "q"), F((), "b")),
-            "c": (F((), "q"), F((), "b")),
-        },
-        basepoint="b",
+        {0: ["b", "q"], 1: ["a", "c"]}, [[(), ()], [arc, arc]], basepoint="b"
     )
 
 
 def circle_conj():
     """2-gon circle with the complex-conjugation involution, which swaps the
     arcs and fixes both vertices."""
-    X = _two_gon()
-    return X, SimplicialAction.involution(X, _ARC_SWAP)
+    return _two_gon(), SimplicialAction([[0, 1], [1, 0]])
 
 
-def _product_involution(P: SimplicialSet, factor_swaps) -> SimplicialAction:
-    """Coordinatewise involution of a product, from per-factor base swaps.
+def _product_involution(P: SimplicialSet, factors) -> SimplicialAction:
+    """Coordinatewise involution of a product P, from its factors' (space,
+    action) pairs.
 
     Factor involutions preserve degeneracy words, so the image of a
     nondegenerate tuple is again nondegenerate and is looked up by its
-    coordinates.  An image outside P maps to None, which the involution
-    check refuses (ActionInvalid).
+    coordinates.  An image outside P gets position -1, which the action's
+    validation refuses (ActionInvalid).
     """
-    sid_of = {fs: sid for sid, fs in P.parts.items()}
-    swap = {}
-    for sid, fs in P.parts.items():
-        target = sid_of.get(
-            tuple(
-                FormalSimplex(f.word, m.get(f.base, f.base))
-                for f, m in zip(fs, factor_swaps)
-            )
-        )
-        if target != sid:
-            swap[sid] = target
-    return SimplicialAction.involution(P, swap)
+    moved = [
+        {
+            sid: ids[t]
+            for ids, images in zip(X.simplices.values(), A.images)
+            for sid, t in zip(ids, images)
+        }
+        for X, A in factors
+    ]
+    at = {P.parts[sid]: p for ids in P.simplices.values() for p, sid in enumerate(ids)}
+
+    def image(fs):
+        return at.get(tuple([(f.word, m.get(f.base)) for f, m in zip(fs, moved)]), -1)
+
+    return SimplicialAction(
+        [[image(P.parts[sid]) for sid in ids] for ids in P.simplices.values()]
+    )
 
 
 def _check_ranges(**ranges):
@@ -142,7 +137,7 @@ def torus(n: int):
     required.
     """
     P = _two_gon_torus(n)
-    return P, _product_involution(P, [_ARC_SWAP] * n)
+    return P, _product_involution(P, [circle_conj()] * n)
 
 
 def _two_gon_torus(n: int) -> SimplicialSet:
@@ -183,7 +178,7 @@ def smash_factor(n: int) -> SimplicialSet:
     """
     _check_ranges(n=(n, 1, 5))
     Q = torus_conj_quotient(n)
-    return collapse(Q, [s for s in Q.dim_of if not basepoint_directions(Q, s)])
+    return collapse(Q, [[not s for s in level] for level in basepoint_directions(Q)])
 
 
 # ---------------------------------------------------------------------------
@@ -241,20 +236,19 @@ def sphere_simplicial(k: int):
     """
     if k < 0:
         raise ValueError("sphere dimension must be >= 0")
-    F = FormalSimplex
-    simplices, faces, swap = {}, {}, {}
+    simplices, table = {}, []
     for j in range(k + 1):
         simplices[j] = [f"e{j}+", f"e{j}-"]
-        for sign, other in (("+", "-"), ("-", "+")):
-            swap[f"e{j}{sign}"] = f"e{j}{other}"
-            if j:
-                faces[f"e{j}{sign}"] = (
-                    (F((), f"e{j - 1}{other}"),)
-                    + tuple(F((i - 1,), f"e{j - 2}{sign}") for i in range(1, j))
-                    + (F((), f"e{j - 1}{sign}"),)
-                )
-    X = SimplicialSet(simplices, faces)
-    return X, SimplicialAction.involution(X, swap)
+        table.append(  # e_j^+ at position 0, e_j^- at 1
+            [
+                (((), 1 - s), *[((i - 1,), s) for i in range(1, j)], ((), s))
+                for s in (0, 1)
+            ]
+            if j
+            else [(), ()]
+        )
+    X = SimplicialSet(simplices, table)
+    return X, SimplicialAction([[1, 0] for _ in range(k + 1)])
 
 
 def rp_simplicial(n: int) -> SimplicialSet:
@@ -324,11 +318,9 @@ def sphere_bundle_quotient(n: int) -> SimplicialSet:
     involution is simplicial and free.
     """
     _check_ranges(n=(n, 1, MAX_SPHERE))
-    S2, A2 = sphere_simplicial(2)
-    Sn, An = sphere_simplicial(n - 1)
-    P = product_list([S2, Sn])
-    act = _product_involution(P, [A2.swap, An.swap])
-    return quotient_by_action(P, act)
+    factors = [sphere_simplicial(2), sphere_simplicial(n - 1)]
+    P = product_list([X for X, _ in factors])
+    return quotient_by_action(P, _product_involution(P, factors))
 
 
 def thom_zero_quotient(n: int) -> ChainComplex:

@@ -25,21 +25,21 @@ once per degree, not once per product simplex.  A symmetric product
 SP^m X = X^m / Σ_m is built from the same tables without X^m: each
 Σ_m orbit of product simplices has exactly one member whose coordinates
 are sorted by table position, and only those are enumerated.  A Z/2
-action is stored as one involution, a self-inverse permutation of the
-nondegenerate simplices that commutes with the face maps; a quotient
-takes its orbits, the pairs {s, swap(s)}.  Geometric realization
-preserves both colimits, so the realizations are the honest product and
-quotient spaces.  A collapse of everything outside a locally closed set
-of simplices completes the constructions.
+action is stored as one involution, a self-inverse permutation of each
+degree's positions that commutes with the face maps; a quotient takes
+its orbits, the pairs {p, image of p}.  Geometric realization preserves
+both colimits, so the realizations are the honest product and quotient
+spaces.  A collapse of everything outside a locally closed set of
+simplices, marked by one flag per position, completes the constructions.
 
-Faces are stored by position: per degree, one row (d_0 x, ..., d_k x)
-per simplex, each face a pair (degeneracy word, position of its base in
-the degree below the word).  The builders emit these rows from the
-positions they hold; validation and the chains read them and never look
-an id up.  Identifiers are the rendering: canonical strings derived from
-construction history ("(a|s0(v))" for product tuples, "[x]" for orbits,
-"*" for a collapse basepoint), so equal constructions produce identical
-ids across runs.
+A simplex is found by its position only: per degree, one face row
+(d_0 x, ..., d_k x) per simplex, each face a pair (degeneracy word,
+position of its base in the degree below the word).  The builders emit
+these rows from the positions they hold, and validation, the action, the
+collapse and the chains read them.  Identifiers are names: canonical
+strings derived from construction history ("(a|s0(v))" for product
+tuples, "[x]" for orbits, "*" for a collapse basepoint), so equal
+constructions produce identical ids across runs.
 """
 
 from __future__ import annotations
@@ -118,46 +118,23 @@ class _PushedFaces(dict):
         return row
 
 
-def _rows_by_position(X: "SimplicialSet", faces) -> list:
-    """X's face table given by id, {id: (FormalSimplex(word, base id), ...)},
-    as rows by position.  A face that names no simplex of the degree its
-    word leaves is placed one past that degree's last position, where
-    ``validate`` refuses it."""
-    place = {sid: p for ids in X.simplices.values() for p, sid in enumerate(ids)}
-    table = []
-    for k in range(X.dim + 1):
-        rows = []
-        for sid in X.ids(k):
-            row = []
-            for word, base in faces.get(sid, ()):
-                d = k - 1 - len(word)
-                q = place[base] if X.dim_of.get(base) == d else len(X.ids(d))
-                row.append((word, q))
-            rows.append(tuple(row))
-        table.append(rows)
-    return table
-
-
 class SimplicialSet:
     """Nondegenerate simplices per dimension and their faces by position.
 
     ``simplices[k]`` lists the ids of the k-simplices, and ``table[k][p]``
     is the face row (d_0 x, ..., d_k x) of the p-th of them: each face a
     pair (word, q), the degeneracy word applied to simplex q of degree
-    k - 1 - len(word).  A vertex's row is empty.  The table is the one
-    source of faces; ids are its rendering, ``faces`` shows it by id and
-    ``dim_of`` gives each id's degree.  ``parts`` (coordinates, kept by
-    products and by their quotients) records construction provenance
-    that later constructions need; it is not part of the space itself.
-
-    The constructor takes the table (one list of rows per degree from 0)
-    from the builders, and the faces of a hand-built set by id,
-    {id: (FormalSimplex(word, base id), ...)}, which it converts once.
+    k - 1 - len(word).  A vertex's row is empty.  The table, one list of
+    rows per degree from 0, is the one source of faces and the one input
+    form; ids only name the simplices, and ``dim_of`` gives each id's
+    degree.  ``parts`` (coordinates, kept by products and by their
+    quotients) records construction provenance that later constructions
+    need; it is not part of the space itself.
     """
 
     __slots__ = ("simplices", "table", "basepoint", "dim_of", "parts")
 
-    def __init__(self, simplices, faces, basepoint=None, check=True):
+    def __init__(self, simplices, table, basepoint=None, check=True):
         self.simplices = {
             k: list(ids) for k, ids in sorted(simplices.items()) if ids
         }
@@ -168,9 +145,7 @@ class SimplicialSet:
                 if sid in self.dim_of:
                     raise ValueError(f"duplicate simplex id {sid!r}")
                 self.dim_of[sid] = k
-        if isinstance(faces, dict):
-            faces = _rows_by_position(self, faces)
-        self.table = faces
+        self.table = table
         self.parts = None
         if check:
             self.validate()
@@ -186,17 +161,6 @@ class SimplicialSet:
 
     def f_vector(self) -> list:
         return [len(self.ids(k)) for k in range(self.dim + 1)]
-
-    @property
-    def faces(self) -> dict:
-        """The table by id: {id: (FormalSimplex(word, base id), ...)} for
-        every simplex of positive degree."""
-        ids = self.simplices
-        return {
-            sid: tuple([FormalSimplex(w, ids[k - 1 - len(w)][q]) for w, q in row])
-            for k in range(1, len(self.table))
-            for sid, row in zip(self.ids(k), self.table[k])
-        }
 
     def formal_simplices(self, k: int):
         """All formal k-simplices, grouped by degeneracy word."""
@@ -596,82 +560,63 @@ def symmetric_product_list(X: SimplicialSet, m: int) -> SimplicialSet:
 class SimplicialAction:
     """Z/2 acting on nondegenerate simplices by one involution.
 
-    ``swap`` maps every simplex id to its image ({id: image id}).  A
-    self-inverse map that keeps dimensions and commutes with every face
-    map is a simplicial action of Z/2, whose orbits are the pairs
-    {s, swap[s]}.  The action extends to formal simplices by acting on
-    the base.
+    ``images[k][p]`` is the position of the image of the k-simplex at
+    position p.  A self-inverse permutation of each degree that commutes
+    with every face map is a simplicial action of Z/2, whose orbits are
+    the pairs {p, images[k][p]}.  The action extends to formal simplices
+    by acting on the base.
     """
 
-    __slots__ = ("swap",)
+    __slots__ = ("images",)
 
-    def __init__(self, swap):
-        self.swap = dict(swap)
+    def __init__(self, images):
+        self.images = images
 
-    @classmethod
-    def involution(cls, X: SimplicialSet, swap) -> "SimplicialAction":
-        """Z/2 action from a self-inverse map; ids not in ``swap`` are fixed."""
-        full = {sid: swap.get(sid, sid) for sid in X.dim_of}
-        for sid, target in full.items():
-            if target not in full:
-                raise ActionInvalid(f"swap maps {sid!r} outside the space")
-            if full[target] != sid:
-                raise ActionInvalid(f"swap is not its own inverse at {sid!r}")
-        return cls(full)
+    def validate(self, X: SimplicialSet):
+        """Refuse (ActionInvalid) images that are no self-inverse simplicial
+        automorphism of X: not one image per simplex of each degree, an
+        image outside its degree, an image whose image is not the simplex,
+        or a face map the images do not commute with.
 
-    def validate(self, X: SimplicialSet) -> list:
-        """Check that swap is a self-inverse simplicial automorphism of X, and
-        return it by position: per degree, the position of each simplex's
-        image.
-
-        Each pair {s, t = swap[s]} is compared once, at its lesser position:
-        for a self-inverse map, d_i t = swap(d_i s) is d_i s = swap(d_i t).
+        Each pair {p, t} is compared once, at its lesser position: for a
+        self-inverse map, d_i t = image(d_i p) is d_i p = image(d_i t).
         """
-        swap = self.swap
-        if swap.keys() != X.dim_of.keys():
-            raise ActionInvalid("swap is not defined on exactly the simplices")
-        images = []
-        for k in range(len(X.table)):
-            place = {sid: p for p, sid in enumerate(X.ids(k))}
-            moved = []
-            for sid in X.ids(k):
-                target = swap[sid]
-                if swap.get(target) != sid:
-                    raise ActionInvalid(
-                        f"swap is not a self-inverse bijection at {sid!r}"
-                    )
-                if target not in place:
-                    raise ActionInvalid(f"swap changes dimension at {sid!r}")
-                moved.append(place[target])
-            images.append(moved)
-        for k in range(1, len(X.table)):
-            rows, below = X.table[k], images[k - 1]
+        images = self.images
+        if list(map(len, images)) != X.f_vector():
+            raise ActionInvalid("the action needs one image per simplex")
+        for k, moved in enumerate(images):
+            ids = X.ids(k)
+            for p, t in enumerate(moved):
+                if not 0 <= t < len(ids):
+                    raise ActionInvalid(f"the action maps {ids[p]!r} outside the space")
+                if moved[t] != p:
+                    raise ActionInvalid(f"the action is not self-inverse at {ids[p]!r}")
+        for k in range(1, len(images)):
+            rows = X.table[k]
             for p, t in enumerate(images[k]):
                 if t < p:
                     continue
                 for i, ((word, q), g) in enumerate(zip(rows[p], rows[t])):
-                    image = images[k - 1 - len(word)][q] if word else below[q]
-                    if g[0] != word or g[1] != image:
+                    if g != (word, images[k - 1 - len(word)][q]):
                         raise ActionInvalid(
-                            f"swap does not commute with d_{i} on {X.ids(k)[p]!r}"
+                            f"the action does not commute with d_{i} on {X.ids(k)[p]!r}"
                         )
-        return images
 
 
 def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
     """Orbit simplicial set X/(Z/2), with the action and the result validated.
 
     The involution permutes nondegenerate simplices, so its orbits, the
-    pairs {s, swap[s]}, are exactly the nondegenerate simplices of the
-    quotient, in the order in which they first occur in X.  An orbit's
-    id is its lesser member in brackets, and its faces are induced on
-    that member: each face's position becomes its orbit's.  When X
-    records ``parts``, so does the quotient: each orbit's
+    pairs {p, images[k][p]}, are exactly the nondegenerate simplices of
+    the quotient, in the order in which they first occur in X.  An
+    orbit's id is its lesser member's id in brackets, and its faces are
+    induced on that member: each face's position becomes its orbit's.
+    When X records ``parts``, so does the quotient: each orbit's
     representative's coordinates.
     """
-    images = A.validate(X)
+    A.validate(X)
     simplices, table, orbit = {}, [], []  # orbit[k][p]: p's orbit position
-    for k, moved in enumerate(images):
+    for k, moved in enumerate(A.images):
         ids = X.ids(k)
         at = [None] * len(ids)
         level, reps = [], []
@@ -696,7 +641,7 @@ def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
         )
     basepoint = None
     if X.basepoint is not None:
-        basepoint = "[" + min(X.basepoint, A.swap[X.basepoint]) + "]"
+        basepoint = simplices[0][orbit[0][X.ids(0).index(X.basepoint)]]
     out = SimplicialSet(simplices, table, basepoint=basepoint)
     if X.parts is not None:
         out.parts = {oid: X.parts[oid[1:-1]] for oid in out.dim_of}
@@ -707,30 +652,35 @@ def quotient_by_action(X: SimplicialSet, A: SimplicialAction) -> SimplicialSet:
 # SECTION: basepoint directions and collapse
 
 
-def basepoint_directions(X: SimplicialSet, sid: str) -> frozenset:
-    """The coordinates j in which simplex ``sid`` sits at the basepoint.
+def basepoint_directions(X: SimplicialSet) -> list:
+    """Per degree, the coordinates j in which each simplex sits at the
+    basepoint: ``directions[k][p]`` for the k-simplex at position p.
 
     X records ``parts`` (a product, or a quotient of one).
     The simplices with a nonempty answer form the fat wedge.
     """
-    base = X.parts[X.basepoint]
-    return frozenset(
-        j for j, (f, b) in enumerate(zip(X.parts[sid], base)) if f.base == b.base
-    )
+    base = [b.base for b in X.parts[X.basepoint]]
+    return [
+        [
+            frozenset(j for j, f in enumerate(X.parts[sid]) if f.base == base[j])
+            for sid in X.ids(k)
+        ]
+        for k in range(X.dim + 1)
+    ]
 
 
 def collapse(X: SimplicialSet, keep) -> SimplicialSet:
-    """The simplices ``keep`` of X, with every other face collapsed to a point.
+    """The simplices flagged in ``keep`` kept, every other face collapsed to
+    a point.
 
+    ``keep[k][p]`` flags the k-simplex at position p, one list per degree.
     The kept simplices stay in X's order after a fresh basepoint ``*``, and
-    a face outside ``keep`` becomes a total degeneration of ``*``.  ``keep``
+    a face not kept becomes a total degeneration of ``*``.  The kept set
     must be locally closed: no face outside it has a face inside it.  When
-    ``keep`` is X minus a subcomplex A, the result is the quotient X / |A|.
+    it is X minus a subcomplex A, the result is the quotient X / |A|.
     """
-    keep = set(keep)
-    for sid in keep:
-        if sid not in X.dim_of:
-            raise ValueError(f"unknown simplex {sid!r}")
+    if list(map(len, keep)) != X.f_vector():
+        raise ValueError("keep needs one flag per simplex")
     if BASEPOINT_ID in X.dim_of:
         raise ValueError("space already contains the reserved id '*'")
     simplices, table = {}, []
@@ -739,8 +689,8 @@ def collapse(X: SimplicialSet, keep) -> SimplicialSet:
     for k in range(X.dim + 1):
         level = [BASEPOINT_ID] if k == 0 else []
         new = []
-        for sid in X.ids(k):
-            if sid in keep:
+        for sid, kept in zip(X.ids(k), keep[k]):
+            if kept:
                 new.append(len(level))
                 level.append(sid)
             else:

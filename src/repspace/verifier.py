@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from functools import cache, lru_cache, partial
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from . import catalog
@@ -156,9 +156,10 @@ FAMILY_LIMITS = {"hom_circle": 5, "rep_su2": 5, "sp_circle": 3}
 
 
 def splitting_base(family: str, n: int, m: int = 2) -> tuple:
-    """(rank-n total space X, {simplex of X: its basepoint directions}).
+    """(rank-n total space X, its basepoint directions by position).
 
-    X is the space whose reduced homology the wedge must reproduce.  A
+    X is the space whose reduced homology the wedge must reproduce, and
+    ``directions[k][p]`` holds the directions of X's k-simplex p.  A
     simplex at the basepoint in direction j lies in the image of the
     subtorus omitting j; an orbit of SP^m((S^1)^n) takes the directions
     shared by all m of its torus coordinates, met once per tuple of
@@ -171,22 +172,26 @@ def splitting_base(family: str, n: int, m: int = 2) -> tuple:
     else:
         T = catalog.minimal_torus(n)
         X = catalog.sym_product(T, m) if family == "sp_circle" else T
-    torus = {sid: basepoint_directions(T, sid) for sid in T.dim_of}
+    directions = basepoint_directions(T)
     if X is T:  # every family but SP^m with m >= 2
-        return X, torus
-    shared, directions = {}, {}
-    for sid in X.dim_of:
-        bases = tuple([f.base for f in X.parts[sid]])
-        if bases not in shared:
-            shared[bases] = frozenset.intersection(*map(torus.__getitem__, bases))
-        directions[sid] = shared[bases]
+        return X, directions
+    torus = dict(zip(chain(*T.simplices.values()), chain(*directions)))
+    shared, directions = {}, []
+    for ids in X.simplices.values():
+        level = []
+        for sid in ids:
+            bases = tuple([f.base for f in X.parts[sid]])
+            if bases not in shared:
+                shared[bases] = frozenset.intersection(*map(torus.__getitem__, bases))
+            level.append(shared[bases])
+        directions.append(level)
     return X, directions
 
 
-def _slice(X: SimplicialSet, directions: dict, D=frozenset()) -> SimplicialSet:
+def _slice(X: SimplicialSet, directions: list, D=frozenset()) -> SimplicialSet:
     """The factor on the coordinates outside D: the simplices at the basepoint
     in exactly the directions D, with the rest of their closure collapsed."""
-    return collapse(X, [sid for sid, s in directions.items() if s == D])
+    return collapse(X, [[s == D for s in level] for level in directions])
 
 
 def splitting_factor(family: str, r: int, m: int = 2) -> SimplicialSet:

@@ -3,14 +3,16 @@
 Every routine is a direct transcription of a textbook definition,
 deliberately slow and dumb, so a disagreement with the fast
 implementation always means the fast side is wrong (or the oracle's
-definition was misread, which is easier to audit).  Only five sections
-use the package under test, each replaying the route a smaller or faster
-construction replaced: spheres as cross-polytope boundaries, quotients
-by generator closure (symmetric products as X^m and then its quotient)
-and collapses on the faces by id, normalized chains as one {(r, c): v}
-dict per boundary matrix, the SU(2) sweep tuples on a float quaternion
-class of their own (QFloat, renormalized after every operation), and the
-sign-matrix tables as one type matrix, sign matrix and F2 rank per type.
+definition was misread, which is easier to audit).  One section writes
+simplicial sets, actions and collapse marks by id for the package, which
+reads them by position.  Five sections use the package under test, each
+replaying the route a smaller or faster construction replaced: spheres
+as cross-polytope boundaries, quotients by generator closure (symmetric
+products as X^m and then its quotient) and collapses on the faces by id,
+normalized chains as one {(r, c): v} dict per boundary matrix, the SU(2)
+sweep tuples on a float quaternion class of their own (QFloat,
+renormalized after every operation), and the sign-matrix tables as one
+type matrix, sign matrix and F2 rank per type.
 """
 
 import math
@@ -222,6 +224,77 @@ def torus_f_vector(n, vertices_per_circle):
 
 
 # ---------------------------------------------------------------------------
+# Simplicial sets, actions and collapse marks by id.
+#
+# The package finds a simplex by its table position only.  These helpers
+# write a hand-built set, an involution or a kept set by id and convert
+# it to positions, and render a built set or action by id again, so a
+# test can state its data and its expectations by name.
+
+
+def by_id(simplices, faces, basepoint=None, check=True):
+    """The SimplicialSet with ``simplices`` ({degree: ids}) and faces by id,
+    {id: (FormalSimplex(word, base id), ...)}.  A face that names no
+    simplex of the degree its word leaves is placed one past that degree's
+    last position, where ``validate`` refuses it."""
+    levels = {k: list(ids) for k, ids in simplices.items() if ids}
+    top = max(levels, default=-1)
+    place = [
+        {sid: p for p, sid in enumerate(levels.get(d, []))} for d in range(top + 1)
+    ]
+    table = []
+    for k in range(top + 1):
+        rows = []
+        for sid in levels.get(k, []):
+            row = []
+            for word, base in faces.get(sid, ()):
+                d = k - 1 - len(word)
+                level = place[d] if 0 <= d <= top else {}
+                row.append((word, level.get(base, len(level))))
+            rows.append(tuple(row))
+        table.append(rows)
+    return SimplicialSet(simplices, table, basepoint=basepoint, check=check)
+
+
+def faces_by_id(X):
+    """X's table by id: {id: (FormalSimplex(word, base id), ...)} for every
+    simplex of positive degree."""
+    ids = X.simplices
+    return {
+        sid: tuple(FormalSimplex(w, ids[k - 1 - len(w)][q]) for w, q in row)
+        for k in range(1, len(X.table))
+        for sid, row in zip(X.ids(k), X.table[k])
+    }
+
+
+def per_id(X, levels):
+    """{id: value} from one list of values per degree, in position order."""
+    return {sid: v for k, ids in X.simplices.items() for sid, v in zip(ids, levels[k])}
+
+
+def action_by_id(X, swap):
+    """The action on X of the map {id: image id}: an id not in ``swap`` is
+    fixed, and an image that is no simplex of its degree gets position -1,
+    which ``validate`` refuses."""
+    images = []
+    for k in range(X.dim + 1):
+        place = {sid: p for p, sid in enumerate(X.ids(k))}
+        images.append([place.get(swap.get(sid, sid), -1) for sid in X.ids(k)])
+    return SimplicialAction(images)
+
+
+def swap_by_id(X, A):
+    """The action A on X as {id: image id}."""
+    return per_id(X, [[X.ids(k)[t] for t in moved] for k, moved in enumerate(A.images)])
+
+
+def keep_by_id(X, keep):
+    """Collapse flags, one list per degree, marking the simplices ``keep``."""
+    keep = set(keep)
+    return [[sid in keep for sid in X.ids(k)] for k in range(X.dim + 1)]
+
+
+# ---------------------------------------------------------------------------
 # Reference product of simplicial sets.
 #
 # A formal k-simplex (word, base) is theta^* base for the monotone
@@ -265,7 +338,7 @@ def _product_id(fs):
 
 def _formal_face(faces, f, i, k):
     """d_i of the formal k-simplex f of a simplicial set whose faces by id
-    are ``faces`` (``SimplicialSet.faces``)."""
+    are ``faces`` (``faces_by_id``)."""
     word, base = f
     phi = _surjection(word, k)
     del phi[i]
@@ -292,7 +365,7 @@ def _formal_pool(X, k):
 def reference_product(factors):
     """(simplices, faces, parts, basepoint) of a product, by brute force."""
     top = sum(max(X.simplices) for X in factors)
-    named = [X.faces for X in factors]
+    named = [faces_by_id(X) for X in factors]
     simplices, faces, parts = {}, {}, {}
     for k in range(top + 1):
         level = []
@@ -330,7 +403,7 @@ def reference_factor_degrees(X, top):
     """(pool, masks, names, faces, runs) of X per degree k = 0..top, as
     ``simplicial._factor_degrees`` lays them out: each face of each formal
     simplex pushed through its word and looked up in the pool below."""
-    out, below, named = [], {}, X.faces
+    out, below, named = [], {}, faces_by_id(X)
     for k in range(top + 1):
         pool = _formal_pool(X, k)
         masks = [sum(1 << w for w in word) for word, _ in pool]
@@ -453,9 +526,9 @@ def orbit_quotient(X, generators):
     representatives' when X records them.
     """
     for g in generators:
-        SimplicialAction(g).validate(X)
+        action_by_id(X, g).validate(X)
     orbit_of = orbit_ids(X, generators)
-    named = X.faces
+    named = faces_by_id(X)
     simplices = {
         k: list(dict.fromkeys(orbit_of[sid] for sid in ids))
         for k, ids in X.simplices.items()
@@ -469,7 +542,7 @@ def orbit_quotient(X, generators):
         for oid in level
     }
     basepoint = orbit_of[X.basepoint] if X.basepoint is not None else None
-    out = SimplicialSet(simplices, faces, basepoint=basepoint)
+    out = by_id(simplices, faces, basepoint=basepoint)
     if X.parts is not None:
         out.parts = {oid: X.parts[oid[1:-1]] for oid in out.dim_of}
     return out
@@ -485,7 +558,7 @@ def reference_collapse(X, keep):
     """(simplices, faces by id) of X with everything outside ``keep``
     collapsed to a new basepoint "*": a face of a kept simplex stays when
     its base is kept and becomes the total degeneration of "*" otherwise."""
-    keep, faces = set(keep), X.faces
+    keep, faces = set(keep), faces_by_id(X)
     simplices = {k: [s for s in X.ids(k) if s in keep] for k in range(X.dim + 1)}
     simplices[0].insert(0, "*")
     collapsed = {
@@ -526,8 +599,8 @@ def cross_polytope_sphere(k):
                         FormalSimplex((), ".".join(verts[:i] + verts[i + 1 :]))
                         for i in range(j + 1)
                     )
-    X = SimplicialSet(simplices, faces)
-    return X, SimplicialAction.involution(X, swap)
+    X = by_id(simplices, faces)
+    return X, action_by_id(X, swap)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +728,7 @@ def keyed_normalized_chains(X):
         return ChainComplex([], [])
     index = {k: {sid: i for i, sid in enumerate(X.ids(k))} for k in range(X.dim + 1)}
     ranks = [len(X.ids(k)) for k in range(X.dim + 1)]
-    named = X.faces
+    named = faces_by_id(X)
     diffs = []
     for k in range(1, X.dim + 1):
         entries = {}

@@ -15,6 +15,7 @@ from repspace.engine import (
     ChainComplex,
     homology,
     reduced_homology,
+    suspend,
     universal_coefficients_check,
 )
 from repspace.errors import ActionInvalid, ResourceGuard, UnknownSpace
@@ -109,6 +110,10 @@ def test_smash_factor_frozen_homology():
     assert H(catalog.smash_factor(4)) == GradedGroup.of(
         Z(1), Z(0), T(0, 2), Z(0), Z(1)
     )
+    # a second route: the cellular RP^{n-1}, suspended, shares no code
+    # with the collapse of a conjugation quotient
+    for n in range(1, 6):
+        assert H(catalog.smash_factor(n)) == homology(suspend(catalog.rp_chain(n - 1)))
 
 
 @pytest.mark.parametrize(
@@ -153,7 +158,7 @@ def test_sym_product_builds_no_product(monkeypatch):
 def wedge_of_loops(*loops):
     """One vertex v with one loop per id."""
     v = FormalSimplex((), "v")
-    return SimplicialSet({0: ["v"], 1: list(loops)}, {e: (v, v) for e in loops}, "v")
+    return oracles.by_id({0: ["v"], 1: list(loops)}, {e: (v, v) for e in loops}, "v")
 
 
 # Loop ids on which a shortcut names orbits wrongly: sorting by id puts a
@@ -180,7 +185,9 @@ def test_sym_product_is_the_quotient_of_the_product_byte_for_byte(case):
     got = catalog.sym_product(X, m)
     want = oracles.reference_sym_product(X, m)
     assert list(got.simplices.items()) == list(want.simplices.items())
-    assert list(got.faces.items()) == list(want.faces.items())
+    assert list(oracles.faces_by_id(got).items()) == list(
+        oracles.faces_by_id(want).items()
+    )
     assert list(got.parts.items()) == list(want.parts.items())
     assert got.basepoint == want.basepoint
 
@@ -261,10 +268,15 @@ def test_an_image_outside_the_product_is_an_invalid_action():
     # reach action validation, not end in a KeyError
     C, A = catalog.circle_conj()
     P = product_list([C, catalog.circle()])
+    transposition = oracles.adjacent_transpositions(P, 2)[0]
     with pytest.raises(ActionInvalid, match="outside the space"):
-        SimplicialAction.involution(P, oracles.adjacent_transpositions(P, 2)[0])
+        oracles.action_by_id(P, transposition).validate(P)
+    # the second factor's action is the 2-gon's, which names no simplex of
+    # the one-vertex circle, so every image is missing
+    act = catalog._product_involution(P, [(C, A), (C, A)])
+    assert -1 in act.images[0]
     with pytest.raises(ActionInvalid, match="outside the space"):
-        catalog._product_involution(P, [A.swap, {"e": "f"}])
+        act.validate(P)
 
 
 def test_sp2_circle_is_a_mobius_band():
@@ -320,7 +332,8 @@ def _conj_case(n):
             FormalSimplex(f.word, arcs.get(f.base, f.base)) for f in fs
         )
         orbits.add(frozenset({sid, t}))
-    pairs = {frozenset({s, A.swap[s]}) for s in P.dim_of}
+    swap = oracles.swap_by_id(P, A)
+    pairs = {frozenset({s, swap[s]}) for s in P.dim_of}
     return pairs, [quotient_by_action(P, A), catalog.torus_conj_quotient(n)], orbits
 
 
@@ -352,10 +365,9 @@ def test_generator_orbits_are_the_whole_groups_orbits(case):
 
 
 def _sphere_bundle_product(n):
-    S2, A2 = catalog.sphere_simplicial(2)
-    Sn, An = catalog.sphere_simplicial(n - 1)
-    P = product_list([S2, Sn])
-    return P, catalog._product_involution(P, [A2.swap, An.swap])
+    factors = [catalog.sphere_simplicial(2), catalog.sphere_simplicial(n - 1)]
+    P = product_list([X for X, _ in factors])
+    return P, catalog._product_involution(P, factors)
 
 
 # name -> (the catalog's quotient, the space and involution it divides)
@@ -394,9 +406,9 @@ def test_z2_quotients_match_the_generator_closure_route(name):
     # of each simplex under the one generator
     build, space = Z2_QUOTIENTS[name]
     X, A = space()
-    got, want = build(), oracles.orbit_quotient(X, [A.swap])
+    got, want = build(), oracles.orbit_quotient(X, [oracles.swap_by_id(X, A)])
     assert got.simplices == want.simplices
-    assert got.faces == want.faces
+    assert oracles.faces_by_id(got) == oracles.faces_by_id(want)
     assert got.parts == want.parts
     assert got.basepoint == want.basepoint
 
@@ -448,7 +460,7 @@ def _digest(X) -> str:
     text = json.dumps(
         [
             [[k, ids] for k, ids in X.simplices.items()],
-            [[s, named(fs)] for s, fs in X.faces.items()],
+            [[s, named(fs)] for s, fs in oracles.faces_by_id(X).items()],
             parts,
             X.basepoint,
         ],
@@ -476,7 +488,8 @@ def test_every_table_renders_as_the_faces_by_id_did(monkeypatch):
     assert {k: _digest(X) for k, X in built.items()} == RENDERED
     for X in built.values():
         # the rendering by id, converted back once, is the table itself
-        again = SimplicialSet(X.simplices, X.faces, X.basepoint, check=False)
+        faces = oracles.faces_by_id(X)
+        again = oracles.by_id(X.simplices, faces, X.basepoint, check=False)
         assert again.table == X.table[: len(again.table)]
         assert not any(X.table[len(again.table) :])
 
@@ -500,6 +513,56 @@ def test_the_torus_descriptor_builds_no_involution(monkeypatch):
         assert [d.columns for d in C.diffs] == [d.columns for d in want.diffs]
     catalog.resolve("torus_conj_quotient(n=2)")[1]()
     assert calls == [2]
+
+
+# -- actions by position -------------------------------------------------------
+
+# Each catalog involution rendered by id, {id: image id} in id order, and
+# hashed.  The digests were frozen from the action that held that map by
+# id; the images by position must render byte for byte as it did.
+ACTIONS = {
+    "circle_conj": ("b6b6b66762268ad7", catalog.circle_conj),
+    **{
+        f"torus({n})": (digest, functools.partial(catalog.torus, n))
+        for n, digest in zip(
+            (1, 2, 3), ("16bad02f04f46138", "e789f20cba2d8808", "641f2051d158665e")
+        )
+    },
+    **{
+        f"sphere_simplicial({k})": (
+            digest,
+            functools.partial(catalog.sphere_simplicial, k),
+        )
+        for k, digest in enumerate(
+            (
+                "76817bdec4a6dc2c",
+                "70a1795368236f12",
+                "1eb5dd5e8132ba54",
+                "720107c1c086545d",
+                "53a6f6d389fd8f3a",
+            )
+        )
+    },
+    **{
+        f"sphere_bundle_quotient({n}) product": (
+            digest,
+            functools.partial(_sphere_bundle_product, n),
+        )
+        for n, digest in zip(
+            (2, 3, 4), ("372b46ed8f1c2fc9", "62615f0a804497d8", "a89f2c4bf7ef7ffc")
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(ACTIONS))
+def test_every_action_renders_as_the_swap_by_id_did(name):
+    digest, space = ACTIONS[name]
+    X, A = space()
+    A.validate(X)
+    swap = oracles.swap_by_id(X, A)
+    text = json.dumps([[s, swap[s]] for s in sorted(swap)], ensure_ascii=False)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 # -- spheres and projective spaces -------------------------------------------
@@ -534,14 +597,14 @@ def test_the_cross_polytope_oracle_is_a_sphere():
     assert H(X) == _sphere_homology(2)
     S0, A0 = oracles.cross_polytope_sphere(0)
     assert S0.f_vector() == [2]
-    assert all(A0.swap[s] != s for s in S0.dim_of)
+    swap = oracles.swap_by_id(S0, A0)
+    assert all(swap[s] != s for s in S0.dim_of)
 
 
 def _cross_polytope_bundle(n):
-    S2, A2 = oracles.cross_polytope_sphere(2)
-    Sn, An = oracles.cross_polytope_sphere(n - 1)
-    P = product_list([S2, Sn])
-    act = catalog._product_involution(P, [A2.swap, An.swap])
+    factors = [oracles.cross_polytope_sphere(2), oracles.cross_polytope_sphere(n - 1)]
+    P = product_list([X for X, _ in factors])
+    act = catalog._product_involution(P, factors)
     return quotient_by_action(P, act)
 
 
@@ -557,7 +620,7 @@ def test_the_two_cell_models_match_the_cross_polytope_route():
 def test_antipodal_action_is_free():
     for k in (0, 1, 2, 3):
         X, A = catalog.sphere_simplicial(k)
-        t = A.swap
+        t = oracles.swap_by_id(X, A)
         assert all(t[s] != s for s in X.dim_of)
 
 

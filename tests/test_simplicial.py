@@ -35,30 +35,30 @@ def T(r, *ds):
 
 def two_gon():
     """Circle as two vertices b, q and two edges a, c from b to q."""
-    X = SimplicialSet(
+    X = oracles.by_id(
         {0: ["b", "q"], 1: ["a", "c"]},
         {"a": (F((), "q"), F((), "b")), "c": (F((), "q"), F((), "b"))},
         basepoint="b",
     )
-    return X, SimplicialAction.involution(X, {"a": "c", "c": "a"})
+    return X, oracles.action_by_id(X, {"a": "c", "c": "a"})
 
 
 def rose(n):
     """A wedge of n circles: one vertex and n loops."""
     loops = [f"e{i}" for i in range(n)]
-    return SimplicialSet(
+    return oracles.by_id(
         {0: ["v"], 1: loops}, {e: (F((), "v"), F((), "v")) for e in loops}
     )
 
 
 def fat_wedge(P):
     """The simplices of a product with some coordinate at the basepoint."""
-    return [s for s in P.dim_of if basepoint_directions(P, s)]
+    return [s for s, d in oracles.per_id(P, basepoint_directions(P)).items() if d]
 
 
 def smash(Xs):
     P = product_list(Xs)
-    return collapse(P, [s for s in P.dim_of if not basepoint_directions(P, s)])
+    return collapse(P, [[not d for d in level] for level in basepoint_directions(P)])
 
 
 # -- degeneracy word algebra -------------------------------------------------
@@ -93,7 +93,7 @@ def test_degeneracy_exchange_law_randomized():
 
 
 def test_formal_face_absorbs_and_pushes():
-    faces = circle().faces
+    faces = oracles.faces_by_id(circle())
     e = F((), "e")
     # d_0 s_0 = d_1 s_0 = id on the edge
     assert oracles._formal_face(faces, F((0,), "e"), 0, 2) == e
@@ -109,7 +109,7 @@ def test_face_identities_on_all_formal_simplices():
     spaces = [circle(), two_gon()[0]]
     face = oracles._formal_face
     for X in spaces:
-        faces = X.faces
+        faces = oracles.faces_by_id(X)
         for k in range(2, 6):
             for f in X.formal_simplices(k):
                 for j in range(1, k + 1):
@@ -131,14 +131,14 @@ def test_formal_simplex_counts_match_binomials():
 
 def test_validate_rejects_bad_face_data():
     with pytest.raises(ValueError, match="needs 2 faces"):
-        SimplicialSet({0: ["v"], 1: ["e"]}, {"e": (F((), "v"),)})
+        oracles.by_id({0: ["v"], 1: ["e"]}, {"e": (F((), "v"),)})
     with pytest.raises(ValueError, match="references"):
-        SimplicialSet(
+        oracles.by_id(
             {0: ["v"], 1: ["e"]}, {"e": (F((), "v"), F((), "w"))}
         )
     with pytest.raises(ValueError, match="not normal"):
         # a face word of the right length but not strictly decreasing
-        SimplicialSet(
+        oracles.by_id(
             {0: ["v"], 1: ["e"], 2: ["t"], 3: ["w"]},
             {
                 "e": (F((), "v"), F((), "v")),
@@ -148,23 +148,23 @@ def test_validate_rejects_bad_face_data():
         )
     with pytest.raises(ValueError, match="references position 1 of degree 1"):
         # a vertex named as a face of a 2-simplex: no 1-simplex has that id
-        SimplicialSet(
+        oracles.by_id(
             {0: ["v"], 1: ["e"], 2: ["t"]},
             {"e": (F((), "v"), F((), "v")), "t": (F((), "e"), F((), "e"), F((), "v"))},
         )
     with pytest.raises(ValueError, match="duplicate"):
-        SimplicialSet({0: ["v", "v"]}, {})
+        oracles.by_id({0: ["v", "v"]}, {})
 
 
 def test_the_empty_simplicial_set_has_empty_chains():
-    X = SimplicialSet({}, {})
-    assert (X.dim, X.f_vector(), X.faces) == (-1, [], {})
+    X = SimplicialSet({}, [])
+    assert (X.dim, X.f_vector(), oracles.faces_by_id(X)) == (-1, [], {})
     assert normalized_chains(X).ranks == []
 
 
 def test_validate_rejects_broken_simplicial_identity():
     # a 2-simplex whose faces cannot satisfy d_0 d_0 = d_0 d_1
-    X = SimplicialSet(
+    X = oracles.by_id(
         {0: ["u", "v"], 1: ["e", "f"]},
         {
             "e": (F((), "v"), F((), "u")),
@@ -172,7 +172,7 @@ def test_validate_rejects_broken_simplicial_identity():
         },
     )
     with pytest.raises(ValueError, match="d_0 d_1"):
-        SimplicialSet(
+        oracles.by_id(
             {0: ["u", "v"], 1: ["e", "f"], 2: ["t"]},
             {
                 "e": (F((), "v"), F((), "u")),
@@ -190,9 +190,9 @@ def test_validate_rejects_a_broken_identity_through_a_degenerate_face():
     su = F((0,), "u")
     simplices = {0: ["u", "v"], 1: ["e"], 2: ["t1"]}
     faces = {"e": (F((), "v"), F((), "u")), "t1": (su, su, su)}
-    assert SimplicialSet(simplices, faces).dim == 2
+    assert oracles.by_id(simplices, faces).dim == 2
     with pytest.raises(ValueError, match="d_0 d_2 ≠ d_1 d_0 on 't2'"):
-        SimplicialSet(
+        oracles.by_id(
             {**simplices, 2: ["t1", "t2"]},
             {**faces, "t2": (su, su, F((), "e"))},
         )
@@ -225,7 +225,7 @@ def test_validate_pushes_each_degenerate_face_once_as_the_reference_does(
     X.validate()
     pushed = _SpiedPushes.seen  # pushed[e - 1]: the degree e memo
     assert len(pushed) == X.dim
-    faces, ids = X.faces, X.simplices
+    faces, ids = oracles.faces_by_id(X), X.simplices
     for k in range(2, X.dim + 1):
         degenerate = {f for row in X.table[k] for f in row if f[0]}
         assert degenerate <= pushed[k - 2].keys()
@@ -243,8 +243,9 @@ def _plant(X, rng):
     """X's face table with one face replaced by a wrong one: mostly another
     formal simplex of the same dimension, else one of another dimension, an
     unknown base, or a word out of normal form or out of range."""
-    sid, i = rng.choice([(s, i) for s, fs in X.faces.items() for i in range(len(fs))])
-    k, old = X.dim_of[sid], X.faces[sid][i]
+    faces = oracles.faces_by_id(X)
+    sid, i = rng.choice([(s, i) for s, fs in faces.items() for i in range(len(fs))])
+    k, old = X.dim_of[sid], faces[sid][i]
     others = [f for f in X.formal_simplices(k - 1) if f != old]
     kind = rng.choice(["same"] * 6 + ["dimension", "base", "normal", "range"])
     if kind == "dimension" or not others:
@@ -257,9 +258,8 @@ def _plant(X, rng):
         new = F((k - 1,) + old.word[1:], old.base)
     else:
         new = rng.choice(others)
-    faces = dict(X.faces)
     faces[sid] = faces[sid][:i] + (new,) + faces[sid][i + 1 :]
-    return SimplicialSet(X.simplices, faces, basepoint=X.basepoint, check=False)
+    return oracles.by_id(X.simplices, faces, basepoint=X.basepoint, check=False)
 
 
 PLANT_CASES = {
@@ -447,7 +447,7 @@ def test_torus_homology_kunneth():
 
 
 def test_product_with_point_is_identity_on_f_vectors():
-    P = SimplicialSet({0: ["p"]}, {}, basepoint="p")
+    P = SimplicialSet({0: ["p"]}, [[()]], basepoint="p")
     C, _ = two_gon()
     X = product_list([C, P])
     X.validate()
@@ -478,7 +478,7 @@ def test_product_matches_the_reference_product(case):
     P = product_list(factors)
     simplices, faces, parts, basepoint = oracles.reference_product(factors)
     assert P.simplices == simplices
-    assert P.faces == faces
+    assert oracles.faces_by_id(P) == faces
     assert P.parts == parts
     assert P.basepoint == basepoint
 
@@ -549,56 +549,74 @@ def test_quotient_of_a_product_keeps_each_orbits_coordinates():
     M = circle()
     P = product_list([M, M])
     swap = {sid: product_simplex_id(fs[::-1]) for sid, fs in P.parts.items()}
-    Q = quotient_by_action(P, SimplicialAction.involution(P, swap))
+    Q = quotient_by_action(P, oracles.action_by_id(P, swap))
     assert set(Q.parts) == set(Q.dim_of)
     for oid in Q.dim_of:
         assert Q.parts[oid] == P.parts[oid[1:-1]]  # "[rep]"
     assert Q.parts[Q.basepoint] == (F((), "v"), F((), "v"))
-    assert basepoint_directions(Q, Q.basepoint) == frozenset({0, 1})
-    assert basepoint_directions(Q, "[(e|s0(v))]") == frozenset({1})
-    assert basepoint_directions(Q, "[(e|e)]") == frozenset()
+    directions = oracles.per_id(Q, basepoint_directions(Q))
+    assert directions[Q.basepoint] == frozenset({0, 1})
+    assert directions["[(e|s0(v))]"] == frozenset({1})
+    assert directions["[(e|e)]"] == frozenset()
+
+
+def test_the_quotient_is_based_at_the_basepoints_orbit():
+    # the basepoint b is neither first nor the lesser id of its orbit {a, b}
+    for swap, base in (({"a": "b", "b": "a"}, "[a]"), ({"x": "a", "a": "x"}, "[b]")):
+        X = oracles.by_id({0: ["x", "b", "a"]}, {}, basepoint="b")
+        Q = quotient_by_action(X, oracles.action_by_id(X, swap))
+        assert Q.basepoint == base
 
 
 def test_free_swap_of_two_circles_gives_one_circle():
-    U = SimplicialSet(
+    U = oracles.by_id(
         {0: ["0:v", "1:v"], 1: ["0:e", "1:e"]},
         {f"{i}:e": (F((), f"{i}:v"), F((), f"{i}:v")) for i in (0, 1)},
     )
     swap = {"0:v": "1:v", "1:v": "0:v", "0:e": "1:e", "1:e": "0:e"}
-    Q = quotient_by_action(U, SimplicialAction.involution(U, swap))
+    Q = quotient_by_action(U, oracles.action_by_id(U, swap))
     assert Q.f_vector() == [1, 1]
     assert homology(normalized_chains(Q)) == GradedGroup.of(Z(1), Z(1))
 
 
+# images by position on the 2-gon (b, q; a, c), each with its refusal
+BROKEN_ACTIONS = [
+    # one list per degree, one image per simplex
+    ([[0, 1]], "one image per simplex"),
+    ([[0, 1], [1]], "one image per simplex"),
+    ([[0, 1], [1, 0], []], "one image per simplex"),
+    ([[0, 1], [1, 0, 2]], "one image per simplex"),
+    # each image a simplex of its own degree
+    ([[0, 1], [-1, 0]], "'a' outside the space"),
+    ([[0, 1], [0, 2]], "'c' outside the space"),
+    ([[0, -1], [1, 0]], "'q' outside the space"),
+    # self-inverse: both arcs to c
+    ([[0, 1], [1, 1]], "not self-inverse at 'a'"),
+    # swapping only the vertices breaks equivariance with the faces
+    ([[1, 0], [0, 1]], "commute with d_0 on 'a'"),
+]
+
+
 def test_action_validation_catches_breakage():
     X, A = two_gon()
-    # swapping only the vertices breaks equivariance with the faces
-    vertex_swap = SimplicialAction.involution(X, {"b": "q", "q": "b"})
-    with pytest.raises(ActionInvalid, match="commute"):
-        vertex_swap.validate(X)
-    partial = SimplicialAction({"a": "c", "c": "a"})
-    with pytest.raises(ActionInvalid, match="exactly the simplices"):
-        partial.validate(X)
-    not_bijective = SimplicialAction({**A.swap, "a": "c", "c": "c"})
-    with pytest.raises(ActionInvalid, match="bijection"):
-        not_bijective.validate(X)
-    dimension_change = SimplicialAction({"b": "a", "a": "b", "q": "q", "c": "c"})
-    with pytest.raises(ActionInvalid, match="dimension"):
-        dimension_change.validate(X)
+    A.validate(X)
+    for images, refusal in BROKEN_ACTIONS:
+        with pytest.raises(ActionInvalid, match=refusal):
+            SimplicialAction(images).validate(X)
 
 
 def test_action_composition_law_checked():
     # an involution must square to the identity: a 3-cycle of circles
     # commutes with the faces, but it would generate Z/3
-    U = SimplicialSet(
+    U = oracles.by_id(
         {0: [f"{i}:v" for i in range(3)], 1: [f"{i}:e" for i in range(3)]},
         {f"{i}:e": (F((), f"{i}:v"), F((), f"{i}:v")) for i in range(3)},
     )
-    cycle = {f"{i}:{x}": f"{(i + 1) % 3}:{x}" for i in range(3) for x in "ve"}
-    with pytest.raises(ActionInvalid, match="inverse"):
-        SimplicialAction.involution(U, cycle)
-    with pytest.raises(ActionInvalid, match="self-inverse"):
+    cycle = [[1, 2, 0], [1, 2, 0]]
+    with pytest.raises(ActionInvalid, match="not self-inverse at '0:v'"):
         SimplicialAction(cycle).validate(U)
+    cycle = {f"{i}:{x}": f"{(i + 1) % 3}:{x}" for i in range(3) for x in "ve"}
+    assert oracles.action_by_id(U, cycle).images == [[1, 2, 0], [1, 2, 0]]
 
 
 def test_a_wrong_face_on_the_pair_member_validate_skips_is_refused():
@@ -607,17 +625,18 @@ def test_a_wrong_face_on_the_pair_member_validate_skips_is_refused():
     for X, A in (two_gon(), catalog.sphere_simplicial(3), catalog.torus(2)):
         A.validate(X)
         planted = 0
-        for sid, target in A.swap.items():
+        faces = oracles.faces_by_id(X)
+        for sid, target in oracles.swap_by_id(X, A).items():
             if not sid < target or X.dim_of[sid] == 0:
                 continue
-            row = X.faces[target]
+            row = faces[target]
             for i, f in enumerate(row):
                 level = X.ids(X.dim_of[f.base])
                 if len(level) < 2:
                     continue
                 wrong = F(f.word, level[level[0] == f.base])  # another base
-                faces = {**X.faces, target: row[:i] + (wrong,) + row[i + 1 :]}
-                Y = SimplicialSet(X.simplices, faces, check=False)
+                planted_faces = {**faces, target: row[:i] + (wrong,) + row[i + 1 :]}
+                Y = oracles.by_id(X.simplices, planted_faces, check=False)
                 with pytest.raises(ActionInvalid, match="commute"):
                     A.validate(Y)
                 planted += 1
@@ -629,19 +648,33 @@ def test_a_wrong_face_on_the_pair_member_validate_skips_is_refused():
 
 def test_collapse_arc_in_circle():
     X, _ = two_gon()
-    Q = collapse(X, ["c"])  # the arc b -a- q goes to the point
+    Q = collapse(X, [[False, False], [False, True]])  # b -a- q goes to the point
     assert Q.f_vector() == [1, 1]
     assert Q.basepoint == "*"
-    assert Q.faces["c"] == (F((), "*"), F((), "*"))
+    assert oracles.faces_by_id(Q)["c"] == (F((), "*"), F((), "*"))
     assert homology(normalized_chains(Q)) == GradedGroup.of(Z(1), Z(1))
-    with pytest.raises(ValueError, match="unknown"):
-        collapse(X, ["c", "x"])
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [
+        [[False, False]],  # a degree missing
+        [[False, False], [False, True], []],  # a degree too many
+        [[False], [False, True]],  # a flag missing
+        [[False, False], [False, True, True]],  # a flag too many
+        ["c", "x"],  # ids, not flags
+    ],
+)
+def test_collapse_refuses_a_mask_of_the_wrong_shape(keep):
+    X, _ = two_gon()
+    with pytest.raises(ValueError, match="one flag per simplex"):
+        collapse(X, keep)
 
 
 def test_collapse_keeps_the_order_of_its_space():
     P = minimal_torus(2)
-    keep = list(reversed([s for s in P.dim_of if s != P.basepoint]))
-    Q = collapse(P, keep)
+    keep = [s for s in P.dim_of if s != P.basepoint]
+    Q = collapse(P, oracles.keep_by_id(P, keep))
     assert Q.simplices == {0: ["*"], 1: P.ids(1), 2: P.ids(2)}
     assert homology(normalized_chains(Q)) == homology(normalized_chains(P))
 
@@ -651,15 +684,15 @@ def test_collapse_refuses_a_keep_set_that_is_not_locally_closed():
     # while their face, the vertex, is kept
     P = minimal_torus(2)
     with pytest.raises(ValueError, match="locally closed"):
-        collapse(P, [P.ids(2)[0], P.basepoint])
+        collapse(P, oracles.keep_by_id(P, [P.ids(2)[0], P.basepoint]))
     # the top simplex with all its edges, but not the vertex, is fine
-    Q = collapse(P, [P.ids(2)[0]] + P.ids(1))
+    Q = collapse(P, oracles.keep_by_id(P, [P.ids(2)[0]] + P.ids(1)))
     assert Q.f_vector() == [1, 3, 1]
 
 
 def _slice(family, n, m, D=frozenset()):
     X, directions = verifier.splitting_base(family, n, m)
-    return X, [s for s, d in directions.items() if d == D]
+    return X, [s for s, d in oracles.per_id(X, directions).items() if d == D]
 
 
 COLLAPSE_CASES = {
@@ -681,21 +714,21 @@ COLLAPSE_CASES = {
 @pytest.mark.parametrize("case", sorted(COLLAPSE_CASES))
 def test_collapse_matches_the_collapse_by_id(case):
     X, keep = COLLAPSE_CASES[case]()
-    Q = collapse(X, keep)
-    assert (Q.simplices, Q.faces) == oracles.reference_collapse(X, keep)
+    Q = collapse(X, oracles.keep_by_id(X, keep))
+    assert (Q.simplices, oracles.faces_by_id(Q)) == oracles.reference_collapse(X, keep)
 
 
 def test_collapse_rejects_reserved_id():
-    X = SimplicialSet({0: ["*", "v"]}, {})
+    X = SimplicialSet({0: ["*", "v"]}, [[(), ()]])
     with pytest.raises(ValueError, match="reserved"):
-        collapse(X, ["v"])
+        collapse(X, [[False, True]])
 
 
 def test_wedge_of_circles():
     # the fat wedge of a product of two circles is their wedge; kept whole,
     # it gains the disjoint basepoint: W_+, whose reduced homology is H(W)
     P = product_list([circle(), circle()])
-    W = collapse(P, fat_wedge(P))
+    W = collapse(P, oracles.keep_by_id(P, fat_wedge(P)))
     assert W.f_vector() == [1 + 1, 2]  # rose(2) and *
     assert reduced_homology(normalized_chains(W)) == GradedGroup.of(Z(1), Z(2))
 

@@ -1,5 +1,6 @@
-"""Every name the traced benchmark pass rebinds exists in the package, and
-the cell counter it wraps around ``SimplicialSet.__init__`` reads ``dim_of``.
+"""Every name the traced benchmark pass rebinds exists in the package, a
+method it times on its class is reached through the class, and the cell
+counter it wraps around ``SimplicialSet.__init__`` reads ``dim_of``.
 
 ``perfbench/spans.py`` wraps package functions by name from outside, so
 deleting or renaming one would only show when a traced run fails.
@@ -54,7 +55,30 @@ def test_the_cell_counter_reads_one_entry_per_simplex():
         catalog.circle(),
         catalog.sp_torus(2, 2),
         catalog.torus_conj_quotient(2),
+        catalog.sphere_bundle_quotient(3),
         verifier.splitting_factor("hom_circle", 3),
     ):
         assert len(X.dim_of) == sum(X.f_vector()) > 0
         assert all(X.dim_of[sid] == k for k, ids in X.simplices.items() for sid in ids)
+
+
+def test_quotients_reach_the_action_check_through_its_class(monkeypatch):
+    # METHOD_SPANS times SimplicialAction.validate by rebinding it on the
+    # class, so a quotient must call it through the class attribute
+    spans = load_spans()
+    assert ("simplicial", "SimplicialAction", "validate") in spans.METHOD_SPANS
+    simplicial = importlib.import_module("repspace.simplicial")
+    catalog = importlib.import_module("repspace.catalog")
+    original = simplicial.SimplicialAction.validate
+    calls = []
+
+    def spy(self, X):
+        calls.append(X)
+        return original(self, X)
+
+    monkeypatch.setattr(simplicial.SimplicialAction, "validate", spy)
+    X, A = catalog.circle_conj()
+    simplicial.quotient_by_action(X, A)
+    assert calls == [X]
+    catalog.sphere_bundle_quotient(2)
+    assert len(calls) == 2
